@@ -266,18 +266,14 @@ def star_discrepancy(angles) -> float:
     return float(np.max(np.maximum(i / n - x, x - (i - 1.0) / n)))
 
 
-def uniform_distribution_report(run: GreedyRun, arcs: int | None = None) -> DiscrepancyReport:
+def uniform_distribution_report(run: GreedyRun) -> DiscrepancyReport:
     """Star discrepancy and energy gap of a greedy run (regimes 0 <= s < 1).
 
-    The discrepancy is computed exactly from the sorted angles; the ``arcs``
-    argument is accepted for interface stability and only validated (an arc
-    sampling grid cannot improve on the exact sorted-sample formula).
+    The discrepancy is computed exactly from the sorted angles.
     """
     s = run.s.s
     if not 0 <= s < 1:
         raise ValueError(f"uniform-distribution report applies for 0 <= s < 1, got s={s}")
-    if arcs is not None and arcs < 1:
-        raise ValueError(f"need arcs >= 1, got {arcs}")
     n = len(run.points)
     disc = star_discrepancy(run.points.angles())
     i_sigma = continuous_energy(s)
@@ -705,7 +701,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     # --- numerical greedy reproduces the structural extremal values
     n_cross = min(64, n_max)
     for s in dict.fromkeys(pos[:1] + pos[-1:]):
-        run = greedy_numerical(Configuration.from_turns([0.0]), s, n_cross, grid=1024)
+        run = greedy_numerical(Configuration.from_turns([0.0]), s, n_cross)
         ref = extremal_values_structural(n_cross - 1, s)
         worst = float(np.max(np.abs(np.array(run.extremal_values) - ref)))
         rep.checks.append(
@@ -716,9 +712,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     if sub:
         s = sub[0]
         n_gen = min(256, n_max)
-        run = greedy_numerical(
-            Configuration.from_turns([0.0, 0.1, 0.37]), s, n_gen, grid=1024
-        )
+        run = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), s, n_gen)
         discs = []
         for n_chk in (n_gen // 4, n_gen // 2, n_gen):
             sub_run = GreedyRun(

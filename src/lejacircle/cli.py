@@ -65,8 +65,7 @@ def cmd_sequence(args) -> int:
         return 2
     if args.numerical:
         initial = _parse_initial(args.initial)
-        run = greedy_numerical(initial, args.s, args.n, grid=args.grid,
-                               refine_iters=args.refine_iters)
+        run = greedy_numerical(initial, args.s, args.n)
         rows = run.to_csv_rows()
     else:
         config = canonical_structural(args.n)
@@ -201,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--s", type=float, default=0.5, help="Riesz exponent")
     p_seq.add_argument("--initial", type=str, default="0",
                        help="comma-separated initial turn angles (numerical mode)")
-    p_seq.add_argument("--grid", type=int, default=4096, help="samples per unit arc")
-    p_seq.add_argument("--refine-iters", type=int, default=40,
-                       help="golden-section refinement iterations")
     p_seq.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
     p_seq.set_defaults(func=cmd_sequence)
 

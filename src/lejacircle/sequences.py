@@ -16,18 +16,15 @@ over the binary expansion of N:
 midpoint potentials memoized, so the whole series for N <= N_max costs one
 pass over the dyadic table plus O(N_max * log N_max) additions.
 
-``greedy_numerical`` grows an arbitrary initial configuration by direct
-minimization of the running potential (s > 0) or of -sum log distance
-(s = 0): each gap between circularly adjacent points is seeded with
-ceil(grid * arclength) >= 8 samples, the best bracket is refined by
-golden-section, and the result is polished by bisection on the potential's
-derivative.  The polish step is what pushes the located minimum from
-~sqrt(eps) positional accuracy (the limit of value-based search) down to
-~eps, which matters because a misplaced charge perturbs all later extremal
-values linearly.
+``greedy_numerical`` grows an arbitrary initial configuration by appending
+the global minimizer of the running potential (s > 0) or of -sum log distance
+(s = 0).  Every kernel term is strictly convex between two adjacent charges,
+so each gap holds exactly one minimizer; a safeguarded Newton/bisection on the
+derivative finds it and brackets the gap minimum from both sides, and the
+global minimum is the smallest gap minimum.  After each appended point only
+the gaps whose bracket can still reach the best value are solved again.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +36,7 @@ from .circle import (
     Configuration,
     RieszParameter,
     _as_s,
+    chord_lengths,
     kernel_values,
     midpoint_potential,
 )
@@ -52,15 +50,13 @@ __all__ = [
     "energy_series_from_extremal",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-# Grid minima within this absolute slack are all refined before tie-breaking.
-_TIE_COARSE = 1e-9
-# Refined values within this slack count as ties; smallest angle wins.
-_TIE_FINAL = 1e-12
-_MIN_SAMPLES_PER_GAP = 8
-_POLISH_ITERS = 90
+# A gap counts as solved once its certified bracket upper - lower is this small
+# relative to the value; Newton converges quadratically, so that takes a few
+# steps, and the iteration cap is only a safeguard.
+_SOLVED = 1e-13
+_MAX_ITERS = 100
+# Minima within this absolute slack count as ties; the smallest angle wins.
+_TIE = 1e-12
 
 
 def bitreverse(n: int) -> tuple[int, int]:
@@ -137,7 +133,8 @@ class GreedyRun:
 
     ``extremal_values[n-1]`` is U_n(a_n), the potential of the first n points
     at the (n+1)-th; for n > p (the number of given initial points minus one)
-    that value is the certified minimum of the running potential.
+    that value is the minimum of the running potential, certified by a
+    per-gap bracket.
     """
 
     s: RieszParameter
@@ -159,129 +156,105 @@ class GreedyRun:
         return rows
 
 
-def _potential_on_grid(angles: np.ndarray, xs: np.ndarray, sv: float) -> np.ndarray:
-    delta = xs[:, None] - angles[None, :]
-    delta -= np.round(delta)
-    d = 2.0 * np.abs(np.sin(np.pi * delta))
+def _kernel(d: np.ndarray, sv: float) -> np.ndarray:
+    """Kernel values at chord distances d."""
+    return -np.log(d) if sv == 0.0 else d ** (-sv)
+
+
+def _derivatives(x: np.ndarray, charges: np.ndarray, sv: float):
+    """U, U' and U'' in the turn angle at each point of x, strictly inside its gap."""
+    t = x[:, None] - charges[None, :]
+    t -= np.round(t)
+    sn = np.sin(np.pi * t)
+    cot = np.cos(np.pi * t) / sn
+    csc2 = 1.0 / (sn * sn)
     if sv == 0.0:
-        return -np.log(d).sum(axis=1)
-    return (d ** (-sv)).sum(axis=1)
+        return (-np.log(2.0 * np.abs(sn)).sum(axis=1), -np.pi * cot.sum(axis=1),
+                np.pi ** 2 * csc2.sum(axis=1))
+    g = (2.0 * np.abs(sn)) ** (-sv)
+    return (g.sum(axis=1), -sv * np.pi * (g * cot).sum(axis=1),
+            sv * np.pi ** 2 * (g * (sv * cot * cot + csc2)).sum(axis=1))
 
 
-def _potential_at(angles: np.ndarray, x: float, sv: float) -> float:
-    return pairwise_sum(kernel_values(angles, x, sv))
+def _solve_gaps(charges: np.ndarray, lo: np.ndarray, hi: np.ndarray, sv: float):
+    """Minimize the running potential on each open gap (lo[i], hi[i]).
 
-
-def _dpotential_at(angles: np.ndarray, x: float, sv: float) -> float:
-    """Derivative of the running potential with respect to the turn angle."""
-    delta = x - angles
-    delta -= np.round(delta)
-    t = np.pi * delta
-    sn = np.sin(t)
-    if sv == 0.0:
-        return float(-np.pi * np.sum(np.cos(t) / sn))
-    d = 2.0 * np.abs(sn)
-    grad = -sv * d ** (-sv - 1.0) * 2.0 * np.pi * np.cos(t) * np.sign(sn)
-    return float(np.sum(grad))
-
-
-def _golden_refine(angles, lo, hi, sv, iters):
-    h = hi - lo
-    c = lo + _INVPHI2 * h
-    d = lo + _INVPHI * h
-    yc = _potential_at(angles, c % 1.0, sv)
-    yd = _potential_at(angles, d % 1.0, sv)
-    for _ in range(iters):
-        if yc < yd:
-            hi, d, yd = d, c, yc
-            h = _INVPHI * h
-            c = lo + _INVPHI2 * h
-            yc = _potential_at(angles, c % 1.0, sv)
-        else:
-            lo, c, yc = c, d, yd
-            h = _INVPHI * h
-            d = lo + _INVPHI * h
-            yd = _potential_at(angles, d % 1.0, sv)
-    return c if yc < yd else d
-
-
-def _polish_root(angles, lo, hi, sv, fallback):
-    """Bisect the derivative's sign change in [lo, hi]; fall back if absent."""
-    glo = _dpotential_at(angles, lo % 1.0, sv)
-    ghi = _dpotential_at(angles, hi % 1.0, sv)
-    if not (glo < 0.0 < ghi):
-        return fallback
-    for _ in range(_POLISH_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g = _dpotential_at(angles, mid % 1.0, sv)
-        if g < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _next_greedy_point(angles: np.ndarray, sv: float, grid: int, refine_iters: int):
-    """Locate the global minimizer of the running potential on the circle.
-
-    Returns (angle, value).  Every gap between circularly adjacent charges is
-    sampled, near-tied grid minima are each refined, and ties of refined
-    values within 1e-12 are resolved to the smallest angle in [0, 1).
+    Every kernel term is strictly convex between adjacent charges, so U' rises
+    through zero exactly once per gap.  A safeguarded Newton iteration on U'
+    keeps a sign bracket and bisects it whenever the Newton step leaves it;
+    starting at the midpoint keeps symmetric gaps exactly at their dyadic
+    midpoints.  Returns (x, upper, lower) with upper = U(x) and, by convexity,
+    lower = U(x) - |U'(x)| * (hi - lo) <= the gap minimum <= upper.
     """
-    order = np.sort(angles)
-    gap_starts = order
-    gap_lengths = np.diff(np.concatenate([order, [order[0] + 1.0]]))
-
-    xs_parts = []
-    half_parts = []
-    lo_parts = []
-    hi_parts = []
-    for start, length in zip(gap_starts, gap_lengths):
-        m = max(_MIN_SAMPLES_PER_GAP, int(np.ceil(grid * length)))
-        offs = (np.arange(m, dtype=np.float64) + 0.5) * (length / m)
-        xs_parts.append(start + offs)
-        half_parts.append(np.full(m, length / m))
-        # Brackets are clamped inside the open gap so the refinement never
-        # straddles an endpoint charge (an infinite spike would break the
-        # unimodality assumption of the golden-section step).
-        lo_parts.append(np.full(m, start + 1e-9 * length))
-        hi_parts.append(np.full(m, start + (1.0 - 1e-9) * length))
-    xs = np.concatenate(xs_parts)
-    halfw = np.concatenate(half_parts)
-    gap_lo = np.concatenate(lo_parts)
-    gap_hi = np.concatenate(hi_parts)
-
-    vals = _potential_on_grid(angles, xs % 1.0, sv)
-    vmin = float(np.min(vals))
-    tie_idx = np.nonzero(vals <= vmin + _TIE_COARSE)[0]
-
-    best_x, best_v = None, math.inf
-    for i in tie_idx:
-        lo = float(max(xs[i] - halfw[i], gap_lo[i]))
-        hi = float(min(xs[i] + halfw[i], gap_hi[i]))
-        x = _golden_refine(angles, lo, hi, sv, refine_iters)
-        x = _polish_root(angles, lo, hi, sv, fallback=x)
-        x %= 1.0
-        v = _potential_at(angles, x, sv)
-        if v < best_v - _TIE_FINAL or (abs(v - best_v) <= _TIE_FINAL and x < best_x):
-            best_x, best_v = x, v
-    return best_x, best_v
+    length = hi - lo
+    xl, xh = lo.copy(), hi.copy()
+    x = 0.5 * (lo + hi)
+    u, du = np.empty_like(x), np.empty_like(x)
+    active = np.arange(x.size)
+    for it in range(_MAX_ITERS):
+        xi = x[active]
+        ui, dui, ddui = _derivatives(xi, charges, sv)
+        u[active], du[active] = ui, dui
+        right = dui < 0.0  # the minimizer lies right of xi
+        bl = xl[active] = np.where(right, xi, xl[active])
+        bh = xh[active] = np.where(right, xh[active], xi)
+        step = xi - dui / ddui
+        nxt = np.where((step > bl) & (step < bh), step, 0.5 * (bl + bh))
+        done = np.abs(dui) * length[active] <= _SOLVED * np.maximum(np.abs(ui), 1.0)
+        done |= (nxt == xi) | (it == _MAX_ITERS - 1)
+        x[active] = np.where(done, xi, nxt)
+        active = active[~done]
+        if active.size == 0:
+            break
+    return x, u, u - np.abs(du) * length
 
 
-def greedy_numerical(
-    initial: Configuration,
-    s,
-    n_points: int,
-    grid: int = 4096,
-    refine_iters: int = 40,
-) -> GreedyRun:
+def _grow(initial: np.ndarray, sv: float, n_points: int) -> np.ndarray:
+    """Append the global minimizer of the running potential until n_points.
+
+    Gap i runs from lo[i] to hi[i] (hi may pass 1) and keeps a candidate x[i]
+    with upper[i] = U(x[i]) and a certified lower[i] <= its minimum, as in the
+    one-candidate-per-gap scheme of Baglama, Calvetti and Reichel, "Fast Leja
+    points" (ETNA 7, 1998).  Appending a charge a adds k(x[i] - a) to upper[i]
+    and the least value of k(. - a) on the gap, taken at its point farthest
+    from a, to lower[i].  The two halves of the split gap start with bounds
+    (-inf, inf).  Each step solves every gap whose lower bound reaches the
+    best upper bound, so every gap that can hold or tie the global minimum is
+    solved for the current potential, and leaves the others alone.
+    """
+    pts = np.empty(n_points)
+    m = initial.size
+    pts[:m] = initial
+    lo, hi, x = (np.empty(n_points) for _ in range(3))
+    upper, lower = np.full(n_points, np.inf), np.full(n_points, -np.inf)
+    order = np.sort(initial)
+    lo[:m], hi[:m] = order, np.append(order[1:], order[0] + 1.0)
+    while m < n_points:
+        redo = np.nonzero(lower[:m] <= upper[:m].min() + _TIE)[0]
+        x[redo], upper[redo], lower[redo] = _solve_gaps(pts[:m], lo[redo], hi[redo], sv)
+        ties = np.nonzero(upper[:m] <= upper[:m].min() + _TIE)[0]
+        j = ties[np.argmin(x[ties] % 1.0)]
+        a = pts[m] = x[j] % 1.0
+        near = chord_lengths(x[:m], a)
+        near[j] = 2.0  # gap j is split below
+        far = np.maximum(chord_lengths(lo[:m], a), chord_lengths(hi[:m], a))
+        far[(a + 0.5 - lo[:m]) % 1.0 < hi[:m] - lo[:m]] = 2.0
+        upper[:m] += _kernel(near, sv)
+        lower[:m] += _kernel(far, sv)
+        lo[m], hi[m], hi[j] = x[j], hi[j], x[j]
+        upper[[j, m]], lower[[j, m]] = np.inf, -np.inf
+        m += 1
+    return pts
+
+
+def greedy_numerical(initial: Configuration, s, n_points: int) -> GreedyRun:
     """Grow a greedy s-energy sequence numerically from an initial configuration.
 
-    Each appended point minimizes the running potential of the current points
-    (for s = 0, equivalently maximizes the product of distances).  Requires a
-    nonempty initial configuration of distinct points and grid >= 64.  If
+    Each appended point is the global minimizer of the running potential of
+    the current points (for s = 0, equivalently the maximizer of the product
+    of distances), found by one certified convex solve per gap.  Minima
+    within 1e-12 of each other are ties, resolved to the smallest angle in
+    [0, 1).  Requires a nonempty initial configuration of distinct points.  If
     n_points does not exceed the initial size, the configuration is returned
     unchanged (running potential values are still recorded).
     """
@@ -289,20 +262,16 @@ def greedy_numerical(
     sv = param.s
     if len(initial) < 1:
         raise ValueError("initial configuration must contain at least one point")
-    if grid < 64:
-        raise ValueError(f"need grid >= 64, got {grid}")
     if n_points > MAX_POINTS:
         raise BudgetExceededError(f"N={n_points} exceeds the compute budget {MAX_POINTS}")
 
-    work = list(initial.angles())
-    while len(work) < n_points:
-        x, _ = _next_greedy_point(np.array(work, dtype=np.float64), sv, grid, refine_iters)
-        work.append(x)
-
+    work = initial.angles()
+    if n_points > len(work):
+        work = _grow(work, sv, n_points)
     points = Configuration.from_turns(work)
     all_angles = points.angles()
     extremal = [
-        _potential_at(all_angles[:n], float(all_angles[n]), sv)
+        pairwise_sum(kernel_values(all_angles[:n], float(all_angles[n]), sv))
         for n in range(1, len(work))
     ]
     return GreedyRun(s=param, initial=initial, points=points, extremal_values=extremal)

@@ -334,12 +334,14 @@ def test_generalized_greedy_distribution(generalized_runs):
 
 
 def test_numerical_greedy_matches_structural():
+    # a rotated start leaves the greedy values unchanged
     crit = Criterion("numerical greedy reproduces the structural values")
-    for s in (0.5, 1.0, 2.0):
-        run = greedy_numerical(Configuration.from_turns([0.0]), s, 128)
-        ref = extremal_values_structural(127, s)
-        worst = float(np.max(np.abs(np.array(run.extremal_values) - ref)))
-        crit.check(worst <= 1e-6, f"s={s}: max extremal mismatch {worst:.2e} > 1e-6")
+    for x0 in (0.0, 0.3137):
+        for s in (0.5, 1.0, 2.0):
+            run = greedy_numerical(Configuration.from_turns([x0]), s, 128)
+            ref = extremal_values_structural(127, s)
+            worst = float(np.max(np.abs(np.array(run.extremal_values) - ref)))
+            crit.check(worst <= 1e-6, f"x0={x0}, s={s}: max extremal mismatch {worst:.2e} > 1e-6")
     crit.finish()
 
 

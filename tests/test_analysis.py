@@ -232,18 +232,6 @@ class TestUniformDistributionReport:
         with pytest.raises(ValueError):
             uniform_distribution_report(run)
 
-    def test_arcs_validation(self):
-        cfg = canonical_structural(8)
-        run = GreedyRun(
-            s=RieszParameter(0.0),
-            initial=Configuration(cfg.points[:1]),
-            points=cfg,
-            extremal_values=[],
-        )
-        with pytest.raises(ValueError):
-            uniform_distribution_report(run, arcs=0)
-        uniform_distribution_report(run, arcs=32)
-
 
 class TestVerifyAll:
     def test_defaults_pass(self):

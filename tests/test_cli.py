@@ -28,7 +28,7 @@ class TestSequence:
         out = tmp_path / "run.csv"
         code = run_cli([
             "sequence", "--numerical", "--s", "0.5", "--initial", "0,0.1,0.37",
-            "--n", "48", "--grid", "256", "--out", str(out),
+            "--n", "48", "--out", str(out),
         ])
         assert code == 0
         rows = list(csv.DictReader(out.open()))
@@ -49,7 +49,7 @@ class TestSequence:
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sequence", "--numerical", "--s", "0.5", "--initial", "0,0.1,0.37",
-                "--n", "24", "--grid", "256"]
+                "--n", "24"]
         run_cli(args + ["--out", str(a)])
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()

@@ -114,38 +114,53 @@ class TestEnergySeries:
 
 class TestGreedyNumerical:
     def test_from_single_point_s1(self):
-        run = greedy_numerical(Configuration.from_turns([0.0]), 1.0, 4, grid=512)
+        run = greedy_numerical(Configuration.from_turns([0.0]), 1.0, 4)
         got = sorted(p.angle for p in run.points)
         assert got == pytest.approx([0.0, 0.25, 0.5, 0.75], abs=1e-9)
         ref = extremal_values_structural(3, 1.0)
         np.testing.assert_allclose(run.extremal_values, ref, atol=1e-6)
 
     def test_log_case_first_step(self):
-        run = greedy_numerical(Configuration.from_turns([0.0]), 0.0, 2, grid=256)
+        run = greedy_numerical(Configuration.from_turns([0.0]), 0.0, 2)
         assert run.points[1].angle == pytest.approx(0.5, abs=1e-12)
         assert run.extremal_values[0] == pytest.approx(-math.log(2.0), abs=1e-12)
 
     def test_initial_two_points_lands_in_long_arc(self):
         # charges at 1 and i: the new point must fall strictly inside (1/4, 1)
-        run = greedy_numerical(Configuration.from_turns([0.0, 0.25]), 0.5, 3, grid=256)
+        run = greedy_numerical(Configuration.from_turns([0.0, 0.25]), 0.5, 3)
         a = run.points[2].angle
         assert 0.25 < a < 1.0
 
     def test_cross_construction_small(self):
         for s in (0.5, 1.0, 2.0):
-            run = greedy_numerical(Configuration.from_turns([0.0]), s, 32, grid=512)
+            run = greedy_numerical(Configuration.from_turns([0.0]), s, 32)
             ref = extremal_values_structural(31, s)
             np.testing.assert_allclose(run.extremal_values, ref, atol=1e-8)
 
     def test_monotone_and_bounded(self):
         from lejacircle.special import continuous_energy
 
-        run = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 64, grid=256)
+        run = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 64)
         ext = np.array(run.extremal_values)
         assert run.p == 2
         assert np.all(np.diff(ext[run.p:]) >= -1e-10)
         nn = np.arange(run.p + 1, 64)
         assert np.all(ext[run.p:] <= nn * continuous_energy(0.5))
+
+    def test_every_step_is_the_global_minimizer(self):
+        # independent dense search: 64 samples inside every gap of every prefix,
+        # all of which lie at or above the true minimum
+        s, n = 2.0, 64
+        run = greedy_numerical(Configuration.from_turns([0.3137]), s, n)
+        angles = np.asarray(run.points.angles())
+        frac = (np.arange(64) + 0.5) / 64
+        for k in range(1, n):
+            a = np.sort(angles[:k])
+            xs = (a[:, None] + np.diff(np.append(a, a[0] + 1.0))[:, None] * frac).ravel()
+            d = np.abs(np.exp(2j * np.pi * xs)[:, None] - np.exp(2j * np.pi * a)[None, :])
+            sampled = float(np.min((d ** -s).sum(axis=1)))
+            chosen = potential_oracle(angles[:k], float(angles[k]), s)
+            assert chosen <= sampled + 1e-12 * max(abs(sampled), 1.0), f"step {k} is not greedy"
 
     def test_n_not_larger_than_initial(self):
         init = Configuration.from_turns([0.0, 0.3, 0.6])
@@ -157,18 +172,16 @@ class TestGreedyNumerical:
         with pytest.raises(CoincidentPointsError):
             greedy_numerical(Configuration.from_turns([0.1, 0.1]), 1.0, 4)
         with pytest.raises(ValueError):
-            greedy_numerical(Configuration.from_turns([0.0]), 1.0, 4, grid=32)
-        with pytest.raises(ValueError):
             greedy_numerical(Configuration([]), 1.0, 4)
 
     def test_deterministic(self):
-        a = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 24, grid=256)
-        b = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 24, grid=256)
+        a = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 24)
+        b = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 24)
         assert [p.angle for p in a.points] == [p.angle for p in b.points]
         assert a.extremal_values == b.extremal_values
 
     def test_csv_rows(self):
-        run = greedy_numerical(Configuration.from_turns([0.0]), 1.0, 3, grid=256)
+        run = greedy_numerical(Configuration.from_turns([0.0]), 1.0, 3)
         rows = run.to_csv_rows()
         assert rows[0] == (0, 0.0, "")
         assert rows[1][0] == 1 and isinstance(rows[1][2], float)
