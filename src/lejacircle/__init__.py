@@ -21,14 +21,12 @@ from .binary import (
 )
 from .circle import (
     BudgetExceededError,
-    CirclePoint,
     CoincidentPointsError,
     Configuration,
-    RieszParameter,
-    chord_distance,
+    chord_lengths,
     classify_regime,
     energy,
-    kernel,
+    kernel_values,
     leja_sup_norm_log,
     midpoint_potential,
     potential,
@@ -50,10 +48,10 @@ from .analysis import (
 )
 from .sequences import (
     GreedyRun,
-    canonical_structural,
     energy_series_from_extremal,
     extremal_values_structural,
     greedy_numerical,
+    structural_angles,
 )
 from .special import (
     EULER_GAMMA,

@@ -271,7 +271,7 @@ def uniform_distribution_report(run: GreedyRun) -> DiscrepancyReport:
 
     The discrepancy is computed exactly from the sorted angles.
     """
-    s = run.s.s
+    s = run.s
     if not 0 <= s < 1:
         raise ValueError(f"uniform-distribution report applies for 0 <= s < 1, got s={s}")
     n = len(run.points)
@@ -322,6 +322,22 @@ def _rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _max_le(name, residual, budget, detail="") -> CheckResult:
     return CheckResult(name, residual <= budget, float(residual), float(budget), detail)
+
+
+def _divergence_check(name, series, detail="") -> CheckResult:
+    """Divergence evidence for a series over N = 1..n_max.
+
+    The dyadic (N = 2^p) and all-ones (N = 2^p - 1) subsequences must differ by
+    more than ten times their own drift over the last doubling.
+    """
+    p = len(series).bit_length() - 1
+    v_dyadic = series[(1 << p) - 1]
+    v_ones = series[(1 << p) - 2]
+    r_dyadic = abs(v_dyadic - series[(1 << (p - 1)) - 1])
+    r_ones = abs(v_ones - series[(1 << (p - 1)) - 2])
+    gap = abs(v_dyadic - v_ones)
+    budget = 10.0 * max(r_dyadic, r_ones)
+    return CheckResult(name, gap > budget, float(gap), float(budget), detail)
 
 
 def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationReport:
@@ -469,19 +485,10 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
                 "series within the proof's geometric bound",
             )
         )
-        # Divergence evidence: dyadic vs all-ones subsequences separate.
-        p = n_max.bit_length() - 1
-        v_dyadic = ext[(1 << p) - 1]
-        v_ones = ext[(1 << p) - 2]
-        r_dyadic = abs(v_dyadic - ext[(1 << (p - 1)) - 1])
-        r_ones = abs(v_ones - ext[(1 << (p - 1)) - 2])
-        gap = abs(v_dyadic - v_ones)
         rep.checks.append(
-            CheckResult(
+            _divergence_check(
                 f"divergence-witnesses[s={s:g}]",
-                gap > 10.0 * max(r_dyadic, r_ones),
-                float(gap),
-                float(10.0 * max(r_dyadic, r_ones)),
+                ext,
                 "dyadic and 2^p-1 subsequences separate beyond drift",
             )
         )
@@ -502,20 +509,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
             )
         )
         ext1 = normalized_series("second_order_1", 1.0, n_max).values
-        p = n_max.bit_length() - 1
-        v_dyadic = ext1[(1 << p) - 1]
-        v_ones = ext1[(1 << p) - 2]
-        r_dyadic = abs(v_dyadic - ext1[(1 << (p - 1)) - 1])
-        r_ones = abs(v_ones - ext1[(1 << (p - 1)) - 2])
-        gap = abs(v_dyadic - v_ones)
-        rep.checks.append(
-            CheckResult(
-                "divergence-witnesses[s=1]",
-                gap > 10.0 * max(r_dyadic, r_ones),
-                float(gap),
-                float(10.0 * max(r_dyadic, r_ones)),
-            )
-        )
+        rep.checks.append(_divergence_check("divergence-witnesses[s=1]", ext1))
         lo = level - (2.0 / math.e + 2.0 * math.log(2.0)) / math.pi
         rep.checks.append(
             CheckResult(
@@ -565,20 +559,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
                     "midpoint transform is exactly 1/4 at s=2",
                 )
             )
-        p = n_max.bit_length() - 1
-        v_dyadic = ext[(1 << p) - 1]
-        v_ones = ext[(1 << p) - 2]
-        r_dyadic = abs(v_dyadic - ext[(1 << (p - 1)) - 1])
-        r_ones = abs(v_ones - ext[(1 << (p - 1)) - 2])
-        gap = abs(v_dyadic - v_ones)
-        rep.checks.append(
-            CheckResult(
-                f"divergence-witnesses[s={s:g}]",
-                gap > 10.0 * max(r_dyadic, r_ones),
-                float(gap),
-                float(10.0 * max(r_dyadic, r_ones)),
-            )
-        )
+        rep.checks.append(_divergence_check(f"divergence-witnesses[s={s:g}]", ext))
 
     # --- monotonicity and energy domination (structural greedy)
     for s in pos:
@@ -718,7 +699,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
             sub_run = GreedyRun(
                 s=run.s,
                 initial=run.initial,
-                points=Configuration(run.points.points[:n_chk]),
+                points=Configuration.from_turns(run.points.angles()[:n_chk]),
                 extremal_values=run.extremal_values[: n_chk - 1],
             )
             discs.append(uniform_distribution_report(sub_run).star_discrepancy)

@@ -1,10 +1,11 @@
-"""Points on the unit circle, Riesz/logarithmic kernels, potentials, energies.
+"""Configurations on the unit circle, Riesz/logarithmic kernels, potentials, energies.
 
-Angles are stored in *turns* (full revolutions, so the point is
-exp(2*pi*i*angle)).  Structurally important points are dyadic rationals
-numerator / 2**level, which are exact in binary floating point; keeping them
-exact makes the combinatorial identities of this package hold to rounding
-error instead of drifting with 2*pi conversions.
+A point is a float turn angle x in [0, 1) (full revolutions, so the point is
+exp(2*pi*i*x)), and a Configuration is one validated, read-only float64 array
+of such angles.  Structurally important points are dyadic rationals
+k / 2**m, which are exact in binary floating point; keeping them exact makes
+the combinatorial identities of this package hold to rounding error instead
+of drifting with 2*pi conversions.
 
 Kernels: for two circle points z, w and exponent s >= 0
 
@@ -12,7 +13,8 @@ Kernels: for two circle points z, w and exponent s >= 0
     k_s(z, w) = |z - w|**(-s)        (s > 0)
 
 where |z - w| = 2*|sin(pi*(x - y))| is the chord distance between the points
-at turn angles x and y.
+at turn angles x and y; ``chord_kernel`` is the one implementation of this
+map from chord lengths to kernel values.
 
 Closed forms for N-th roots of unity:
 
@@ -25,7 +27,6 @@ Both are evaluated by direct summation with deterministic compensated
 reduction (see summation.py).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +53,7 @@ class BudgetExceededError(RuntimeError):
 
 def classify_regime(s: float) -> str:
     """Classify the Riesz exponent: log (s=0), subcritical, critical, supercritical."""
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"Riesz exponent must be >= 0, got {s}")
     if s == 0:
         return REGIME_LOG
@@ -63,101 +64,46 @@ def classify_regime(s: float) -> str:
     return REGIME_SUPERCRITICAL
 
 
-@dataclass(frozen=True)
-class RieszParameter:
-    """Riesz exponent s >= 0; s = 0 selects the logarithmic kernel."""
-
-    s: float
-
-    def __post_init__(self):
-        if not self.s >= 0:
-            raise ValueError(f"Riesz exponent must be >= 0, got {self.s}")
-
-    @property
-    def regime(self) -> str:
-        return classify_regime(self.s)
-
-
-def _as_s(s) -> float:
-    return float(s.s) if isinstance(s, RieszParameter) else float(s)
-
-
-@dataclass(frozen=True)
-class CirclePoint:
-    """A point on the unit circle, stored as a turn angle in [0, 1).
-
-    Dyadic points carry an exact representation numerator / 2**level with
-    0 <= numerator < 2**level (level 0 is the point 1).  Generic points carry
-    only the float angle.
-    """
-
-    angle: float
-    numerator: int | None = None
-    level: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.angle < 1.0:
-            raise ValueError(f"turn angle must lie in [0, 1), got {self.angle}")
-
-    @classmethod
-    def dyadic(cls, numerator: int, level: int) -> "CirclePoint":
-        """Exact point at angle numerator / 2**level."""
-        if level < 0 or numerator < 0 or numerator >= (1 << level):
-            raise ValueError(f"need 0 <= numerator < 2**level, got {numerator}/2^{level}")
-        # Reduce so the representation is unique (odd numerator unless zero).
-        while level > 0 and numerator % 2 == 0:
-            numerator //= 2
-            level -= 1
-        return cls(angle=numerator / (1 << level), numerator=numerator, level=level)
-
-    @classmethod
-    def from_turns(cls, angle: float) -> "CirclePoint":
-        return cls(angle=angle % 1.0)
-
-    @property
-    def is_dyadic(self) -> bool:
-        return self.numerator is not None
-
-    def complex(self) -> complex:
-        theta = 2.0 * np.pi * self.angle
-        return complex(np.cos(theta), np.sin(theta))
-
-
 class Configuration:
-    """An ordered tuple of pairwise-distinct circle points.
+    """An ordered, read-only array of pairwise-distinct turn angles in [0, 1).
 
     Ordering is by selection index (the order points were generated), not by
     angle.  Distinctness is required so that energies and potentials with
-    s >= 0 are finite.
+    s >= 0 are finite.  Build one with :meth:`from_turns`.
     """
 
-    def __init__(self, points):
-        self.points = tuple(points)
-        angles = np.array([p.angle for p in self.points], dtype=np.float64)
-        if angles.size > 1:
-            srt = np.sort(angles)
-            if np.any(np.diff(srt) == 0.0):
-                raise CoincidentPointsError("configuration contains coincident points")
-        self._angles = angles
+    __slots__ = ("_angles",)
 
     @classmethod
     def from_turns(cls, angles) -> "Configuration":
-        return cls([CirclePoint.from_turns(float(a)) for a in angles])
+        """Validate turn angles, reduce them mod 1, and freeze them.
+
+        Raises ValueError for angles that do not lie in [0, 1) after the
+        reduction (NaN, +-inf, and tiny negatives that round up to 1.0) and
+        CoincidentPointsError for repeated angles.
+        """
+        with np.errstate(invalid="ignore"):  # +-inf reduces to NaN, rejected below
+            turns = np.mod(np.array(angles, dtype=np.float64), 1.0)
+        if turns.ndim != 1:
+            raise ValueError("turn angles must form a 1-d sequence")
+        if not np.all((turns >= 0.0) & (turns < 1.0)):
+            raise ValueError("turn angles must reduce into [0, 1)")
+        if np.any(np.diff(np.sort(turns)) == 0.0):
+            raise CoincidentPointsError("configuration contains coincident points")
+        turns.flags.writeable = False
+        config = object.__new__(cls)
+        config._angles = turns
+        return config
 
     def angles(self) -> np.ndarray:
-        """Turn angles in selection order (read-only view)."""
-        view = self._angles.view()
-        view.flags.writeable = False
-        return view
+        """Turn angles in selection order (read-only)."""
+        return self._angles
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._angles.size
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
+    def __getitem__(self, i) -> float:
+        return float(self._angles[i])
 
 
 def chord_lengths(angles: np.ndarray, x: float) -> np.ndarray:
@@ -167,24 +113,9 @@ def chord_lengths(angles: np.ndarray, x: float) -> np.ndarray:
     return 2.0 * np.abs(np.sin(np.pi * delta))
 
 
-def chord_distance(z: CirclePoint, w: CirclePoint) -> float:
-    """Chord distance |z - w| in (0, 2]; returns 0.0 for coincident points."""
-    delta = z.angle - w.angle
-    delta -= round(delta)
-    return 2.0 * abs(np.sin(np.pi * delta))
-
-
-def kernel(s, z: CirclePoint, w: CirclePoint) -> float:
-    """Riesz kernel |z-w|**(-s) for s > 0, or -log|z-w| for s = 0."""
-    sv = _as_s(s)
-    if sv < 0:
-        raise ValueError(f"Riesz exponent must be >= 0, got {sv}")
-    d = chord_distance(z, w)
-    if d == 0.0:
-        raise CoincidentPointsError("kernel is infinite at coincident points")
-    if sv == 0.0:
-        return -float(np.log(d))
-    return float(d ** (-sv))
+def chord_kernel(d: np.ndarray, s: float) -> np.ndarray:
+    """Kernel values at chord lengths d: d**(-s) for s > 0, -log d for s = 0."""
+    return -np.log(d) if s == 0.0 else d ** (-s)
 
 
 def kernel_values(angles: np.ndarray, x: float, s: float) -> np.ndarray:
@@ -192,25 +123,21 @@ def kernel_values(angles: np.ndarray, x: float, s: float) -> np.ndarray:
     d = chord_lengths(angles, x)
     if np.any(d == 0.0):
         raise CoincidentPointsError("kernel is infinite at coincident points")
-    if s == 0.0:
-        return -np.log(d)
-    return d ** (-s)
+    return chord_kernel(d, s)
 
 
-def potential(config: Configuration, z: CirclePoint, s) -> float:
-    """Potential of a configuration at z: sum of kernel(s, a_k, z) over the points."""
-    sv = _as_s(s)
+def potential(config: Configuration, x: float, s: float) -> float:
+    """Potential of a configuration at turn angle x: the sum of its kernel values."""
     if len(config) == 0:
         return 0.0
-    return pairwise_sum(kernel_values(config.angles(), z.angle, sv))
+    return pairwise_sum(kernel_values(config.angles(), x, s))
 
 
-def energy(config: Configuration, s) -> float:
+def energy(config: Configuration, s: float) -> float:
     """Discrete s-energy: the double sum of kernel values over ordered pairs.
 
     Returns 0.0 for configurations with fewer than two points.
     """
-    sv = _as_s(s)
     angles = config.angles()
     n = angles.size
     if n < 2:
@@ -218,7 +145,7 @@ def energy(config: Configuration, s) -> float:
     # 2 * sum over unordered pairs, row by row to bound memory.
     partials = np.empty(n - 1, dtype=np.float64)
     for i in range(n - 1):
-        partials[i] = pairwise_sum(kernel_values(angles[i + 1:], angles[i], sv))
+        partials[i] = pairwise_sum(kernel_values(angles[i + 1:], angles[i], s))
     return 2.0 * pairwise_sum(partials)
 
 
@@ -232,44 +159,42 @@ def _check_roots_args(n: int, s: float) -> None:
 
 
 @lru_cache(maxsize=None)
-def roots_energy(n: int, s) -> float:
+def roots_energy(n: int, s: float) -> float:
     """Minimal n-point s-energy on the circle (attained by the n-th roots of unity).
 
     Closed form 2**(-s) * n * sum_{k=1}^{n-1} sin(k*pi/n)**(-s); by convention
     the value for n = 1 is 0.
     """
-    sv = _as_s(s)
-    _check_roots_args(n, sv)
+    _check_roots_args(n, s)
     if n == 1:
         return 0.0
     k = np.arange(1, n, dtype=np.float64)
-    terms = np.sin(k * (np.pi / n)) ** (-sv)
-    return 2.0 ** (-sv) * n * pairwise_sum(terms)
+    terms = np.sin(k * (np.pi / n)) ** (-s)
+    return 2.0 ** (-s) * n * pairwise_sum(terms)
 
 
 @lru_cache(maxsize=None)
-def midpoint_potential(n: int, s) -> float:
+def midpoint_potential(n: int, s: float) -> float:
     """s-potential of the n-th roots of unity at the midpoint of an adjacent arc.
 
     Direct summation of sum_{k=1}^{n} |exp(pi*i/n) - exp(2*pi*k*i/n)|**(-s);
     the k-th chord has length 2*sin((2k-1)*pi/(2n)).
     """
-    sv = _as_s(s)
-    _check_roots_args(n, sv)
+    _check_roots_args(n, s)
     k = np.arange(1, n + 1, dtype=np.float64)
     d = 2.0 * np.sin((2.0 * k - 1.0) * (np.pi / (2.0 * n)))
-    return pairwise_sum(d ** (-sv))
+    return pairwise_sum(d ** (-s))
 
 
-def leja_sup_norm_log(config: Configuration, z: CirclePoint) -> float:
-    """log of the product of distances from z to the configuration points.
+def leja_sup_norm_log(config: Configuration, x: float) -> float:
+    """log of the product of distances from turn angle x to the configuration points.
 
     Computed as sum_k log|z - a_k| to avoid overflow of the product itself.
     """
     angles = config.angles()
     if angles.size == 0:
         return 0.0
-    d = chord_lengths(angles, z.angle)
+    d = chord_lengths(angles, x)
     if np.any(d == 0.0):
         raise CoincidentPointsError("log-product is -infinity at coincident points")
     return pairwise_sum(np.log(d))

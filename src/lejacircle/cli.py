@@ -22,11 +22,7 @@ from pathlib import Path
 
 from . import analysis, binary, special
 from .circle import BudgetExceededError, Configuration
-from .sequences import (
-    canonical_structural,
-    extremal_values_structural,
-    greedy_numerical,
-)
+from .sequences import extremal_values_structural, greedy_numerical, structural_angles
 
 FIGURE_GRIDS = {
     1: {"kind": "log_ratio", "s_values": [0.0], "n_max": 5000},
@@ -68,10 +64,8 @@ def cmd_sequence(args) -> int:
         run = greedy_numerical(initial, args.s, args.n)
         rows = run.to_csv_rows()
     else:
-        config = canonical_structural(args.n)
-        values = extremal_values_structural(max(args.n - 1, 1), args.s) if args.n > 1 else []
-        rows = [(0, config[0].angle, "")]
-        rows += [(n, config[n].angle, values[n - 1]) for n in range(1, args.n)]
+        values = extremal_values_structural(args.n - 1, args.s).tolist() if args.n > 1 else []
+        rows = zip(range(args.n), structural_angles(args.n).tolist(), [""] + values)
     lines = ["n,angle_turns,extremal_value"]
     lines += [f"{n},{_fmt(a)},{_fmt(v)}" for n, a, v in rows]
     _write_lines(lines, args.out)

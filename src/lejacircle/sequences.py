@@ -2,19 +2,20 @@
 
 Two constructions are provided.
 
-``canonical_structural`` is the exact bit-reversal representative: point n
-sits at turn angle bitreverse(n), where n = sum b_j*2**j maps to
-sum b_j*2**(-j-1).  Equivalently the angles satisfy the recursion
-x_(2**k + l) = 2**(-k-1) + x_l, the image on the circle of the van der Corput
-sequence.  Every 2**m-th section is exactly the set of 2**m-th roots of
-unity, and the minimum of the running s-potential after N points decomposes
-over the binary expansion of N:
+``structural_angles`` is the exact bit-reversal representative: point n sits
+at turn angle x_n = sum b_j*2**(-j-1), where n = sum b_j*2**j.  Equivalently
+the angles satisfy the recursion x_(2**k + l) = 2**(-k-1) + x_l, the image on
+the circle of the van der Corput sequence.  Every angle k/2**m with
+2**m <= MAX_POINTS is exact in float64.  Every 2**m-th section is exactly the
+set of 2**m-th roots of unity, and the minimum of the running s-potential
+after N points decomposes over the binary expansion of N:
 
     U_N(a_N) = sum_k midpoint_potential(2**n_k, s),   N = sum_k 2**n_k.
 
 ``extremal_values_structural`` evaluates that decomposition with the dyadic
-midpoint potentials memoized, so the whole series for N <= N_max costs one
-pass over the dyadic table plus O(N_max * log N_max) additions.
+midpoint potentials memoized: one whole-array pass per bit, added in a fixed
+order, so the whole series for N <= N_max costs O(N_max * log N_max)
+additions and is bit-reproducible.
 
 ``greedy_numerical`` grows an arbitrary initial configuration by appending
 the global minimizer of the running potential (s > 0) or of -sum log distance
@@ -32,11 +33,10 @@ import numpy as np
 from .circle import (
     MAX_POINTS,
     BudgetExceededError,
-    CirclePoint,
     Configuration,
-    RieszParameter,
-    _as_s,
+    chord_kernel,
     chord_lengths,
+    classify_regime,
     kernel_values,
     midpoint_potential,
 )
@@ -44,7 +44,7 @@ from .summation import pairwise_sum
 
 __all__ = [
     "GreedyRun",
-    "canonical_structural",
+    "structural_angles",
     "extremal_values_structural",
     "greedy_numerical",
     "energy_series_from_extremal",
@@ -59,59 +59,40 @@ _MAX_ITERS = 100
 _TIE = 1e-12
 
 
-def bitreverse(n: int) -> tuple[int, int]:
-    """Bit-reversal of n within its own bit length: returns (numerator, level).
+def structural_angles(n_points: int) -> np.ndarray:
+    """Turn angles x_0..x_(n_points-1) of the bit-reversal greedy sequence.
 
-    The angle numerator / 2**level equals sum b_j * 2**(-j-1) for
-    n = sum b_j * 2**j; n = 0 maps to (0, 0).
+    x_n = sum_j b_j * 2**(-j-1) for n = sum_j b_j * 2**j, built by one
+    whole-array pass per bit; every term and partial sum is exact.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    level = n.bit_length()
-    num = 0
-    for j in range(level):
-        if (n >> j) & 1:
-            num |= 1 << (level - 1 - j)
-    return num, level
-
-
-def canonical_structural(n_points: int) -> Configuration:
-    """First n_points of the bit-reversal greedy sequence (exact dyadic angles)."""
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
     if n_points > MAX_POINTS:
         raise BudgetExceededError(f"N={n_points} exceeds the compute budget {MAX_POINTS}")
-    return Configuration([CirclePoint.dyadic(*bitreverse(n)) for n in range(n_points)])
-
-
-def structural_angles(n_points: int) -> np.ndarray:
-    """Turn angles of the canonical structural sequence as a float array."""
-    if n_points > MAX_POINTS:
-        raise BudgetExceededError(f"N={n_points} exceeds the compute budget {MAX_POINTS}")
-    out = np.empty(n_points, dtype=np.float64)
-    for n in range(n_points):
-        num, level = bitreverse(n)
-        out[n] = num / (1 << level)
+    n = np.arange(n_points, dtype=np.int64)
+    out = np.zeros(n_points)
+    for j in range(max(n_points - 1, 0).bit_length()):
+        out += ((n >> j) & 1) * 0.5 ** (j + 1)
     return out
 
 
-def extremal_values_structural(n_max: int, s) -> np.ndarray:
+def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
     """Extremal potential values U_N(a_N) for N = 1..n_max (s > 0).
 
-    Entry N-1 is the sum of midpoint potentials of the dyadic blocks of N.
+    Entry N-1 is the sum of midpoint potentials of the dyadic blocks of N,
+    added from the lowest bit up.
     """
-    sv = _as_s(s)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    if not sv > 0:
-        raise ValueError(f"need s > 0, got {sv}")
+    if not s > 0:
+        raise ValueError(f"need s > 0, got {s}")
     if n_max > MAX_POINTS:
         raise BudgetExceededError(f"N={n_max} exceeds the compute budget {MAX_POINTS}")
-    n_bits = int(n_max).bit_length()
-    table = np.array([midpoint_potential(1 << j, sv) for j in range(n_bits)])
-    n_vals = np.arange(1, n_max + 1, dtype=np.int64)
-    bits = ((n_vals[:, None] >> np.arange(n_bits)[None, :]) & 1).astype(np.float64)
-    return bits @ table
+    n = np.arange(1, n_max + 1, dtype=np.int64)
+    out = np.zeros(n_max)
+    for j in range(int(n_max).bit_length()):
+        out += ((n >> j) & 1) * midpoint_potential(1 << j, s)
+    return out
 
 
 def energy_series_from_extremal(extremal_values) -> list[float]:
@@ -137,7 +118,7 @@ class GreedyRun:
     per-gap bracket.
     """
 
-    s: RieszParameter
+    s: float
     initial: Configuration
     points: Configuration
     extremal_values: list[float] = field(default_factory=list)
@@ -149,16 +130,8 @@ class GreedyRun:
 
     def to_csv_rows(self):
         """Rows (n, angle_turns, extremal_value); the n = 0 row has no value."""
-        rows = []
-        for n, pt in enumerate(self.points):
-            val = "" if n == 0 else self.extremal_values[n - 1]
-            rows.append((n, pt.angle, val))
-        return rows
-
-
-def _kernel(d: np.ndarray, sv: float) -> np.ndarray:
-    """Kernel values at chord distances d."""
-    return -np.log(d) if sv == 0.0 else d ** (-sv)
+        angles = self.points.angles().tolist()
+        return list(zip(range(len(angles)), angles, [""] + list(self.extremal_values)))
 
 
 def _derivatives(x: np.ndarray, charges: np.ndarray, sv: float):
@@ -168,10 +141,9 @@ def _derivatives(x: np.ndarray, charges: np.ndarray, sv: float):
     sn = np.sin(np.pi * t)
     cot = np.cos(np.pi * t) / sn
     csc2 = 1.0 / (sn * sn)
+    g = chord_kernel(2.0 * np.abs(sn), sv)
     if sv == 0.0:
-        return (-np.log(2.0 * np.abs(sn)).sum(axis=1), -np.pi * cot.sum(axis=1),
-                np.pi ** 2 * csc2.sum(axis=1))
-    g = (2.0 * np.abs(sn)) ** (-sv)
+        return g.sum(axis=1), -np.pi * cot.sum(axis=1), np.pi ** 2 * csc2.sum(axis=1)
     return (g.sum(axis=1), -sv * np.pi * (g * cot).sum(axis=1),
             sv * np.pi ** 2 * (g * (sv * cot * cot + csc2)).sum(axis=1))
 
@@ -239,15 +211,15 @@ def _grow(initial: np.ndarray, sv: float, n_points: int) -> np.ndarray:
         near[j] = 2.0  # gap j is split below
         far = np.maximum(chord_lengths(lo[:m], a), chord_lengths(hi[:m], a))
         far[(a + 0.5 - lo[:m]) % 1.0 < hi[:m] - lo[:m]] = 2.0
-        upper[:m] += _kernel(near, sv)
-        lower[:m] += _kernel(far, sv)
+        upper[:m] += chord_kernel(near, sv)
+        lower[:m] += chord_kernel(far, sv)
         lo[m], hi[m], hi[j] = x[j], hi[j], x[j]
         upper[[j, m]], lower[[j, m]] = np.inf, -np.inf
         m += 1
     return pts
 
 
-def greedy_numerical(initial: Configuration, s, n_points: int) -> GreedyRun:
+def greedy_numerical(initial: Configuration, s: float, n_points: int) -> GreedyRun:
     """Grow a greedy s-energy sequence numerically from an initial configuration.
 
     Each appended point is the global minimizer of the running potential of
@@ -258,8 +230,8 @@ def greedy_numerical(initial: Configuration, s, n_points: int) -> GreedyRun:
     n_points does not exceed the initial size, the configuration is returned
     unchanged (running potential values are still recorded).
     """
-    param = s if isinstance(s, RieszParameter) else RieszParameter(float(s))
-    sv = param.s
+    sv = float(s)
+    classify_regime(sv)  # validates s >= 0
     if len(initial) < 1:
         raise ValueError("initial configuration must contain at least one point")
     if n_points > MAX_POINTS:
@@ -271,7 +243,7 @@ def greedy_numerical(initial: Configuration, s, n_points: int) -> GreedyRun:
     points = Configuration.from_turns(work)
     all_angles = points.angles()
     extremal = [
-        pairwise_sum(kernel_values(all_angles[:n], float(all_angles[n]), sv))
+        pairwise_sum(kernel_values(all_angles[:n], all_angles[n], sv))
         for n in range(1, len(work))
     ]
-    return GreedyRun(s=param, initial=initial, points=points, extremal_values=extremal)
+    return GreedyRun(s=sv, initial=initial, points=points, extremal_values=extremal)

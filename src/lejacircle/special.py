@@ -25,8 +25,6 @@ reports certified brackets combining the bounded searches of
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import binary
 from .circle import (
     REGIME_CRITICAL,
@@ -44,7 +42,7 @@ __all__ = [
     "limit_catalog",
 ]
 
-# Euler-Mascheroni constant, nearest double; validated at import time below.
+# Euler-Mascheroni constant, nearest double.
 EULER_GAMMA = 0.5772156649015329
 
 # Lanczos coefficients for g = 7, n = 9 (double precision, ~14 digits).
@@ -122,17 +120,6 @@ def continuous_energy(s: float) -> float:
             f"closed forms for the continuous energy disagree at s={s}: {first} vs {second}"
         )
     return first
-
-
-def _validate_euler_gamma() -> None:
-    # Defining limit: |sum_{k<=N} 1/k - log N - gamma| <= 1/(2N) + o(1/N).
-    n = 1_000_000
-    harmonic = float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
-    if abs(harmonic - math.log(n) - EULER_GAMMA) > 1.0 / n:
-        raise ArithmeticError("Euler-Mascheroni constant failed its defining-limit check")
-
-
-_validate_euler_gamma()
 
 
 @dataclass(frozen=True)

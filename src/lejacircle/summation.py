@@ -6,9 +6,6 @@ partials with an exact (Shewchuk) float sum.  The reduction shape depends only
 on the length of the input, so results are bit-reproducible and the worst-case
 rounding error stays at the block level (~128 * eps relative) instead of
 growing linearly with n as in naive accumulation.
-
-:func:`kahan_sum` is a scalar fallback (Neumaier variant) for values that
-arrive one at a time.
 """
 
 import math
@@ -34,16 +31,3 @@ def pairwise_sum(values) -> float:
         partials.append(math.fsum(arr[head:].tolist()))
     return math.fsum(partials)
 
-
-def kahan_sum(values) -> float:
-    """Neumaier-compensated sequential sum of an iterable of floats."""
-    total = 0.0
-    comp = 0.0
-    for x in values:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp

@@ -109,7 +109,7 @@ def prefix_run(run, n):
     return GreedyRun(
         s=run.s,
         initial=run.initial,
-        points=Configuration(run.points.points[:n]),
+        points=Configuration.from_turns(run.points.angles()[:n]),
         extremal_values=run.extremal_values[: n - 1],
     )
 

@@ -21,10 +21,9 @@ from lejacircle.binary import theta_from_odd
 from lejacircle.circle import (
     BudgetExceededError,
     Configuration,
-    RieszParameter,
     roots_energy,
 )
-from lejacircle.sequences import GreedyRun, canonical_structural, structural_angles
+from lejacircle.sequences import GreedyRun, structural_angles
 from lejacircle.special import EULER_GAMMA, continuous_energy, second_order_scale, zeta
 
 CRITICAL_LEVEL = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
@@ -210,10 +209,10 @@ class TestStarDiscrepancy:
 
 class TestUniformDistributionReport:
     def test_structural_dyadic(self):
-        cfg = canonical_structural(64)
+        cfg = Configuration.from_turns(structural_angles(64))
         run = GreedyRun(
-            s=RieszParameter(0.5),
-            initial=Configuration(cfg.points[:1]),
+            s=0.5,
+            initial=Configuration.from_turns([0.0]),
             points=cfg,
             extremal_values=[],
         )
@@ -222,10 +221,10 @@ class TestUniformDistributionReport:
         assert rep.energy_gap < 0.0  # greedy energy sits below the continuous level
 
     def test_regime_rejected(self):
-        cfg = canonical_structural(8)
+        cfg = Configuration.from_turns(structural_angles(8))
         run = GreedyRun(
-            s=RieszParameter(1.5),
-            initial=Configuration(cfg.points[:1]),
+            s=1.5,
+            initial=Configuration.from_turns([0.0]),
             points=cfg,
             extremal_values=[],
         )

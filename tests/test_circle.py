@@ -14,124 +14,126 @@ from hypothesis import strategies as st
 from conftest import chord_oracle, energy_oracle, potential_oracle
 from lejacircle.circle import (
     BudgetExceededError,
-    CirclePoint,
     CoincidentPointsError,
     Configuration,
-    RieszParameter,
-    chord_distance,
+    chord_lengths,
     classify_regime,
     energy,
-    kernel,
+    kernel_values,
     leja_sup_norm_log,
     midpoint_potential,
     potential,
     roots_energy,
 )
-from lejacircle.sequences import canonical_structural
-
-P0 = CirclePoint.from_turns(0.0)
-HALF = CirclePoint.from_turns(0.5)
-QUARTER = CirclePoint.from_turns(0.25)
-THREE_QUARTER = CirclePoint.from_turns(0.75)
+from lejacircle.sequences import structural_angles
 
 
-class TestCirclePoint:
-    def test_dyadic_reduction(self):
-        p = CirclePoint.dyadic(2, 2)
-        assert (p.numerator, p.level, p.angle) == (1, 1, 0.5)
+def chord(x, y):
+    return float(chord_lengths(np.array([y]), x)[0])
 
-    def test_dyadic_validation(self):
-        with pytest.raises(ValueError):
-            CirclePoint.dyadic(4, 2)
-        with pytest.raises(ValueError):
-            CirclePoint.dyadic(-1, 3)
 
+def kernel(s, x, y):
+    return float(kernel_values(np.array([y]), x, s)[0])
+
+
+class TestConfiguration:
     def test_angle_range(self):
-        assert CirclePoint.from_turns(1.25).angle == 0.25
+        assert Configuration.from_turns([1.25])[0] == 0.25
         with pytest.raises(ValueError):
-            CirclePoint(angle=1.0)
+            Configuration.from_turns([-1e-20])  # reduces to 1.0
 
     def test_regime_classification(self):
         assert classify_regime(0.0) == "log"
         assert classify_regime(0.5) == "subcritical"
         assert classify_regime(1.0) == "critical"
         assert classify_regime(3.0) == "supercritical"
-        assert RieszParameter(0.5).regime == "subcritical"
         with pytest.raises(ValueError):
-            RieszParameter(-1.0)
+            classify_regime(-1.0)
+
+    def test_rejects_invalid_angles(self):
+        for bad in ([math.nan], [math.inf], [-math.inf], [-1e-20], [0.1, math.nan]):
+            with pytest.raises(ValueError):
+                Configuration.from_turns(bad)
+        with pytest.raises(CoincidentPointsError):
+            Configuration.from_turns([0.2, 0.2])
+
+    def test_angles_are_read_only(self):
+        cfg = Configuration.from_turns([0.0, 0.5, 1.25])
+        assert cfg.angles().tolist() == [0.0, 0.5, 0.25] and len(cfg) == 3
+        assert isinstance(cfg[1], float)
+        with pytest.raises(ValueError):
+            cfg.angles()[0] = 0.75
 
 
 class TestChordDistance:
     def test_antipodal(self):
-        assert chord_distance(P0, HALF) == 2.0
+        assert chord(0.0, 0.5) == 2.0
 
     def test_quarter_turn(self):
-        assert chord_distance(P0, QUARTER) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert chord(0.0, 0.25) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_third_turn_matches_complex_oracle(self):
-        third = CirclePoint.from_turns(1.0 / 3.0)
         expected = chord_oracle(0.0, 1.0 / 3.0)  # |e^{2pi i/3} - 1| = sqrt(3)
         assert expected == pytest.approx(math.sqrt(3.0), rel=1e-14)
-        assert chord_distance(P0, third) == pytest.approx(expected, rel=1e-14)
+        assert chord(0.0, 1.0 / 3.0) == pytest.approx(expected, rel=1e-14)
 
     def test_coincident_signals_zero(self):
-        assert chord_distance(P0, CirclePoint.from_turns(0.0)) == 0.0
+        assert chord(0.0, 0.0) == 0.0
 
     @given(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True))
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_and_symmetry(self, x, y):
-        a, b = CirclePoint.from_turns(x), CirclePoint.from_turns(y)
-        d = chord_distance(a, b)
-        assert d == chord_distance(b, a)
+        d = chord(x, y)
+        assert d == chord(y, x)
         assert 0.0 <= d <= 2.0
         assert d == pytest.approx(chord_oracle(x, y), abs=1e-12)
 
 
 class TestKernel:
     def test_log_antipodal(self):
-        assert kernel(0.0, P0, HALF) == pytest.approx(-math.log(2.0), rel=1e-15)
+        assert kernel(0.0, 0.0, 0.5) == pytest.approx(-math.log(2.0), rel=1e-15)
 
     def test_s1_antipodal(self):
-        assert kernel(1.0, P0, HALF) == 0.5
+        assert kernel(1.0, 0.0, 0.5) == 0.5
 
     def test_s2_quarter(self):
         # (sqrt 2)^(-2) = 1/2, checked against the complex oracle.
         oracle = chord_oracle(0.0, 0.25) ** (-2.0)
         assert oracle == pytest.approx(0.5, rel=1e-14)
-        assert kernel(2.0, P0, QUARTER) == pytest.approx(0.5, rel=1e-14)
+        assert kernel(2.0, 0.0, 0.25) == pytest.approx(0.5, rel=1e-14)
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentPointsError):
-            kernel(1.0, P0, CirclePoint.from_turns(0.0))
+            kernel(1.0, 0.0, 0.0)
 
     def test_symmetry_exact(self):
         for s in (0.0, 0.5, 1.0, 2.7):
-            za, zb = CirclePoint.from_turns(0.1), CirclePoint.from_turns(0.73)
-            assert kernel(s, za, zb) == kernel(s, zb, za)
+            assert kernel(s, 0.1, 0.73) == kernel(s, 0.73, 0.1)
 
 
 class TestPotential:
     def test_single_point_antipodal(self):
-        assert potential(Configuration([P0]), HALF, 1.0) == 0.5
+        assert potential(Configuration.from_turns([0.0]), 0.5, 1.0) == 0.5
 
     def test_three_points(self):
-        config = Configuration([P0, HALF, QUARTER])  # 1, -1, i
+        config = Configuration.from_turns([0.0, 0.5, 0.25])  # 1, -1, i
         # chords to -i: sqrt2, sqrt2, 2 -> sqrt2 + 1/2 (oracle-checked)
         oracle = potential_oracle([0.0, 0.5, 0.25], 0.75, 1.0)
         assert oracle == pytest.approx(math.sqrt(2.0) + 0.5, rel=1e-14)
-        assert potential(config, THREE_QUARTER, 1.0) == pytest.approx(1.9142135623730951, rel=1e-14)
+        assert potential(config, 0.75, 1.0) == pytest.approx(1.9142135623730951, rel=1e-14)
 
     def test_log_case(self):
-        assert potential(Configuration([P0]), HALF, 0.0) == pytest.approx(-math.log(2.0), rel=1e-15)
+        value = potential(Configuration.from_turns([0.0]), 0.5, 0.0)
+        assert value == pytest.approx(-math.log(2.0), rel=1e-15)
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentPointsError):
-            potential(Configuration([P0, HALF]), CirclePoint.from_turns(0.5), 1.0)
+            potential(Configuration.from_turns([0.0, 0.5]), 0.5, 1.0)
 
 
 class TestEnergy:
     def test_two_antipodal_points(self):
-        assert energy(Configuration([P0, HALF]), 1.0) == 1.0
+        assert energy(Configuration.from_turns([0.0, 0.5]), 1.0) == 1.0
 
     def test_third_roots(self):
         angles = [0.0, 1.0 / 3.0, 2.0 / 3.0]
@@ -146,12 +148,12 @@ class TestEnergy:
         assert roots_energy(4, 2.0) == pytest.approx(5.0, rel=1e-14)
 
     def test_fewer_than_two_points(self):
-        assert energy(Configuration([P0]), 1.0) == 0.0
-        assert energy(Configuration([]), 1.0) == 0.0
+        assert energy(Configuration.from_turns([0.0]), 1.0) == 0.0
+        assert energy(Configuration.from_turns([]), 1.0) == 0.0
 
     def test_duplicates_raise(self):
         with pytest.raises(CoincidentPointsError):
-            Configuration([P0, CirclePoint.from_turns(0.0)])
+            Configuration.from_turns([0.0, 0.0])
 
 
 class TestRootsEnergy:
@@ -161,7 +163,7 @@ class TestRootsEnergy:
 
     def test_n2(self):
         # 2^{-1} * 2 * (sin pi/2)^{-1} = 1; oracle: energy of {1, -1}
-        assert roots_energy(2, 1.0) == pytest.approx(energy(Configuration([P0, HALF]), 1.0), rel=1e-15)
+        assert roots_energy(2, 1.0) == pytest.approx(energy(Configuration.from_turns([0.0, 0.5]), 1.0), rel=1e-15)
 
     def test_n4_s2_bruteforce(self):
         # 2^{-2} * 4 * (2 + 1 + 2) = 5
@@ -221,19 +223,20 @@ class TestMidpointPotential:
 
 class TestLejaSupNormLog:
     def test_single_point(self):
-        assert leja_sup_norm_log(Configuration([P0]), HALF) == pytest.approx(math.log(2.0), rel=1e-15)
+        value = leja_sup_norm_log(Configuration.from_turns([0.0]), 0.5)
+        assert value == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_first_three_canonical(self):
         # product of distances from the 4th point to the first 3 is 4 (two binary ones in 3)
-        cfg4 = canonical_structural(4)
-        val = leja_sup_norm_log(Configuration(cfg4.points[:3]), cfg4[3])
+        x = structural_angles(4)
+        val = leja_sup_norm_log(Configuration.from_turns(x[:3]), x[3])
         assert val == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_first_five_canonical(self):
-        cfg6 = canonical_structural(6)
-        val = leja_sup_norm_log(Configuration(cfg6.points[:5]), cfg6[5])
+        x = structural_angles(6)
+        val = leja_sup_norm_log(Configuration.from_turns(x[:5]), x[5])
         assert val == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentPointsError):
-            leja_sup_norm_log(Configuration([P0]), CirclePoint.from_turns(0.0))
+            leja_sup_norm_log(Configuration.from_turns([0.0]), 0.0)

@@ -42,6 +42,7 @@ class TestSequence:
     def test_rejects_bad_initial(self):
         assert run_cli(["sequence", "--numerical", "--initial", "0,1.5", "--n", "4"]) == 2
         assert run_cli(["sequence", "--numerical", "--initial", "0.2,0.2", "--n", "4"]) == 2
+        assert run_cli(["sequence", "--numerical", "--initial", "nan", "--n", "4"]) == 2
 
     def test_budget_exit(self):
         assert run_cli(["sequence", "--structural", "--n", str((1 << 20) + 2)]) == 3

@@ -13,8 +13,6 @@ from lejacircle.circle import (
     roots_energy,
 )
 from lejacircle.sequences import (
-    bitreverse,
-    canonical_structural,
     energy_series_from_extremal,
     extremal_values_structural,
     greedy_numerical,
@@ -24,19 +22,18 @@ from lejacircle.sequences import (
 
 class TestCanonicalStructural:
     def test_first_four(self):
-        cfg = canonical_structural(4)
-        assert [p.angle for p in cfg] == [0.0, 0.5, 0.25, 0.75]
+        assert structural_angles(4).tolist() == [0.0, 0.5, 0.25, 0.75]
 
     def test_first_eight(self):
         # hand-applied doubling recursion
-        cfg = canonical_structural(8)
-        assert [p.angle for p in cfg] == [0.0, 0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875]
+        x = structural_angles(8)
+        assert x.tolist() == [0.0, 0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875]
 
     def test_two_points(self):
-        assert [p.angle for p in canonical_structural(2)] == [0.0, 0.5]
+        assert structural_angles(2).tolist() == [0.0, 0.5]
 
     def test_empty_allowed(self):
-        assert len(canonical_structural(0)) == 0
+        assert structural_angles(0).size == 0
 
     def test_recursion(self):
         # x_(2^k + l) = 2^(-k-1) + x_l for 0 <= l < 2^k
@@ -52,8 +49,14 @@ class TestCanonicalStructural:
         assert sorted(x.tolist()) == [j / n for j in range(n)]
 
     def test_points_are_exact_dyadics(self):
-        for n, (num, level) in ((0, (0, 0)), (1, (1, 1)), (5, (5, 3)), (6, (3, 3))):
-            assert bitreverse(n) == (num, level)
+        # x_n = sum b_j 2^(-j-1) for n = sum b_j 2^j, exact on the 2^-20 grid
+        x = structural_angles(1 << 20)
+        scaled = x * 2.0 ** 20
+        np.testing.assert_array_equal(scaled, np.floor(scaled))
+        for k in range(20):
+            blk = 1 << k
+            np.testing.assert_array_equal(x[blk: 2 * blk], 0.5 ** (k + 1) + x[:blk])
+        assert (x[0], x[1], x[5], x[6]) == (0.0, 0.5, 0.625, 0.375)
 
 
 class TestExtremalValuesStructural:
@@ -115,20 +118,20 @@ class TestEnergySeries:
 class TestGreedyNumerical:
     def test_from_single_point_s1(self):
         run = greedy_numerical(Configuration.from_turns([0.0]), 1.0, 4)
-        got = sorted(p.angle for p in run.points)
+        got = sorted(run.points.angles())
         assert got == pytest.approx([0.0, 0.25, 0.5, 0.75], abs=1e-9)
         ref = extremal_values_structural(3, 1.0)
         np.testing.assert_allclose(run.extremal_values, ref, atol=1e-6)
 
     def test_log_case_first_step(self):
         run = greedy_numerical(Configuration.from_turns([0.0]), 0.0, 2)
-        assert run.points[1].angle == pytest.approx(0.5, abs=1e-12)
+        assert run.points[1] == pytest.approx(0.5, abs=1e-12)
         assert run.extremal_values[0] == pytest.approx(-math.log(2.0), abs=1e-12)
 
     def test_initial_two_points_lands_in_long_arc(self):
         # charges at 1 and i: the new point must fall strictly inside (1/4, 1)
         run = greedy_numerical(Configuration.from_turns([0.0, 0.25]), 0.5, 3)
-        a = run.points[2].angle
+        a = run.points[2]
         assert 0.25 < a < 1.0
 
     def test_cross_construction_small(self):
@@ -172,12 +175,14 @@ class TestGreedyNumerical:
         with pytest.raises(CoincidentPointsError):
             greedy_numerical(Configuration.from_turns([0.1, 0.1]), 1.0, 4)
         with pytest.raises(ValueError):
-            greedy_numerical(Configuration([]), 1.0, 4)
+            greedy_numerical(Configuration.from_turns([]), 1.0, 4)
+        with pytest.raises(ValueError):
+            greedy_numerical(Configuration.from_turns([0.0]), -0.5, 4)
 
     def test_deterministic(self):
         a = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 24)
         b = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 24)
-        assert [p.angle for p in a.points] == [p.angle for p in b.points]
+        assert a.points.angles().tolist() == b.points.angles().tolist()
         assert a.extremal_values == b.extremal_values
 
     def test_csv_rows(self):
