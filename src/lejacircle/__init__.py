@@ -30,6 +30,7 @@ from .circle import (
     leja_sup_norm_log,
     midpoint_potential,
     potential,
+    prefix_potentials,
     roots_energy,
 )
 from .analysis import (

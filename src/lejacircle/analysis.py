@@ -44,11 +44,10 @@ from .circle import (
     REGIME_SUPERCRITICAL,
     BudgetExceededError,
     Configuration,
-    chord_lengths,
     classify_regime,
     energy,
-    kernel_values,
     midpoint_potential,
+    prefix_potentials,
     roots_energy,
 )
 from .sequences import (
@@ -354,11 +353,9 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
 
     # --- product-of-distances identity and ratio shape (log case)
     n_norm = min(n_max, 5000)
-    ang = structural_angles(n_norm + 1)
-    worst = 0.0
-    for n in range(1, n_norm + 1):
-        lhs = pairwise_sum(np.log(chord_lengths(ang[:n], ang[n])))
-        worst = max(worst, abs(lhs - tau_b(n) * math.log(2.0)))
+    log_products = -prefix_potentials(structural_angles(n_norm + 1), 0.0)
+    taus = np.array([tau_b(n) for n in range(1, n_norm + 1)], dtype=np.float64)
+    worst = float(np.max(np.abs(log_products - taus * math.log(2.0))))
     rep.checks.append(_max_le("sup-norm-identity", worst, 1e-7, f"N<={n_norm}"))
 
     worst = 0.0
@@ -402,11 +399,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     # --- s = 2 closed forms (brute-force validated first)
     worst = 0.0
     for n in range(2, min(64, n_max) + 1):
-        a = np.arange(n, dtype=np.float64) / n
-        acc = 0.0
-        for i in range(n - 1):
-            acc += pairwise_sum(chord_lengths(a[i + 1:], a[i]) ** (-2.0))
-        brute = 2.0 * acc
+        brute = energy(Configuration.from_turns(np.arange(n) / n), 2.0)
         exact = n * (n * n - 1) / 12.0
         worst = max(worst, abs(brute - exact) / exact)
     rep.checks.append(_max_le("inverse-square-bruteforce", worst, 1e-12, "N<=64"))
@@ -422,18 +415,16 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     for s in pos:
         worst = 0.0
         for k in range(2, n_energy + 1):
-            cfg = Configuration.from_turns(np.arange(k) / k)
-            worst = max(worst, abs(energy(cfg, s) - roots_energy(k, s)) / roots_energy(k, s))
+            exact = roots_energy(k, s)
+            direct = energy(Configuration.from_turns(np.arange(k) / k), s)
+            worst = max(worst, abs(direct - exact) / exact)
         rep.checks.append(_max_le(f"roots-energy-direct[s={s:g}]", worst, 1e-9, f"N<={n_energy}"))
 
     # --- binary decomposition of the extremal potential
     ang = structural_angles(n_max + 1)
     for s in pos:
         series = extremal_values_structural(n_max, s)
-        worst = 0.0
-        for k in range(1, n_max + 1):
-            direct = pairwise_sum(kernel_values(ang[:k], ang[k], s))
-            worst = max(worst, abs(direct - series[k - 1]) / abs(series[k - 1]))
+        worst = float(np.max(_rel(prefix_potentials(ang, s), series)))
         rep.checks.append(_max_le(f"binary-decomposition-potential[s={s:g}]", worst, 1e-9))
 
     # --- subcritical relations and limits

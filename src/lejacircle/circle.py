@@ -16,6 +16,9 @@ where |z - w| = 2*|sin(pi*(x - y))| is the chord distance between the points
 at turn angles x and y; ``chord_kernel`` is the one implementation of this
 map from chord lengths to kernel values.
 
+``prefix_potentials`` gives the potential U_n(a_n) of every point against its
+predecessors, in bounded row blocks; the energy is E = 2 * sum_n U_n(a_n).
+
 Closed forms for N-th roots of unity:
 
     roots_energy(N, s)       minimal N-point s-energy on the circle,
@@ -23,15 +26,13 @@ Closed forms for N-th roots of unity:
     midpoint_potential(N, s) s-potential of the N roots evaluated at the
                              midpoint of an arc between adjacent roots
 
-Both are evaluated by direct summation with deterministic compensated
-reduction (see summation.py).
+Both are evaluated afresh on every call by direct summation with
+deterministic compensated reduction (see summation.py); nothing is cached.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
-from .summation import pairwise_sum
+from .summation import pairwise_sum, row_sums
 
 # Regime labels for the Riesz exponent.
 REGIME_LOG = "log"
@@ -41,6 +42,8 @@ REGIME_SUPERCRITICAL = "supercritical"
 
 # Library-wide size guard: direct summations refuse N beyond this.
 MAX_POINTS = 1 << 20
+# Chords per row block of prefix_potentials; bounds its temporaries.
+_BLOCK_CELLS = 1 << 14
 
 
 class CoincidentPointsError(ValueError):
@@ -118,8 +121,8 @@ def chord_kernel(d: np.ndarray, s: float) -> np.ndarray:
     return -np.log(d) if s == 0.0 else d ** (-s)
 
 
-def kernel_values(angles: np.ndarray, x: float, s: float) -> np.ndarray:
-    """Vector of kernel values from turn angle x to each configuration angle."""
+def kernel_values(angles: np.ndarray, x, s: float) -> np.ndarray:
+    """Kernel values from turn angle x to each angle (x and angles broadcast)."""
     d = chord_lengths(angles, x)
     if np.any(d == 0.0):
         raise CoincidentPointsError("kernel is infinite at coincident points")
@@ -128,25 +131,33 @@ def kernel_values(angles: np.ndarray, x: float, s: float) -> np.ndarray:
 
 def potential(config: Configuration, x: float, s: float) -> float:
     """Potential of a configuration at turn angle x: the sum of its kernel values."""
-    if len(config) == 0:
-        return 0.0
     return pairwise_sum(kernel_values(config.angles(), x, s))
 
 
-def energy(config: Configuration, s: float) -> float:
-    """Discrete s-energy: the double sum of kernel values over ordered pairs.
+def prefix_potentials(angles, s: float) -> np.ndarray:
+    """Running potentials U_n(a_n) = sum_{i<n} k(a_i, a_n) for n = 1..len-1.
 
-    Returns 0.0 for configurations with fewer than two points.
+    Rows go in blocks of at most max(_BLOCK_CELLS, len) chords and ``row_sums``
+    reduces each one, so entry n-1 has the same bits for every input that
+    starts with a_0..a_n.
     """
-    angles = config.angles()
-    n = angles.size
-    if n < 2:
-        return 0.0
-    # 2 * sum over unordered pairs, row by row to bound memory.
-    partials = np.empty(n - 1, dtype=np.float64)
-    for i in range(n - 1):
-        partials[i] = pairwise_sum(kernel_values(angles[i + 1:], angles[i], s))
-    return 2.0 * pairwise_sum(partials)
+    a = np.asarray(angles, dtype=np.float64)
+    n = a.size
+    out = np.empty(max(n - 1, 0))
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for start in range(1, n, step):
+        stop = min(start + step, n)
+        earlier = np.tri(stop - start, stop - 1, start - 1, dtype=bool)
+        x = a[start:stop, None]
+        # Unused cells hold the antipode of their row's point: finite, then dropped.
+        k = kernel_values(np.where(earlier, a[:stop - 1], x + 0.5), x, s)
+        out[start - 1:stop - 1] = row_sums(np.where(earlier, k, 0.0))
+    return out
+
+
+def energy(config: Configuration, s: float) -> float:
+    """Discrete s-energy E = 2 * sum_n U_n(a_n), the kernel sum over ordered pairs."""
+    return 2.0 * pairwise_sum(prefix_potentials(config.angles(), s))
 
 
 def _check_roots_args(n: int, s: float) -> None:
@@ -158,7 +169,6 @@ def _check_roots_args(n: int, s: float) -> None:
         raise ValueError(f"need s > 0, got {s}")
 
 
-@lru_cache(maxsize=None)
 def roots_energy(n: int, s: float) -> float:
     """Minimal n-point s-energy on the circle (attained by the n-th roots of unity).
 
@@ -173,7 +183,6 @@ def roots_energy(n: int, s: float) -> float:
     return 2.0 ** (-s) * n * pairwise_sum(terms)
 
 
-@lru_cache(maxsize=None)
 def midpoint_potential(n: int, s: float) -> float:
     """s-potential of the n-th roots of unity at the midpoint of an adjacent arc.
 
@@ -189,12 +198,6 @@ def midpoint_potential(n: int, s: float) -> float:
 def leja_sup_norm_log(config: Configuration, x: float) -> float:
     """log of the product of distances from turn angle x to the configuration points.
 
-    Computed as sum_k log|z - a_k| to avoid overflow of the product itself.
+    Computed as sum_k log|z - a_k| = -potential(config, x, 0), which cannot overflow.
     """
-    angles = config.angles()
-    if angles.size == 0:
-        return 0.0
-    d = chord_lengths(angles, x)
-    if np.any(d == 0.0):
-        raise CoincidentPointsError("log-product is -infinity at coincident points")
-    return pairwise_sum(np.log(d))
+    return -potential(config, x, 0.0)

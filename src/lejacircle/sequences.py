@@ -12,8 +12,8 @@ after N points decomposes over the binary expansion of N:
 
     U_N(a_N) = sum_k midpoint_potential(2**n_k, s),   N = sum_k 2**n_k.
 
-``extremal_values_structural`` evaluates that decomposition with the dyadic
-midpoint potentials memoized: one whole-array pass per bit, added in a fixed
+``extremal_values_structural`` evaluates that decomposition from the table
+of dyadic midpoint potentials: one whole-array pass per bit, added in a fixed
 order, so the whole series for N <= N_max costs O(N_max * log N_max)
 additions and is bit-reproducible.
 
@@ -37,10 +37,9 @@ from .circle import (
     chord_kernel,
     chord_lengths,
     classify_regime,
-    kernel_values,
     midpoint_potential,
+    prefix_potentials,
 )
-from .summation import pairwise_sum
 
 __all__ = [
     "GreedyRun",
@@ -100,12 +99,7 @@ def energy_series_from_extremal(extremal_values) -> list[float]:
 
     E(alpha_N) = 2 * sum_{j=1}^{N-1} U_j(a_j); the N = 1 entry is 0.
     """
-    out = [0.0]
-    acc = 0.0
-    for v in extremal_values:
-        acc += float(v)
-        out.append(2.0 * acc)
-    return out
+    return [0.0] + (2.0 * np.cumsum(extremal_values)).tolist()
 
 
 @dataclass
@@ -241,9 +235,5 @@ def greedy_numerical(initial: Configuration, s: float, n_points: int) -> GreedyR
     if n_points > len(work):
         work = _grow(work, sv, n_points)
     points = Configuration.from_turns(work)
-    all_angles = points.angles()
-    extremal = [
-        pairwise_sum(kernel_values(all_angles[:n], all_angles[n], sv))
-        for n in range(1, len(work))
-    ]
+    extremal = prefix_potentials(points.angles(), sv).tolist()
     return GreedyRun(s=sv, initial=initial, points=points, extremal_values=extremal)

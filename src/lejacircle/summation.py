@@ -6,6 +6,10 @@ partials with an exact (Shewchuk) float sum.  The reduction shape depends only
 on the length of the input, so results are bit-reproducible and the worst-case
 rounding error stays at the block level (~128 * eps relative) instead of
 growing linearly with n as in naive accumulation.
+
+:func:`row_sums` sums each row of a 2-d array in the same 128-element blocks,
+zero-padded past the row's end, and adds the partials left to right, so a row's
+sum depends only on its own entries, not on the array's width or other rows.
 """
 
 import math
@@ -31,3 +35,12 @@ def pairwise_sum(values) -> float:
         partials.append(math.fsum(arr[head:].tolist()))
     return math.fsum(partials)
 
+
+def row_sums(values) -> np.ndarray:
+    """Sum each row of a 2-d float array with a fixed blockwise reduction."""
+    rows, cols = np.shape(values)
+    blocks = max(1, -(-cols // _BLOCK))
+    padded = np.zeros((rows, blocks * _BLOCK))
+    padded[:, :cols] = values
+    partials = np.sum(padded.reshape(-1, _BLOCK), axis=1).reshape(rows, blocks)
+    return np.cumsum(partials, axis=1)[:, -1]  # left to right; zero partials add nothing

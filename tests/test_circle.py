@@ -23,6 +23,7 @@ from lejacircle.circle import (
     leja_sup_norm_log,
     midpoint_potential,
     potential,
+    prefix_potentials,
     roots_energy,
 )
 from lejacircle.sequences import structural_angles
@@ -154,6 +155,41 @@ class TestEnergy:
     def test_duplicates_raise(self):
         with pytest.raises(CoincidentPointsError):
             Configuration.from_turns([0.0, 0.0])
+
+
+class TestPrefixPotentials:
+    # Seeded random angles in random order, at least 0.2/300 turns apart: the
+    # complex-arithmetic oracle loses about eps/|z - w| relative accuracy per
+    # chord, so closer pairs would measure the oracle rather than the code.
+    _rng = np.random.default_rng(20211)
+    ANGLES = (_rng.permutation(300) + _rng.uniform(0.1, 0.9, 300)) / 300
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
+    def test_matches_oracle(self, s):
+        a = self.ANGLES
+        got = prefix_potentials(a, s)
+        want = np.array([potential_oracle(a[:n], a[n], s) for n in range(1, a.size)])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
+    def test_prefix_is_bitwise_stable(self, s):
+        full = prefix_potentials(self.ANGLES, s)
+        for m in (1, 2, 128, 129, 130, 257, 300):
+            assert np.array_equal(prefix_potentials(self.ANGLES[:m], s), full[: m - 1])
+
+    def test_fewer_than_two_points(self):
+        assert prefix_potentials(np.array([]), 1.0).shape == (0,)
+        assert prefix_potentials(np.array([0.25]), 1.0).shape == (0,)
+
+    def test_repeated_angle_raises(self):
+        with pytest.raises(CoincidentPointsError):
+            prefix_potentials(np.array([0.1, 0.4, 0.1]), 1.0)
+
+    def test_energy_over_several_row_blocks(self):
+        cfg = Configuration.from_turns(self.ANGLES)
+        for s in (0.5, 1.0):
+            assert energy(cfg, s) == pytest.approx(energy_oracle(self.ANGLES, s), rel=1e-12)
 
 
 class TestRootsEnergy:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lejacircle.summation import pairwise_sum
+from lejacircle.summation import pairwise_sum, row_sums
 
 
 def test_small_and_empty():
@@ -17,6 +19,19 @@ def test_hard_cancellation_case():
     vals = np.tile([1e16, 1.0, -1e16], 2001)
     bound = 2.0 * np.finfo(np.float64).eps * np.sum(np.abs(vals))
     assert abs(pairwise_sum(vals) - 2001.0) <= bound
+
+
+def test_row_sums_ignore_width_and_neighbours():
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((5, 300)) * np.exp(rng.uniform(-8, 8, (5, 300)))
+    rows[np.triu_indices(5, 130, 300)] = 0.0  # row i holds its first 130 + i entries
+    full = row_sums(rows)
+    for width in (134, 256, 257):
+        assert np.array_equal(row_sums(rows[:, :width]), full)
+    for i in range(5):
+        assert np.array_equal(row_sums(rows[i:i + 1]), full[i:i + 1])
+        assert abs(full[i] - math.fsum(rows[i])) <= 1e-13 * float(np.sum(np.abs(rows[i])))
+    assert row_sums(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_reversal_insensitivity():
