@@ -25,7 +25,8 @@ G(theta; s) * (2**s - 1) * 2*zeta(s)/(2*pi)**s (or its s = 1 analogue with
 Lambda).
 
 ``verify_all`` runs every identity, inequality, and limit check the package
-asserts and returns a machine-readable report.
+asserts and returns a machine-readable report; each check is a plain
+``check_*`` function, which the acceptance suite calls with its own N.
 """
 
 import math
@@ -87,6 +88,9 @@ SERIES_KINDS = (
     "second_order_1",
 )
 
+# limsup of the critical second-order series (U_N(a_N) - N log(N)/pi)/N
+_CRITICAL_LEVEL = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
+
 
 @dataclass(frozen=True)
 class NormalizedSeries:
@@ -122,6 +126,25 @@ def _check_n_max(n_max: int, low: int = 1) -> None:
         raise BudgetExceededError(f"n_max={n_max} exceeds the compute budget {MAX_POINTS}")
 
 
+def _normalize(u, n, s: float):
+    """(U - N*I_s)/N**s, (U - N*log(N)/pi)/N or U/N**s for s below, at or above 1; N = n."""
+    regime = classify_regime(s)
+    if regime == REGIME_SUBCRITICAL:
+        return (u - n * continuous_energy(s)) / n ** s
+    if regime == REGIME_CRITICAL:
+        return (u - n * np.log(n) / math.pi) / n
+    if regime == REGIME_SUPERCRITICAL:
+        return u / n ** s
+    raise ValueError("no regime normalization in the log case")
+
+
+def _normalized_extremal(s: float, n_max: int) -> np.ndarray:
+    """The regime normalization of the structural U_N(a_N), N = 1..n_max."""
+    return _normalize(
+        extremal_values_structural(n_max, s), np.arange(1, n_max + 1, dtype=np.float64), s
+    )
+
+
 def log_ratio_value(n: int) -> float:
     """log(product of distances)/log(N+1) for the bit-reversal sequence.
 
@@ -137,51 +160,32 @@ def normalized_series(kind: str, s: float, n_max: int) -> NormalizedSeries:
         raise ValueError(f"unknown series kind {kind!r}")
     regime = classify_regime(s)
     _check_n_max(n_max, low=2)
-
     if kind in ("R_subcritical", "W_subcritical"):
         if regime != REGIME_SUBCRITICAL:
             raise ValueError(f"{kind} requires 0 < s < 1, got s={s}")
-        i_sigma = continuous_energy(s)
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        if kind == "R_subcritical":
-            vals = np.array([roots_energy(int(k), s) for k in n])
-            values = (vals - n.astype(np.float64) ** 2 * i_sigma) / n.astype(np.float64) ** (1.0 + s)
-        else:
-            vals = np.array([midpoint_potential(int(k), s) for k in n])
-            values = (vals - n.astype(np.float64) * i_sigma) / n.astype(np.float64) ** s
-        return NormalizedSeries(kind, s, n, values)
-
-    if kind in ("W1_critical", "T_critical", "second_order_1"):
-        if regime != REGIME_CRITICAL:
-            raise ValueError(f"{kind} requires s = 1, got s={s}")
-        if kind == "W1_critical":
-            n = np.arange(2, n_max + 1, dtype=np.int64)
-            vals = np.array([midpoint_potential(int(k), 1.0) for k in n])
-            nf = n.astype(np.float64)
-            values = vals / (nf * np.log(nf))
-            return NormalizedSeries(kind, s, n, values)
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        nf = n.astype(np.float64)
-        if kind == "T_critical":
-            vals = np.array([midpoint_potential(int(k), 1.0) for k in n])
-        else:
-            vals = extremal_values_structural(n_max, 1.0)
-        values = (vals - nf * np.log(nf) / math.pi) / nf
-        return NormalizedSeries(kind, s, n, values)
-
-    if kind == "W_supercritical":
+    elif kind == "W_supercritical":
         if regime != REGIME_SUPERCRITICAL:
             raise ValueError(f"{kind} requires s > 1, got s={s}")
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        vals = np.array([midpoint_potential(int(k), s) for k in n])
-        values = vals / n.astype(np.float64) ** s
-        return NormalizedSeries(kind, s, n, values)
+    elif kind == "log_ratio":
+        if regime != REGIME_LOG:
+            raise ValueError(f"log_ratio requires s = 0, got s={s}")
+    elif regime != REGIME_CRITICAL:
+        raise ValueError(f"{kind} requires s = 1, got s={s}")
 
-    # log_ratio
-    if regime != REGIME_LOG:
-        raise ValueError(f"log_ratio requires s = 0, got s={s}")
     n = np.arange(1, n_max + 1, dtype=np.int64)
-    values = np.array([log_ratio_value(int(k)) for k in n])
+    nf = n.astype(np.float64)
+    if kind == "R_subcritical":
+        vals = np.array([roots_energy(int(k), s) for k in n])
+        values = (vals - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
+    elif kind == "W1_critical":
+        n, nf = n[1:], nf[1:]
+        values = np.array([midpoint_potential(int(k), 1.0) for k in n]) / (nf * np.log(nf))
+    elif kind == "log_ratio":
+        values = np.array([log_ratio_value(int(k)) for k in n])
+    elif kind == "second_order_1":
+        values = _normalized_extremal(1.0, n_max)
+    else:  # W_subcritical, T_critical, W_supercritical: the midpoint transform
+        values = _normalize(np.array([midpoint_potential(int(k), s) for k in n]), nf, s)
     return NormalizedSeries(kind, s, n, values)
 
 
@@ -190,11 +194,8 @@ def extremal_second_order_series(s: float, n_max: int) -> NormalizedSeries:
     if classify_regime(s) != REGIME_SUBCRITICAL:
         raise ValueError(f"second-order extremal series requires 0 < s < 1, got s={s}")
     _check_n_max(n_max)
-    i_sigma = continuous_energy(s)
     n = np.arange(1, n_max + 1, dtype=np.int64)
-    nf = n.astype(np.float64)
-    vals = extremal_values_structural(n_max, s)
-    return NormalizedSeries("second_order_subcritical", s, n, (vals - nf * i_sigma) / nf ** s)
+    return NormalizedSeries("second_order_subcritical", s, n, _normalized_extremal(s, n_max))
 
 
 def extremal_first_order_series(s: float, n_max: int) -> NormalizedSeries:
@@ -203,8 +204,7 @@ def extremal_first_order_series(s: float, n_max: int) -> NormalizedSeries:
         raise ValueError(f"first-order extremal series requires s > 1, got s={s}")
     _check_n_max(n_max)
     n = np.arange(1, n_max + 1, dtype=np.int64)
-    vals = extremal_values_structural(n_max, s)
-    return NormalizedSeries("first_order_supercritical", s, n, vals / n.astype(np.float64) ** s)
+    return NormalizedSeries("first_order_supercritical", s, n, _normalized_extremal(s, n_max))
 
 
 def theta_limit_prediction(theta: ThetaVector, s: float) -> float:
@@ -234,17 +234,8 @@ def limit_point_check(theta: ThetaVector, s: float, depth: int) -> LimitPointChe
         raise BudgetExceededError(
             f"witness index {n_witness} exceeds the compute budget {MAX_POINTS}"
         )
-    regime = classify_regime(s)
     u = math.fsum(midpoint_potential(1 << e, s) for e in decompose(n_witness).exponents)
-    nf = float(n_witness)
-    if regime == REGIME_SUBCRITICAL:
-        observed = (u - nf * continuous_energy(s)) / nf ** s
-    elif regime == REGIME_CRITICAL:
-        observed = (u - nf * math.log(nf) / math.pi) / nf
-    elif regime == REGIME_SUPERCRITICAL:
-        observed = u / nf ** s
-    else:
-        raise ValueError("no limit-point prediction in the log case")
+    observed = float(_normalize(u, float(n_witness), s))
     predicted = theta_limit_prediction(theta, s)
     return LimitPointCheck(
         n=n_witness, predicted=predicted, observed=observed, gap=abs(observed - predicted)
@@ -323,290 +314,268 @@ def _max_le(name, residual, budget, detail="") -> CheckResult:
     return CheckResult(name, residual <= budget, float(residual), float(budget), detail)
 
 
-def _divergence_check(name, series, detail="") -> CheckResult:
-    """Divergence evidence for a series over N = 1..n_max.
+def check_sup_norm_identity(n: int = 2048) -> CheckResult:
+    """The product of distances from a_N to its predecessors is 2**tau_b(N), N <= n."""
+    log_products = -prefix_potentials(structural_angles(n + 1), 0.0)
+    taus = np.array([tau_b(k) for k in range(1, n + 1)], dtype=np.float64)
+    worst = float(np.max(np.abs(log_products - taus * math.log(2.0))))
+    return _max_le("sup-norm-identity", worst, 1e-7, f"N<={n}")
+
+
+def check_sup_norm_ratio_dyadic_ones(n: int = 2048) -> CheckResult:
+    worst = max(abs(log_ratio_value((1 << m) - 1) - 1.0) for m in range(1, (n + 1).bit_length()))
+    return _max_le("sup-norm-ratio-dyadic-ones", worst, 0.0, "exact 1 at N=2^m-1")
+
+
+def check_sup_norm_ratio_doubling_decreasing(n: int = 64) -> CheckResult:
+    """The norm ratio strictly decreases along N, 2N, ..., 64N for every N <= n."""
+    worst = max(
+        max(np.diff([tau_b(k) / math.log2((k << j) + 1) for j in range(7)]))
+        for k in range(1, n + 1)
+    )
+    return CheckResult(
+        "sup-norm-ratio-doubling-decreasing",
+        worst < 0.0,
+        float(worst),
+        0.0,
+        "max consecutive increment; must be < 0",
+    )
+
+
+def check_roots_potential_identity(s: float, n: int = 1024, budget: float = 1e-10) -> CheckResult:
+    """The potential of the N-th roots of unity at one root is E_s(N)/N, 2 <= N <= n."""
+    ks = range(2, n + 1)
+    chords = (2.0 * np.sin(np.pi * (np.arange(1, k) / k)) for k in ks)
+    lhs = np.array([pairwise_sum(c ** (-s)) for c in chords])
+    rhs = np.array([roots_energy(k, s) / k for k in ks])
+    return _max_le(f"roots-potential-identity[s={s:g}]", float(np.max(_rel(lhs, rhs))), budget)
+
+
+def check_midpoint_energy_identity(s: float, n: int = 1024, budget: float = 1e-10) -> CheckResult:
+    """midpoint_potential(N) = E_s(2N)/(2N) - E_s(N)/N for N <= n."""
+    lhs = np.array([midpoint_potential(k, s) for k in range(1, n + 1)])
+    e = np.array([roots_energy(k, s) / k for k in range(1, 2 * n + 1)])  # E_s(N)/N
+    worst = float(np.max(_rel(lhs, e[1::2] - e[:n])))
+    return _max_le(f"midpoint-energy-identity[s={s:g}]", worst, budget)
+
+
+def check_inverse_square_bruteforce(n: int = 64) -> CheckResult:
+    """The direct s = 2 energy of the N-th roots is N(N^2 - 1)/12, 2 <= N <= n."""
+    k = np.arange(2, n + 1)
+    brute = np.array([energy(Configuration.from_turns(np.arange(j) / j), 2.0) for j in k])
+    worst = float(np.max(_rel(brute, k * (k * k - 1) / 12.0)))
+    return _max_le("inverse-square-bruteforce", worst, 1e-12, f"N<={n}")
+
+
+def check_inverse_square_closed_form(n: int = 1024) -> CheckResult:
+    """roots_energy(N, 2)/N = (N^2 - 1)/12 for 2 <= N <= n."""
+    k = np.arange(2, n + 1, dtype=np.int64)
+    closed = (k.astype(np.float64) ** 2 - 1.0) / 12.0
+    vals = np.array([roots_energy(int(j), 2.0) / int(j) for j in k])
+    return _max_le("inverse-square-closed-form", float(np.max(_rel(vals, closed))), 1e-10)
+
+
+def check_roots_energy_direct(s: float, n: int = 512) -> CheckResult:
+    """The direct energy of the N-th roots equals the closed form, 2 <= N <= n."""
+    ks = range(2, n + 1)
+    direct = np.array([energy(Configuration.from_turns(np.arange(k) / k), s) for k in ks])
+    worst = float(np.max(_rel(direct, np.array([roots_energy(k, s) for k in ks]))))
+    return _max_le(f"roots-energy-direct[s={s:g}]", worst, 1e-9, f"N<={n}")
+
+
+def check_binary_decomposition_potential(s: float, n: int = 2048) -> CheckResult:
+    """The direct U_N(a_N) equals its sum of dyadic midpoint potentials, N <= n."""
+    direct = prefix_potentials(structural_angles(n + 1), s)
+    worst = float(np.max(_rel(direct, extremal_values_structural(n, s))))
+    return _max_le(f"binary-decomposition-potential[s={s:g}]", worst, 1e-9)
+
+
+def check_subcritical_w_r_relation(s: float, n: int = 1024) -> CheckResult:
+    """W(N) = 2**s R(2N) - R(N) for N <= n."""
+    r = normalized_series("R_subcritical", s, 2 * n).values
+    w = normalized_series("W_subcritical", s, n).values
+    worst = float(np.max(np.abs(w - (2.0 ** s * r[1::2][: w.size] - r[: w.size]))))
+    return _max_le(f"subcritical-w-r-relation[s={s:g}]", worst, 1e-12)
+
+
+def check_subcritical_r_limit(s: float, n: int = 2048) -> CheckResult:
+    """R(N) reaches 2 zeta(s)/(2 pi)**s at N = n and n - 1, shrinking per doubling."""
+    c_r = 2.0 * zeta(s) / (2.0 * math.pi) ** s
+    rr = normalized_series("R_subcritical", s, n).values
+    res_full = abs(rr[-1] - c_r)
+    res_half = abs(rr[n // 2 - 1] - c_r)
+    res_odd = abs(rr[-2] - c_r)
+    ok = res_full <= 1e-3 and res_odd <= 1e-3 and res_half >= 3.0 * res_full
+    return CheckResult(
+        f"subcritical-r-limit[s={s:g}]",
+        ok,
+        float(max(res_full, res_odd)),
+        1e-3,
+        f"shrink {res_half / max(res_full, 1e-300):.2f}x per doubling",
+    )
+
+
+def check_subcritical_negative(s: float, n: int = 2048) -> CheckResult:
+    ext = _normalized_extremal(s, n)
+    return CheckResult(
+        f"subcritical-negative[s={s:g}]",
+        bool(np.all(ext < 0.0)),
+        float(np.max(ext)),
+        0.0,
+        "extremal second-order series stays negative",
+    )
+
+
+def check_subcritical_window(s: float, n: int = 2048) -> CheckResult:
+    """The extremal series stays above -max|W(N <= 1024)| 2**s/(2**s - 1) for N <= n."""
+    ext = _normalized_extremal(s, n)
+    w = normalized_series("W_subcritical", s, min(n, 1024)).values
+    bound = float(np.max(np.abs(w))) * 2.0 ** s / (2.0 ** s - 1.0)
+    return CheckResult(
+        f"subcritical-window[s={s:g}]",
+        bool(np.all(ext >= -bound - 1e-12)),
+        float(-np.min(ext)),
+        bound,
+        "series within the proof's geometric bound",
+    )
+
+
+def check_divergence_witnesses(s: float, n: int = 2048) -> CheckResult:
+    """Divergence evidence for the normalized extremal series over N = 1..n.
 
     The dyadic (N = 2^p) and all-ones (N = 2^p - 1) subsequences must differ by
     more than ten times their own drift over the last doubling.
     """
-    p = len(series).bit_length() - 1
-    v_dyadic = series[(1 << p) - 1]
-    v_ones = series[(1 << p) - 2]
-    r_dyadic = abs(v_dyadic - series[(1 << (p - 1)) - 1])
-    r_ones = abs(v_ones - series[(1 << (p - 1)) - 2])
-    gap = abs(v_dyadic - v_ones)
-    budget = 10.0 * max(r_dyadic, r_ones)
-    return CheckResult(name, gap > budget, float(gap), float(budget), detail)
-
-
-def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationReport:
-    """Run every identity, inequality, and limit check over the given grid."""
-    _check_n_max(n_max, low=8)
-    s_grid = tuple(float(s) for s in s_grid)
-    for s in s_grid:
-        classify_regime(s)  # validates s >= 0
-    sub = [s for s in s_grid if 0 < s < 1]
-    sup = [s for s in s_grid if s > 1]
-    pos = [s for s in s_grid if s > 0]
-    has_critical = any(s == 1.0 for s in s_grid)
-    rep = VerificationReport()
-
-    # --- product-of-distances identity and ratio shape (log case)
-    n_norm = min(n_max, 5000)
-    log_products = -prefix_potentials(structural_angles(n_norm + 1), 0.0)
-    taus = np.array([tau_b(n) for n in range(1, n_norm + 1)], dtype=np.float64)
-    worst = float(np.max(np.abs(log_products - taus * math.log(2.0))))
-    rep.checks.append(_max_le("sup-norm-identity", worst, 1e-7, f"N<={n_norm}"))
-
-    worst = 0.0
-    m = 1
-    while (1 << m) - 1 <= n_max:
-        worst = max(worst, abs(log_ratio_value((1 << m) - 1) - 1.0))
-        m += 1
-    rep.checks.append(_max_le("sup-norm-ratio-dyadic-ones", worst, 0.0, "exact 1 at N=2^m-1"))
-
-    worst_diff = -math.inf
-    for n in range(1, min(64, n_max) + 1):
-        ratios = [tau_b(n) / math.log2((n << k) + 1) for k in range(0, 7)]
-        worst_diff = max(worst_diff, max(np.diff(ratios)))
-    rep.checks.append(
-        CheckResult(
-            "sup-norm-ratio-doubling-decreasing",
-            worst_diff < 0.0,
-            float(worst_diff),
-            0.0,
-            "max consecutive increment; must be < 0",
-        )
+    series = _normalized_extremal(s, n)
+    top = 1 << (n.bit_length() - 1)  # the largest N = 2^p <= n
+    dyadic, ones = series[top - 1], series[top - 2]
+    budget = 10.0 * max(abs(dyadic - series[top // 2 - 1]), abs(ones - series[top // 2 - 2]))
+    gap = abs(dyadic - ones)
+    detail = "dyadic and 2^p-1 subsequences separate beyond drift" if s < 1 else ""
+    return CheckResult(
+        f"divergence-witnesses[s={s:g}]", gap > budget, float(gap), float(budget), detail
     )
 
-    # --- roots-of-unity identities
-    n_roots = min(n_max, 1024)
-    for s in pos:
-        worst32 = 0.0
-        worst33 = 0.0
-        for n in range(2, n_roots + 1):
-            gaps = np.arange(1, n, dtype=np.float64) / n
-            lhs = pairwise_sum((2.0 * np.sin(np.pi * gaps)) ** (-s))
-            rhs = roots_energy(n, s) / n
-            worst32 = max(worst32, abs(lhs - rhs) / abs(rhs))
-        for n in range(1, n_roots + 1):
-            lhs = midpoint_potential(n, s)
-            rhs = roots_energy(2 * n, s) / (2 * n) - roots_energy(n, s) / n
-            worst33 = max(worst33, abs(lhs - rhs) / abs(rhs))
-        rep.checks.append(_max_le(f"roots-potential-identity[s={s:g}]", worst32, 1e-10))
-        rep.checks.append(_max_le(f"midpoint-energy-identity[s={s:g}]", worst33, 1e-10))
 
-    # --- s = 2 closed forms (brute-force validated first)
-    worst = 0.0
-    for n in range(2, min(64, n_max) + 1):
-        brute = energy(Configuration.from_turns(np.arange(n) / n), 2.0)
-        exact = n * (n * n - 1) / 12.0
-        worst = max(worst, abs(brute - exact) / exact)
-    rep.checks.append(_max_le("inverse-square-bruteforce", worst, 1e-12, "N<=64"))
-    n = np.arange(2, n_roots + 1, dtype=np.int64)
-    closed = (n.astype(np.float64) ** 2 - 1.0) / 12.0
-    vals = np.array([roots_energy(int(k), 2.0) / int(k) for k in n])
-    rep.checks.append(
-        _max_le("inverse-square-closed-form", float(np.max(_rel(vals, closed))), 1e-10)
+def check_critical_t_limit(n: int = 2048) -> CheckResult:
+    """T(n) is within 1e-3 of the critical level (gamma + log(8/pi))/pi."""
+    t = normalized_series("T_critical", 1.0, n).values
+    return _max_le("critical-t-limit", abs(t[-1] - _CRITICAL_LEVEL), 1e-3)
+
+
+def check_critical_first_order_corrected(n: int = 2048, budget: float = 2e-4) -> CheckResult:
+    """(U_n(a_n) - n T)/(n log n) is within budget of 1/pi, T the critical level."""
+    u = extremal_values_structural(n, 1.0)[-1]
+    corrected = (u - n * _CRITICAL_LEVEL) / (n * math.log(n))
+    return _max_le(
+        "critical-first-order-corrected",
+        abs(corrected - 1.0 / math.pi),
+        budget,
+        "first-order ratio after removing the second-order constant",
     )
 
-    # --- direct energy agrees with the closed form
-    n_energy = min(n_max, 512)
-    for s in pos:
-        worst = 0.0
-        for k in range(2, n_energy + 1):
-            exact = roots_energy(k, s)
-            direct = energy(Configuration.from_turns(np.arange(k) / k), s)
-            worst = max(worst, abs(direct - exact) / exact)
-        rep.checks.append(_max_le(f"roots-energy-direct[s={s:g}]", worst, 1e-9, f"N<={n_energy}"))
 
-    # --- binary decomposition of the extremal potential
-    ang = structural_angles(n_max + 1)
-    for s in pos:
-        series = extremal_values_structural(n_max, s)
-        worst = float(np.max(_rel(prefix_potentials(ang, s), series)))
-        rep.checks.append(_max_le(f"binary-decomposition-potential[s={s:g}]", worst, 1e-9))
+def check_critical_window(n: int = 2048) -> CheckResult:
+    ext1 = _normalized_extremal(1.0, n)
+    lo = _CRITICAL_LEVEL - (2.0 / math.e + 2.0 * math.log(2.0)) / math.pi
+    return CheckResult(
+        "critical-window",
+        bool(np.all(ext1[7:] >= lo - 0.05) and np.all(ext1 <= _CRITICAL_LEVEL + 0.05)),
+        float(np.max(ext1)),
+        _CRITICAL_LEVEL + 0.05,
+        f"series within [{lo:.4f} - 0.05, limsup + 0.05] from N=8 on",
+    )
 
-    # --- subcritical relations and limits
-    for s in sub:
-        i_sigma = continuous_energy(s)
-        c_w = second_order_scale(s)
-        c_r = 2.0 * zeta(s) / (2.0 * math.pi) ** s
-        r_ser = normalized_series("R_subcritical", s, 2 * min(n_max, 1024))
-        w_ser = normalized_series("W_subcritical", s, min(n_max, 1024))
-        r = r_ser.values
-        w = w_ser.values
-        worst = float(
-            np.max(np.abs(w - (2.0 ** s * r[1::2][: w.size] - r[: w.size])))
-        )
-        rep.checks.append(_max_le(f"subcritical-w-r-relation[s={s:g}]", worst, 1e-12))
 
-        rr = normalized_series("R_subcritical", s, n_max).values
-        res_full = abs(rr[-1] - c_r)
-        res_half = abs(rr[n_max // 2 - 1] - c_r)
-        res_odd = abs(rr[-2] - c_r)
-        ok = res_full <= 1e-3 and res_odd <= 1e-3 and res_half >= 3.0 * res_full
-        rep.checks.append(
-            CheckResult(
-                f"subcritical-r-limit[s={s:g}]",
-                ok,
-                float(max(res_full, res_odd)),
-                1e-3,
-                f"shrink {res_half / max(res_full, 1e-300):.2f}x per doubling",
-            )
-        )
+def check_supercritical_w_limit(s: float, n: int = 2048) -> CheckResult:
+    """W(n) reaches (2**s - 1) 2 zeta(s)/(2 pi)**s, or decays to it geometrically."""
+    c = second_order_scale(s)
+    w = normalized_series("W_supercritical", s, n).values
+    res_full = abs(w[-1] - c)
+    res_half = abs(w[n // 2 - 1] - c)
+    # The remainder decays like N**(1-s) for 1 < s < 3 (exactly 0 at s=2),
+    # so demand either the absolute tolerance or clear geometric decay.
+    ok = res_full <= 1e-4 or (res_full <= 0.8 * res_half and res_full <= 0.05 * abs(c))
+    return CheckResult(
+        f"supercritical-w-limit[s={s:g}]",
+        ok,
+        float(res_full),
+        1e-4,
+        f"decay {res_half / max(res_full, 1e-300):.2f}x per doubling",
+    )
 
-        ext = extremal_second_order_series(s, n_max).values
-        rep.checks.append(
-            CheckResult(
-                f"subcritical-negative[s={s:g}]",
-                bool(np.all(ext < 0.0)),
-                float(np.max(ext)),
-                0.0,
-                "extremal second-order series stays negative",
-            )
-        )
-        bound = float(np.max(np.abs(w))) * 2.0 ** s / (2.0 ** s - 1.0)
-        rep.checks.append(
-            CheckResult(
-                f"subcritical-window[s={s:g}]",
-                bool(np.all(ext >= -bound - 1e-12)),
-                float(-np.min(ext)),
-                bound,
-                "series within the proof's geometric bound",
-            )
-        )
-        rep.checks.append(
-            _divergence_check(
-                f"divergence-witnesses[s={s:g}]",
-                ext,
-                "dyadic and 2^p-1 subsequences separate beyond drift",
-            )
-        )
 
-    # --- critical limits
-    if has_critical:
-        level = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
-        t_ser = normalized_series("T_critical", 1.0, n_max).values
-        rep.checks.append(_max_le("critical-t-limit", abs(t_ser[-1] - level), 1e-3))
-        u_nmax = extremal_values_structural(n_max, 1.0)[-1]
-        corrected = (u_nmax - n_max * level) / (n_max * math.log(n_max))
-        rep.checks.append(
-            _max_le(
-                "critical-first-order-corrected",
-                abs(corrected - 1.0 / math.pi),
-                2e-4,
-                "first-order ratio after removing the second-order constant",
-            )
-        )
-        ext1 = normalized_series("second_order_1", 1.0, n_max).values
-        rep.checks.append(_divergence_check("divergence-witnesses[s=1]", ext1))
-        lo = level - (2.0 / math.e + 2.0 * math.log(2.0)) / math.pi
-        rep.checks.append(
-            CheckResult(
-                "critical-window",
-                bool(np.all(ext1[7:] >= lo - 0.05) and np.all(ext1 <= level + 0.05)),
-                float(np.max(ext1)),
-                level + 0.05,
-                f"series within [{lo:.4f} - 0.05, limsup + 0.05] from N=8 on",
-            )
-        )
+def check_supercritical_window(s: float, n: int = 2048) -> CheckResult:
+    """U_N(a_N)/N**s lies in (0, max W 2**s/(2**s - 1)] for N <= n."""
+    ext = _normalized_extremal(s, n)
+    w = normalized_series("W_supercritical", s, n).values
+    bound = float(np.max(w)) * 2.0 ** s / (2.0 ** s - 1.0)
+    return CheckResult(
+        f"supercritical-window[s={s:g}]",
+        bool(np.all(ext > 0.0) and np.all(ext <= bound + 1e-12)),
+        float(np.max(ext)),
+        bound,
+        "positive and within the proof's geometric bound",
+    )
 
-    # --- supercritical limits
-    for s in sup:
-        c = second_order_scale(s)
-        w_ser = normalized_series("W_supercritical", s, n_max).values
-        res_full = abs(w_ser[-1] - c)
-        res_half = abs(w_ser[n_max // 2 - 1] - c)
-        # The remainder decays like N**(1-s) for 1 < s < 3 (exactly 0 at s=2),
-        # so demand either the absolute tolerance or clear geometric decay.
-        ok = res_full <= 1e-4 or (res_full <= 0.8 * res_half and res_full <= 0.05 * abs(c))
-        rep.checks.append(
-            CheckResult(
-                f"supercritical-w-limit[s={s:g}]",
-                ok,
-                float(res_full),
-                1e-4,
-                f"decay {res_half / max(res_full, 1e-300):.2f}x per doubling",
-            )
-        )
-        ext = extremal_first_order_series(s, n_max).values
-        bound = float(np.max(w_ser)) * 2.0 ** s / (2.0 ** s - 1.0)
-        rep.checks.append(
-            CheckResult(
-                f"supercritical-window[s={s:g}]",
-                bool(np.all(ext > 0.0) and np.all(ext <= bound + 1e-12)),
-                float(np.max(ext)),
-                bound,
-                "positive and within the proof's geometric bound",
-            )
-        )
-        if s == 2.0:
-            rep.checks.append(
-                _max_le(
-                    "supercritical-quarter[s=2]",
-                    float(np.max(np.abs(w_ser - 0.25))),
-                    1e-10,
-                    "midpoint transform is exactly 1/4 at s=2",
-                )
-            )
-        rep.checks.append(_divergence_check(f"divergence-witnesses[s={s:g}]", ext))
 
-    # --- monotonicity and energy domination (structural greedy)
-    for s in pos:
-        ext = extremal_values_structural(n_max, s)
-        worst = float(np.max(ext[:-1] - ext[1:]))
-        rep.checks.append(
-            CheckResult(
-                f"extremal-monotone[s={s:g}]",
-                worst <= 1e-9 * float(np.max(np.abs(ext))),
-                worst,
-                1e-9 * float(np.max(np.abs(ext))),
-                "running minima are non-decreasing",
-            )
-        )
-        n_cmp = min(256, n_max)
-        energies = energy_series_from_extremal(ext[: n_cmp - 1])
-        worst = 0.0
-        for k in range(2, n_cmp + 1):
-            worst = max(worst, roots_energy(k, s) - energies[k - 1])
-        rep.checks.append(
-            CheckResult(
-                f"greedy-energy-dominates-roots[s={s:g}]",
-                worst <= 1e-9 * abs(energies[n_cmp - 1]),
-                worst,
-                1e-9 * abs(energies[n_cmp - 1]),
-                "roots-of-unity energy never exceeds the greedy energy",
-            )
-        )
+def check_supercritical_quarter(n: int = 2048) -> CheckResult:
+    w = normalized_series("W_supercritical", 2.0, n).values
+    return _max_le(
+        "supercritical-quarter[s=2]",
+        float(np.max(np.abs(w - 0.25))),
+        1e-10,
+        "midpoint transform is exactly 1/4 at s=2",
+    )
 
-    # --- continuous energy closed forms
+
+def check_extremal_monotone(s: float, n: int = 2048) -> CheckResult:
+    ext = extremal_values_structural(n, s)
+    worst = float(np.max(ext[:-1] - ext[1:]))
+    budget = 1e-9 * float(np.max(np.abs(ext)))
+    detail = "running minima are non-decreasing"
+    return _max_le(f"extremal-monotone[s={s:g}]", worst, budget, detail)
+
+
+def check_greedy_energy_dominates_roots(s: float, n: int = 256) -> CheckResult:
+    energies = energy_series_from_extremal(extremal_values_structural(n - 1, s))
+    worst = max(0.0, *(roots_energy(k, s) - energies[k - 1] for k in range(2, n + 1)))
+    return _max_le(
+        f"greedy-energy-dominates-roots[s={s:g}]",
+        worst,
+        1e-9 * abs(energies[n - 1]),
+        "roots-of-unity energy never exceeds the greedy energy",
+    )
+
+
+def check_continuous_energy_forms() -> CheckResult:
+    """Two closed forms of I_s agree for s = 0.05, 0.10, ..., 0.95."""
     worst = 0.0
     for s100 in range(5, 100, 5):
         s = s100 / 100.0
         first = 2.0 ** (-s) / math.sqrt(math.pi) * gamma_fn((1 - s) / 2) / gamma_fn(1 - s / 2)
         second = gamma_fn(1.0 - s) / gamma_fn(1.0 - s / 2.0) ** 2
         worst = max(worst, abs(first - second) / abs(first))
-    rep.checks.append(_max_le("continuous-energy-forms", worst, 1e-12))
+    return _max_le("continuous-energy-forms", worst, 1e-12)
 
-    # --- zeta signs and the Euler-Mascheroni defining limit
+
+def check_zeta_sign_and_euler_gamma() -> CheckResult:
     sign_ok = all(zeta(s / 20.0) < 0.0 for s in range(1, 20)) and all(
         zeta(1.0 + s / 4.0) > 1.0 for s in range(1, 17)
     )
     nh = 1_000_000
     harmonic = float(np.sum(1.0 / np.arange(1, nh + 1, dtype=np.float64)))
     gamma_resid = abs(harmonic - math.log(nh) - EULER_GAMMA)
-    rep.checks.append(
-        CheckResult(
-            "zeta-sign-and-euler-gamma",
-            sign_ok and gamma_resid <= 1.0 / nh,
-            gamma_resid,
-            1.0 / nh,
-            "zeta < 0 on (0,1), zeta > 1 beyond, gamma matches its defining limit",
-        )
+    return CheckResult(
+        "zeta-sign-and-euler-gamma",
+        sign_ok and gamma_resid <= 1.0 / nh,
+        gamma_resid,
+        1.0 / nh,
+        "zeta < 0 on (0,1), zeta > 1 beyond, gamma matches its defining limit",
     )
 
-    # --- theta machinery invariants
+
+def check_theta_invariants(s_values=(0.5, 1.0, 1.5, 2.0)) -> CheckResult:
     worst = 0.0
     ok = True
     for theta in binary.enumerate_theta(12, 12):
@@ -615,99 +584,129 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
         ok = ok and all(c <= Fraction(1, 1 << (k - 1)) for k, c in enumerate(comps, start=1))
         lam = binary.lambda_value(theta)
         ok = ok and -2.5 < lam <= 0.0
-        for s in pos:
-            if s == 1.0:
-                continue
+        for s in (s for s in s_values if s != 1.0):
             g = binary.g_value(theta, s)
-            if s < 1:
-                ok = ok and 1.0 <= g < 2.0 ** s / (2.0 ** s - 1.0)
-            else:
-                ok = ok and 0.0 < g <= 1.0
+            ok = ok and (1.0 <= g < 2.0 ** s / (2.0 ** s - 1.0) if s < 1 else 0.0 < g <= 1.0)
         worst = min(worst, lam)
-    rep.checks.append(
-        CheckResult("theta-invariants", ok, worst, -2.5, "sum=1 exact, decay, G/Lambda brackets")
-    )
+    return CheckResult("theta-invariants", ok, worst, -2.5, "sum=1 exact, decay, G/Lambda brackets")
 
+
+def check_g_strictly_decreasing_in_s(s_values=(0.5, 1.0, 1.5, 2.0)) -> CheckResult:
     mono_ok = True
-    grid_s = sorted(set(pos) | {0.25, 0.75, 1.25, 3.0})
+    grid_s = sorted(set(s_values) | {0.25, 0.75, 1.25, 3.0})
     for theta in binary.enumerate_theta(8, 8):
         if theta.m == 1:
             continue  # the vector (1) has G identically 1
         gs = [binary.g_value(theta, s) for s in grid_s]
         mono_ok = mono_ok and all(a > b for a, b in zip(gs, gs[1:]))
-    rep.checks.append(
-        CheckResult("g-strictly-decreasing-in-s", mono_ok, 0.0, 0.0, "for vectors other than (1)")
-    )
+    detail = "for vectors other than (1)"
+    return CheckResult("g-strictly-decreasing-in-s", mono_ok, 0.0, 0.0, detail)
 
+
+def check_tau_binary_properties() -> CheckResult:
     n_arr = np.arange(1, 1_000_001, dtype=np.int64)
-    taus = np.zeros_like(n_arr)
-    for j in range(20):
-        taus += (n_arr >> j) & 1
-    tau_ok = bool(np.all(n_arr >= (1 << taus) - 1))
-    tau2 = np.zeros_like(n_arr)
-    doubled = n_arr << 1
-    for j in range(21):
-        tau2 += (doubled >> j) & 1
-    tau_ok = tau_ok and bool(np.all(tau2 == taus))
+    taus = sum((n_arr >> j) & 1 for j in range(20))
+    tau2 = sum(((n_arr << 1) >> j) & 1 for j in range(21))
+    tau_ok = bool(np.all(n_arr >= (1 << taus) - 1)) and bool(np.all(tau2 == taus))
     recon_ok = all(decompose(int(k)).value == int(k) for k in range(1, 2048))
-    rep.checks.append(
-        CheckResult(
-            "tau-binary-properties",
-            tau_ok and recon_ok,
-            0.0,
-            0.0,
-            "tau(2N)=tau(N), N >= 2^tau - 1, decomposition reconstructs N",
-        )
+    return CheckResult(
+        "tau-binary-properties",
+        tau_ok and recon_ok,
+        0.0,
+        0.0,
+        "tau(2N)=tau(N), N >= 2^tau - 1, decomposition reconstructs N",
     )
 
-    # --- summation order insensitivity
+
+def check_summation_reversal(s_values=(0.5, 1.0, 1.5, 2.0)) -> CheckResult:
+    """pairwise_sum of 4998 midpoint terms is insensitive to their order."""
     worst = 0.0
-    for s in pos:
+    for s in s_values:
         k = np.arange(1, 4999, dtype=np.float64)
         terms = (2.0 * np.sin((2.0 * k - 1.0) * (np.pi / (2.0 * 4998)))) ** (-s)
         fwd = pairwise_sum(terms)
         rev = pairwise_sum(terms[::-1])
         worst = max(worst, abs(fwd - rev) / abs(fwd))
-    rep.checks.append(_max_le("summation-reversal", worst, 1e-12))
+    return _max_le("summation-reversal", worst, 1e-12)
 
-    # --- numerical greedy reproduces the structural extremal values
-    n_cross = min(64, n_max)
+
+def check_cross_construction(
+    s: float, n: int = 64, start: float = 0.0, budget: float = 1e-6
+) -> CheckResult:
+    """The numerical greedy from one start point reproduces the structural values, N < n."""
+    run = greedy_numerical(Configuration.from_turns([start]), s, n)
+    ref = extremal_values_structural(n - 1, s)
+    worst = float(np.max(np.abs(np.array(run.extremal_values) - ref)))
+    return _max_le(f"cross-construction[s={s:g}]", worst, budget, f"N<={n}")
+
+
+def check_generalized_greedy_trend(s: float, n: int = 256) -> CheckResult:
+    run = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), s, n)
+    angles = run.points.angles()
+    discs = [star_discrepancy(angles[:k]) for k in (n // 4, n // 2, n)]
+    trend_ok = all(b <= 1.1 * a for a, b in zip(discs, discs[1:]))
+    ext = np.array(run.extremal_values)
+    mono_ok = bool(np.all(np.diff(ext[run.p:]) >= -1e-9 * float(np.max(np.abs(ext)))))
+    nn = np.arange(run.p + 1, n)
+    bound_ok = bool(np.all(ext[run.p:] <= nn * continuous_energy(s)))
+    return CheckResult(
+        f"generalized-greedy-trend[s={s:g}]",
+        trend_ok and mono_ok and bound_ok and discs[-1] <= 0.05,
+        float(discs[-1]),
+        0.05,
+        "discrepancy non-increasing (10% slack), minima monotone and below N*I_s",
+    )
+
+
+def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationReport:
+    """Run every identity, inequality, and limit check over the given grid (each s once)."""
+    _check_n_max(n_max, low=8)
+    s_grid = tuple(dict.fromkeys(float(s) for s in s_grid))
+    pos = [s for s in s_grid if classify_regime(s) != REGIME_LOG]  # also validates s >= 0
+    sub = [s for s in pos if s < 1]
+    sup = [s for s in pos if s > 1]
+    n_roots = min(n_max, 1024)
+
+    checks = [
+        check_sup_norm_identity(min(n_max, 5000)),
+        check_sup_norm_ratio_dyadic_ones(n_max),
+        check_sup_norm_ratio_doubling_decreasing(min(64, n_max)),
+    ]
+    for s in pos:
+        checks.append(check_roots_potential_identity(s, n_roots))
+        checks.append(check_midpoint_energy_identity(s, n_roots))
+    checks.append(check_inverse_square_bruteforce(min(64, n_max)))
+    checks.append(check_inverse_square_closed_form(n_roots))
+    checks += [check_roots_energy_direct(s, min(n_max, 512)) for s in pos]
+    checks += [check_binary_decomposition_potential(s, n_max) for s in pos]
+    for s in sub:
+        checks.append(check_subcritical_w_r_relation(s, n_roots))
+        checks.append(check_subcritical_r_limit(s, n_max))
+        checks.append(check_subcritical_negative(s, n_max))
+        checks.append(check_subcritical_window(s, n_max))
+        checks.append(check_divergence_witnesses(s, n_max))
+    if 1.0 in s_grid:
+        checks.append(check_critical_t_limit(n_max))
+        checks.append(check_critical_first_order_corrected(n_max))
+        checks.append(check_divergence_witnesses(1.0, n_max))
+        checks.append(check_critical_window(n_max))
+    for s in sup:
+        checks.append(check_supercritical_w_limit(s, n_max))
+        checks.append(check_supercritical_window(s, n_max))
+        if s == 2.0:
+            checks.append(check_supercritical_quarter(n_max))
+        checks.append(check_divergence_witnesses(s, n_max))
+    for s in pos:
+        checks.append(check_extremal_monotone(s, n_max))
+        checks.append(check_greedy_energy_dominates_roots(s, min(256, n_max)))
+    checks.append(check_continuous_energy_forms())
+    checks.append(check_zeta_sign_and_euler_gamma())
+    checks.append(check_theta_invariants(pos))
+    checks.append(check_g_strictly_decreasing_in_s(pos))
+    checks.append(check_tau_binary_properties())
+    checks.append(check_summation_reversal(pos))
     for s in dict.fromkeys(pos[:1] + pos[-1:]):
-        run = greedy_numerical(Configuration.from_turns([0.0]), s, n_cross)
-        ref = extremal_values_structural(n_cross - 1, s)
-        worst = float(np.max(np.abs(np.array(run.extremal_values) - ref)))
-        rep.checks.append(
-            _max_le(f"cross-construction[s={s:g}]", worst, 1e-6, f"N<={n_cross}")
-        )
-
-    # --- generalized greedy run (several initial points) equidistributes
+        checks.append(check_cross_construction(s, min(64, n_max)))
     if sub:
-        s = sub[0]
-        n_gen = min(256, n_max)
-        run = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), s, n_gen)
-        discs = []
-        for n_chk in (n_gen // 4, n_gen // 2, n_gen):
-            sub_run = GreedyRun(
-                s=run.s,
-                initial=run.initial,
-                points=Configuration.from_turns(run.points.angles()[:n_chk]),
-                extremal_values=run.extremal_values[: n_chk - 1],
-            )
-            discs.append(uniform_distribution_report(sub_run).star_discrepancy)
-        trend_ok = all(b <= 1.1 * a for a, b in zip(discs, discs[1:]))
-        ext = np.array(run.extremal_values)
-        mono_ok = bool(np.all(np.diff(ext[run.p:]) >= -1e-9 * float(np.max(np.abs(ext)))))
-        i_sigma = continuous_energy(s)
-        nn = np.arange(run.p + 1, n_gen)
-        bound_ok = bool(np.all(ext[run.p:] <= nn * i_sigma))
-        rep.checks.append(
-            CheckResult(
-                f"generalized-greedy-trend[s={s:g}]",
-                trend_ok and mono_ok and bound_ok and discs[-1] <= 0.05,
-                float(discs[-1]),
-                0.05,
-                "discrepancy non-increasing (10% slack), minima monotone and below N*I_s",
-            )
-        )
-
-    return rep
+        checks.append(check_generalized_greedy_trend(sub[0], min(256, n_max)))
+    return VerificationReport(checks)

@@ -74,11 +74,7 @@ def cmd_sequence(args) -> int:
 
 def cmd_constants(args) -> int:
     catalog = special.limit_catalog(args.s, max_bits=args.max_bits)
-    text = json.dumps(catalog.to_dict(), indent=2)
-    if args.out is None:
-        print(text)
-    else:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    _write_lines([json.dumps(catalog.to_dict(), indent=2)], args.out)
     return 0
 
 
@@ -118,11 +114,7 @@ def cmd_theta(args) -> int:
             "family_sup": g.family_sup,
             "family_inf": g.family_inf,
         }
-    text = json.dumps(payload, indent=2)
-    if args.out is None:
-        print(text)
-    else:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    _write_lines([json.dumps(payload, indent=2)], args.out)
     return 0
 
 
@@ -163,9 +155,6 @@ def cmd_series(args) -> int:
 
 def cmd_verify(args) -> int:
     s_grid = args.s if args.s else [0.5, 1.0, 1.5, 2.0]
-    if args.include_subcritical and not any(0 < s < 1 for s in s_grid):
-        print("error: --include-subcritical requires an s value in (0, 1)", file=sys.stderr)
-        return 2
     report = analysis.verify_all(n_max=args.n_max, s_grid=s_grid)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -228,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-max", type=int, default=2048)
     p_ver.add_argument("--s", type=float, action="append", default=None,
                        help="exponent to include (repeatable; default grid 0.5,1,1.5,2)")
-    p_ver.add_argument("--include-subcritical", action="store_true",
-                       help="require subcritical checks (an s in (0,1) must be present)")
     p_ver.add_argument("--json-out", type=str, default=None)
     p_ver.set_defaults(func=cmd_verify)
 

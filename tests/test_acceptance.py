@@ -2,7 +2,9 @@
 
 Each test covers one acceptance area, runs all of its clauses, prints a
 single PASS/FAIL summary line (visible with ``pytest -s`` or on failure), and
-asserts at the end so every clause is always evaluated and reported.
+asserts at the end so every clause is always evaluated and reported.  Where a
+clause restates a ``verify_all`` identity it calls the same ``check_*``
+function with this suite's own N and tolerance.
 
 The paper proves limits, but every clause evaluates a finite N. Where the
 remainder at that N is known and larger than the clause's tolerance, the
@@ -11,7 +13,8 @@ stated N and tolerance (see README, "Finite-N remainders"):
 
 * critical first order, N = 2**12: U_N(a_N)/(N log N) is compared with
   1/pi + T/log N, T = (gamma + log(8/pi))/pi, because the second-order
-  constant enters at scale 1/log N (a bare 1/pi would need N > e**240);
+  constant enters at scale 1/log N (a bare 1/pi would need N > e**240); the
+  shared check evaluates it as (U_N(a_N) - N T)/(N log N) against 1/pi;
 * subcritical all-ones subsequence, N = 2**p - 1: the dyadic blocks
   telescope to U_N(a_N) = E_s(N+1)/(N+1), so with the roots-of-unity
   expansion E_s(M) = I_s M**2 + c M**(1+s) + O(M**(s-1)),
@@ -33,10 +36,16 @@ import numpy as np
 import pytest
 
 from lejacircle.analysis import (
+    check_critical_first_order_corrected,
+    check_cross_construction,
+    check_midpoint_energy_identity,
+    check_roots_potential_identity,
+    check_sup_norm_ratio_doubling_decreasing,
+    check_sup_norm_ratio_dyadic_ones,
     extremal_second_order_series,
     limit_point_check,
     normalized_series,
-    uniform_distribution_report,
+    star_discrepancy,
 )
 from lejacircle.binary import (
     enumerate_theta,
@@ -56,11 +65,7 @@ from lejacircle.circle import (
     roots_energy,
 )
 from lejacircle.cli import main as cli_main
-from lejacircle.sequences import (
-    GreedyRun,
-    extremal_values_structural,
-    greedy_numerical,
-)
+from lejacircle.sequences import extremal_values_structural, greedy_numerical
 from lejacircle.special import EULER_GAMMA, continuous_energy, zeta
 from lejacircle.summation import pairwise_sum
 
@@ -86,6 +91,11 @@ class Criterion:
         if not ok:
             self.failures.append(message)
 
+    def require(self, result, context=""):
+        """One clause from a shared verification check's CheckResult."""
+        message = f"{result.name}: residual {result.residual:.2e}, budget {result.budget:.2e}"
+        self.check(result.passed, f"{context}{message}")
+
     def finish(self):
         status = "PASS" if not self.failures else "FAIL"
         passed = self.total - len(self.failures)
@@ -105,15 +115,6 @@ def generalized_runs():
     return {s: greedy_numerical(initial, s, 512) for s in (0.0, 0.5)}
 
 
-def prefix_run(run, n):
-    return GreedyRun(
-        s=run.s,
-        initial=run.initial,
-        points=Configuration.from_turns(run.points.angles()[:n]),
-        extremal_values=run.extremal_values[: n - 1],
-    )
-
-
 def test_distance_product_identity(canonical_angles_5001):
     crit = Criterion("distance-product identity and norm ratio")
     ang = canonical_angles_5001
@@ -123,14 +124,8 @@ def test_distance_product_identity(canonical_angles_5001):
         worst = max(worst, abs(lhs - tau_b(n) * LOG2))
     crit.check(worst <= 1e-7, f"sum of log distances vs tau*log2: {worst:.2e} > 1e-7")
 
-    exact = all(tau_b((1 << m) - 1) / math.log2(1 << m) == 1.0 for m in range(1, 13))
-    crit.check(exact, "ratio not exactly 1.0 at N = 2^m - 1")
-
-    decreasing = True
-    for n in range(1, 65):
-        ratios = [tau_b(n) / math.log2((n << k) + 1) for k in range(7)]
-        decreasing = decreasing and all(a > b for a, b in zip(ratios, ratios[1:]))
-    crit.check(decreasing, "doubling subsequence of the norm ratio not strictly decreasing")
+    crit.require(check_sup_norm_ratio_dyadic_ones((1 << 12) - 1))  # m <= 12
+    crit.require(check_sup_norm_ratio_doubling_decreasing(64))
     crit.finish()
 
 
@@ -150,20 +145,8 @@ def test_potential_binary_decomposition(canonical_angles_5001):
 def test_roots_of_unity_identities():
     crit = Criterion("roots-of-unity potential and energy identities")
     for s in S_GRID:
-        worst = 0.0
-        for n in range(2, 1025):
-            gaps = np.arange(1, n) / n
-            lhs = pairwise_sum((2.0 * np.sin(np.pi * gaps)) ** (-s))
-            rhs = roots_energy(n, s) / n
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        crit.check(worst <= 1e-10, f"s={s}: root-potential identity {worst:.2e} > 1e-10")
-
-        worst = 0.0
-        for n in range(1, 1025):
-            lhs = midpoint_potential(n, s)
-            rhs = roots_energy(2 * n, s) / (2 * n) - roots_energy(n, s) / n
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        crit.check(worst <= 1e-10, f"s={s}: midpoint identity {worst:.2e} > 1e-10")
+        crit.require(check_roots_potential_identity(s, 1024, 1e-10))
+        crit.require(check_midpoint_energy_identity(s, 1024, 1e-10))
 
     worst = 0.0
     for n in range(2, 65):
@@ -244,9 +227,7 @@ def test_critical_limits():
     assert abs(level - 0.48126) < 5e-6
 
     # The second-order constant enters the first-order ratio at scale 1/log N.
-    first_order = u / (n * math.log(n))
-    res = abs(first_order - (1.0 / math.pi + level / math.log(n)))
-    crit.check(res <= 2e-3, f"first-order ratio residual {res:.2e} > 2e-3")
+    crit.require(check_critical_first_order_corrected(n, 2e-3))
 
     t_val = (u - n * math.log(n) / math.pi) / n
     res_t = abs(t_val - level)
@@ -315,9 +296,7 @@ def test_generalized_greedy_distribution(generalized_runs):
             f"s={s}: greedy energy {e_greedy:.12g} below the minimal energy {e_min:.12g}",
         )
 
-        discs = []
-        for n in (64, 128, 256, 512):
-            discs.append(uniform_distribution_report(prefix_run(run, n)).star_discrepancy)
+        discs = [star_discrepancy(run.points.angles()[:n]) for n in (64, 128, 256, 512)]
         crit.check(discs[-1] <= 0.05, f"s={s}: discrepancy {discs[-1]:.4f} > 0.05 at N=512")
         trend = all(b <= 1.1 * a for a, b in zip(discs, discs[1:]))
         crit.check(trend, f"s={s}: discrepancy not non-increasing within 10%: {discs}")
@@ -338,10 +317,7 @@ def test_numerical_greedy_matches_structural():
     crit = Criterion("numerical greedy reproduces the structural values")
     for x0 in (0.0, 0.3137):
         for s in (0.5, 1.0, 2.0):
-            run = greedy_numerical(Configuration.from_turns([x0]), s, 128)
-            ref = extremal_values_structural(127, s)
-            worst = float(np.max(np.abs(np.array(run.extremal_values) - ref)))
-            crit.check(worst <= 1e-6, f"x0={x0}, s={s}: max extremal mismatch {worst:.2e} > 1e-6")
+            crit.require(check_cross_construction(s, 128, start=x0, budget=1e-6), f"x0={x0}: ")
     crit.finish()
 
 

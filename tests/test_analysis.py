@@ -28,6 +28,64 @@ from lejacircle.special import EULER_GAMMA, continuous_energy, second_order_scal
 
 CRITICAL_LEVEL = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
 
+# The default verify_all report, in order.
+DEFAULT_CHECK_NAMES = [
+    "sup-norm-identity",
+    "sup-norm-ratio-dyadic-ones",
+    "sup-norm-ratio-doubling-decreasing",
+    "roots-potential-identity[s=0.5]",
+    "midpoint-energy-identity[s=0.5]",
+    "roots-potential-identity[s=1]",
+    "midpoint-energy-identity[s=1]",
+    "roots-potential-identity[s=1.5]",
+    "midpoint-energy-identity[s=1.5]",
+    "roots-potential-identity[s=2]",
+    "midpoint-energy-identity[s=2]",
+    "inverse-square-bruteforce",
+    "inverse-square-closed-form",
+    "roots-energy-direct[s=0.5]",
+    "roots-energy-direct[s=1]",
+    "roots-energy-direct[s=1.5]",
+    "roots-energy-direct[s=2]",
+    "binary-decomposition-potential[s=0.5]",
+    "binary-decomposition-potential[s=1]",
+    "binary-decomposition-potential[s=1.5]",
+    "binary-decomposition-potential[s=2]",
+    "subcritical-w-r-relation[s=0.5]",
+    "subcritical-r-limit[s=0.5]",
+    "subcritical-negative[s=0.5]",
+    "subcritical-window[s=0.5]",
+    "divergence-witnesses[s=0.5]",
+    "critical-t-limit",
+    "critical-first-order-corrected",
+    "divergence-witnesses[s=1]",
+    "critical-window",
+    "supercritical-w-limit[s=1.5]",
+    "supercritical-window[s=1.5]",
+    "divergence-witnesses[s=1.5]",
+    "supercritical-w-limit[s=2]",
+    "supercritical-window[s=2]",
+    "supercritical-quarter[s=2]",
+    "divergence-witnesses[s=2]",
+    "extremal-monotone[s=0.5]",
+    "greedy-energy-dominates-roots[s=0.5]",
+    "extremal-monotone[s=1]",
+    "greedy-energy-dominates-roots[s=1]",
+    "extremal-monotone[s=1.5]",
+    "greedy-energy-dominates-roots[s=1.5]",
+    "extremal-monotone[s=2]",
+    "greedy-energy-dominates-roots[s=2]",
+    "continuous-energy-forms",
+    "zeta-sign-and-euler-gamma",
+    "theta-invariants",
+    "g-strictly-decreasing-in-s",
+    "tau-binary-properties",
+    "summation-reversal",
+    "cross-construction[s=0.5]",
+    "cross-construction[s=2]",
+    "generalized-greedy-trend[s=0.5]",
+]
+
 
 def brute_star_discrepancy(points):
     """O(N^2) oracle: max deviation over anchored intervals [0, t).
@@ -235,6 +293,7 @@ class TestUniformDistributionReport:
 class TestVerifyAll:
     def test_defaults_pass(self):
         report = verify_all(n_max=512)
+        assert [c.name for c in report.checks] == DEFAULT_CHECK_NAMES
         failing = [c.name for c in report.checks if not c.passed]
         assert report.all_pass, f"failing checks: {failing}"
         # identity-type checks stay at rounding level
@@ -247,7 +306,9 @@ class TestVerifyAll:
             verify_all(n_max=(1 << 20) + 1)
 
     def test_report_serializes(self):
-        report = verify_all(n_max=64, s_grid=(2.0,))
+        report = verify_all(n_max=64, s_grid=(2.0, 2.0))
+        names = [c.name for c in report.checks]
+        assert len(names) == len(set(names))
         payload = report.to_dict()
         assert set(payload) == {"all_pass", "checks"}
         assert all({"name", "status", "residual", "budget", "detail"} == set(c) for c in payload["checks"])

@@ -162,9 +162,6 @@ class TestVerify:
         line = next(l for l in out.splitlines() if "supercritical-quarter" in l)
         assert "[PASS]" in line
 
-    def test_subcritical_flag_mismatch(self):
-        assert run_cli(["verify", "--s", "1.0", "--include-subcritical"]) == 2
-
     def test_budget_exit(self):
         assert run_cli(["verify", "--n-max", str((1 << 20) + 1)]) == 3
 
