@@ -342,21 +342,21 @@ def check_sup_norm_ratio_doubling_decreasing(n: int = 64) -> CheckResult:
     )
 
 
-def check_roots_potential_identity(s: float, n: int = 1024, budget: float = 1e-10) -> CheckResult:
+def check_roots_potential_identity(s: float, n: int = 1024) -> CheckResult:
     """The potential of the N-th roots of unity at one root is E_s(N)/N, 2 <= N <= n."""
     ks = range(2, n + 1)
     chords = (2.0 * np.sin(np.pi * (np.arange(1, k) / k)) for k in ks)
     lhs = np.array([pairwise_sum(c ** (-s)) for c in chords])
     rhs = np.array([roots_energy(k, s) / k for k in ks])
-    return _max_le(f"roots-potential-identity[s={s:g}]", float(np.max(_rel(lhs, rhs))), budget)
+    return _max_le(f"roots-potential-identity[s={s:g}]", float(np.max(_rel(lhs, rhs))), 1e-10)
 
 
-def check_midpoint_energy_identity(s: float, n: int = 1024, budget: float = 1e-10) -> CheckResult:
+def check_midpoint_energy_identity(s: float, n: int = 1024) -> CheckResult:
     """midpoint_potential(N) = E_s(2N)/(2N) - E_s(N)/N for N <= n."""
     lhs = np.array([midpoint_potential(k, s) for k in range(1, n + 1)])
     e = np.array([roots_energy(k, s) / k for k in range(1, 2 * n + 1)])  # E_s(N)/N
     worst = float(np.max(_rel(lhs, e[1::2] - e[:n])))
-    return _max_le(f"midpoint-energy-identity[s={s:g}]", worst, budget)
+    return _max_le(f"midpoint-energy-identity[s={s:g}]", worst, 1e-10)
 
 
 def check_inverse_square_bruteforce(n: int = 64) -> CheckResult:
@@ -390,11 +390,10 @@ def check_binary_decomposition_potential(s: float, n: int = 2048) -> CheckResult
     return _max_le(f"binary-decomposition-potential[s={s:g}]", worst, 1e-9)
 
 
-def check_subcritical_w_r_relation(s: float, n: int = 1024) -> CheckResult:
-    """W(N) = 2**s R(2N) - R(N) for N <= n."""
-    r = normalized_series("R_subcritical", s, 2 * n).values
-    w = normalized_series("W_subcritical", s, n).values
-    worst = float(np.max(np.abs(w - (2.0 ** s * r[1::2][: w.size] - r[: w.size]))))
+def check_subcritical_w_r_relation(s: float, w: np.ndarray) -> CheckResult:
+    """W(N) = 2**s R(2N) - R(N) for N <= w.size, w the series W_subcritical."""
+    r = normalized_series("R_subcritical", s, 2 * w.size).values
+    worst = float(np.max(np.abs(w - (2.0 ** s * r[1::2] - r[: w.size]))))
     return _max_le(f"subcritical-w-r-relation[s={s:g}]", worst, 1e-12)
 
 
@@ -426,10 +425,9 @@ def check_subcritical_negative(s: float, n: int = 2048) -> CheckResult:
     )
 
 
-def check_subcritical_window(s: float, n: int = 2048) -> CheckResult:
-    """The extremal series stays above -max|W(N <= 1024)| 2**s/(2**s - 1) for N <= n."""
+def check_subcritical_window(s: float, w: np.ndarray, n: int = 2048) -> CheckResult:
+    """The extremal series stays above -max|W| 2**s/(2**s - 1) for N <= n, w the series W."""
     ext = _normalized_extremal(s, n)
-    w = normalized_series("W_subcritical", s, min(n, 1024)).values
     bound = float(np.max(np.abs(w))) * 2.0 ** s / (2.0 ** s - 1.0)
     return CheckResult(
         f"subcritical-window[s={s:g}]",
@@ -487,12 +485,11 @@ def check_critical_window(n: int = 2048) -> CheckResult:
     )
 
 
-def check_supercritical_w_limit(s: float, n: int = 2048) -> CheckResult:
-    """W(n) reaches (2**s - 1) 2 zeta(s)/(2 pi)**s, or decays to it geometrically."""
+def check_supercritical_w_limit(s: float, w: np.ndarray) -> CheckResult:
+    """W(N) at N = w.size reaches (2**s - 1) 2 zeta(s)/(2 pi)**s, or decays to it geometrically."""
     c = second_order_scale(s)
-    w = normalized_series("W_supercritical", s, n).values
     res_full = abs(w[-1] - c)
-    res_half = abs(w[n // 2 - 1] - c)
+    res_half = abs(w[w.size // 2 - 1] - c)
     # The remainder decays like N**(1-s) for 1 < s < 3 (exactly 0 at s=2),
     # so demand either the absolute tolerance or clear geometric decay.
     ok = res_full <= 1e-4 or (res_full <= 0.8 * res_half and res_full <= 0.05 * abs(c))
@@ -505,10 +502,9 @@ def check_supercritical_w_limit(s: float, n: int = 2048) -> CheckResult:
     )
 
 
-def check_supercritical_window(s: float, n: int = 2048) -> CheckResult:
-    """U_N(a_N)/N**s lies in (0, max W 2**s/(2**s - 1)] for N <= n."""
-    ext = _normalized_extremal(s, n)
-    w = normalized_series("W_supercritical", s, n).values
+def check_supercritical_window(s: float, w: np.ndarray) -> CheckResult:
+    """U_N(a_N)/N**s lies in (0, max W 2**s/(2**s - 1)] for N <= w.size, w the series W."""
+    ext = _normalized_extremal(s, w.size)
     bound = float(np.max(w)) * 2.0 ** s / (2.0 ** s - 1.0)
     return CheckResult(
         f"supercritical-window[s={s:g}]",
@@ -519,8 +515,8 @@ def check_supercritical_window(s: float, n: int = 2048) -> CheckResult:
     )
 
 
-def check_supercritical_quarter(n: int = 2048) -> CheckResult:
-    w = normalized_series("W_supercritical", 2.0, n).values
+def check_supercritical_quarter(w: np.ndarray) -> CheckResult:
+    """W_supercritical at s = 2 is exactly 1/4 at every N <= w.size."""
     return _max_le(
         "supercritical-quarter[s=2]",
         float(np.max(np.abs(w - 0.25))),
@@ -630,14 +626,12 @@ def check_summation_reversal(s_values=(0.5, 1.0, 1.5, 2.0)) -> CheckResult:
     return _max_le("summation-reversal", worst, 1e-12)
 
 
-def check_cross_construction(
-    s: float, n: int = 64, start: float = 0.0, budget: float = 1e-6
-) -> CheckResult:
+def check_cross_construction(s: float, n: int = 64, start: float = 0.0) -> CheckResult:
     """The numerical greedy from one start point reproduces the structural values, N < n."""
     run = greedy_numerical(Configuration.from_turns([start]), s, n)
     ref = extremal_values_structural(n - 1, s)
     worst = float(np.max(np.abs(np.array(run.extremal_values) - ref)))
-    return _max_le(f"cross-construction[s={s:g}]", worst, budget, f"N<={n}")
+    return _max_le(f"cross-construction[s={s:g}]", worst, 1e-6, f"N<={n}")
 
 
 def check_generalized_greedy_trend(s: float, n: int = 256) -> CheckResult:
@@ -680,10 +674,11 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     checks += [check_roots_energy_direct(s, min(n_max, 512)) for s in pos]
     checks += [check_binary_decomposition_potential(s, n_max) for s in pos]
     for s in sub:
-        checks.append(check_subcritical_w_r_relation(s, n_roots))
+        w = normalized_series("W_subcritical", s, n_roots).values
+        checks.append(check_subcritical_w_r_relation(s, w))
         checks.append(check_subcritical_r_limit(s, n_max))
         checks.append(check_subcritical_negative(s, n_max))
-        checks.append(check_subcritical_window(s, n_max))
+        checks.append(check_subcritical_window(s, w, n_max))
         checks.append(check_divergence_witnesses(s, n_max))
     if 1.0 in s_grid:
         checks.append(check_critical_t_limit(n_max))
@@ -691,10 +686,11 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
         checks.append(check_divergence_witnesses(1.0, n_max))
         checks.append(check_critical_window(n_max))
     for s in sup:
-        checks.append(check_supercritical_w_limit(s, n_max))
-        checks.append(check_supercritical_window(s, n_max))
+        w = normalized_series("W_supercritical", s, n_max).values
+        checks.append(check_supercritical_w_limit(s, w))
+        checks.append(check_supercritical_window(s, w))
         if s == 2.0:
-            checks.append(check_supercritical_quarter(n_max))
+            checks.append(check_supercritical_quarter(w))
         checks.append(check_divergence_witnesses(s, n_max))
     for s in pos:
         checks.append(check_extremal_monotone(s, n_max))

@@ -145,8 +145,8 @@ def test_potential_binary_decomposition(canonical_angles_5001):
 def test_roots_of_unity_identities():
     crit = Criterion("roots-of-unity potential and energy identities")
     for s in S_GRID:
-        crit.require(check_roots_potential_identity(s, 1024, 1e-10))
-        crit.require(check_midpoint_energy_identity(s, 1024, 1e-10))
+        crit.require(check_roots_potential_identity(s, 1024))
+        crit.require(check_midpoint_energy_identity(s, 1024))
 
     worst = 0.0
     for n in range(2, 65):
@@ -317,7 +317,7 @@ def test_numerical_greedy_matches_structural():
     crit = Criterion("numerical greedy reproduces the structural values")
     for x0 in (0.0, 0.3137):
         for s in (0.5, 1.0, 2.0):
-            crit.require(check_cross_construction(s, 128, start=x0, budget=1e-6), f"x0={x0}: ")
+            crit.require(check_cross_construction(s, 128, start=x0), f"x0={x0}: ")
     crit.finish()
 
 
