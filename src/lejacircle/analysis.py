@@ -179,13 +179,13 @@ def normalized_series(kind: str, s: float, n_max: int) -> NormalizedSeries:
         values = (vals - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
     elif kind == "W1_critical":
         n, nf = n[1:], nf[1:]
-        values = np.array([midpoint_potential(int(k), 1.0) for k in n]) / (nf * np.log(nf))
+        values = midpoint_potential(n, 1.0) / (nf * np.log(nf))
     elif kind == "log_ratio":
         values = np.array([log_ratio_value(int(k)) for k in n])
     elif kind == "second_order_1":
         values = _normalized_extremal(1.0, n_max)
     else:  # W_subcritical, T_critical, W_supercritical: the midpoint transform
-        values = _normalize(np.array([midpoint_potential(int(k), s) for k in n]), nf, s)
+        values = _normalize(midpoint_potential(n, s), nf, s)
     return NormalizedSeries(kind, s, n, values)
 
 
@@ -234,7 +234,8 @@ def limit_point_check(theta: ThetaVector, s: float, depth: int) -> LimitPointChe
         raise BudgetExceededError(
             f"witness index {n_witness} exceeds the compute budget {MAX_POINTS}"
         )
-    u = math.fsum(midpoint_potential(1 << e, s) for e in decompose(n_witness).exponents)
+    blocks = np.array([1 << e for e in decompose(n_witness).exponents])
+    u = math.fsum(midpoint_potential(blocks, s).tolist())
     observed = float(_normalize(u, float(n_witness), s))
     predicted = theta_limit_prediction(theta, s)
     return LimitPointCheck(
@@ -353,7 +354,7 @@ def check_roots_potential_identity(s: float, n: int = 1024) -> CheckResult:
 
 def check_midpoint_energy_identity(s: float, n: int = 1024) -> CheckResult:
     """midpoint_potential(N) = E_s(2N)/(2N) - E_s(N)/N for N <= n."""
-    lhs = np.array([midpoint_potential(k, s) for k in range(1, n + 1)])
+    lhs = midpoint_potential(np.arange(1, n + 1), s)
     e = np.array([roots_energy(k, s) / k for k in range(1, 2 * n + 1)])  # E_s(N)/N
     worst = float(np.max(_rel(lhs, e[1::2] - e[:n])))
     return _max_le(f"midpoint-energy-identity[s={s:g}]", worst, 1e-10)

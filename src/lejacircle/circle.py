@@ -26,24 +26,43 @@ Closed forms for N-th roots of unity:
     midpoint_potential(N, s) s-potential of the N roots evaluated at the
                              midpoint of an arc between adjacent roots
 
-Both are evaluated afresh on every call by direct summation with
-deterministic compensated reduction (see summation.py); nothing is cached.
+roots_energy is a direct sum with deterministic compensated reduction (see
+summation.py).  midpoint_potential is E_s(2N)/(2N) - E_s(N)/N evaluated by
+the Brauchart-Hardin-Saff expansion of E_s (O(1) per N).  The direct sum
+serves N < 8, s > 32, and s within 0.01 of an odd integer: at odd s the
+expansion has log N terms, and next to it its rounding grows.
+Both are evaluated afresh on every call; nothing is cached.
 """
+
+import math
 
 import numpy as np
 
+from .special import (  # the regime labels and classify_regime are also this module's API
+    REGIME_CRITICAL,
+    REGIME_LOG,
+    REGIME_SUBCRITICAL,
+    REGIME_SUPERCRITICAL,
+    classify_regime,
+    roots_energy_expansion,
+)
 from .summation import pairwise_sum, row_sums
-
-# Regime labels for the Riesz exponent.
-REGIME_LOG = "log"
-REGIME_SUBCRITICAL = "subcritical"
-REGIME_CRITICAL = "critical"
-REGIME_SUPERCRITICAL = "supercritical"
 
 # Library-wide size guard: direct summations refuse N beyond this.
 MAX_POINTS = 1 << 20
 # Chords per row block of prefix_potentials; bounds its temporaries.
 _BLOCK_CELLS = 1 << 14
+# midpoint_potential uses the 13 terms of roots_energy_expansion from N = 8
+# on, for s <= 32.  There the first omitted term (k = 13) is below 1e-18 of
+# the value at N = 8 (mpmath, s = 0.001..32.5) and falls relative to it like
+# N**-26 or faster, so what is left is rounding.  Near an odd integer the
+# poles of V_s and zeta(s-2k) cancel, and that rounding grows like
+# 3e-17/d**2 at distance d (mpmath, N = 8..1000); within 0.01 of an odd
+# integer the direct sum is used, which keeps the expansion's error below
+# 3e-13.
+_EXPANSION_MIN_N = 8
+_EXPANSION_MAX_S = 32.0
+_ODD_MARGIN = 0.01
 
 
 class CoincidentPointsError(ValueError):
@@ -52,19 +71,6 @@ class CoincidentPointsError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """Raised when a request exceeds the configured compute budget."""
-
-
-def classify_regime(s: float) -> str:
-    """Classify the Riesz exponent: log (s=0), subcritical, critical, supercritical."""
-    if not s >= 0:
-        raise ValueError(f"Riesz exponent must be >= 0, got {s}")
-    if s == 0:
-        return REGIME_LOG
-    if s < 1:
-        return REGIME_SUBCRITICAL
-    if s == 1:
-        return REGIME_CRITICAL
-    return REGIME_SUPERCRITICAL
 
 
 class Configuration:
@@ -160,11 +166,12 @@ def energy(config: Configuration, s: float) -> float:
     return 2.0 * pairwise_sum(prefix_potentials(config.angles(), s))
 
 
-def _check_roots_args(n: int, s: float) -> None:
-    if n < 1:
-        raise ValueError(f"need N >= 1, got {n}")
-    if n > MAX_POINTS:
-        raise BudgetExceededError(f"N={n} exceeds the compute budget {MAX_POINTS}")
+def _check_roots_args(n, s: float) -> None:
+    """Validate N (an int or an array of ints) and s for the roots-of-unity closed forms."""
+    if np.size(n) and np.min(n) < 1:
+        raise ValueError(f"need N >= 1, got {np.min(n)}")
+    if np.size(n) and np.max(n) > MAX_POINTS:
+        raise BudgetExceededError(f"N={np.max(n)} exceeds the compute budget {MAX_POINTS}")
     if not s > 0:
         raise ValueError(f"need s > 0, got {s}")
 
@@ -183,16 +190,47 @@ def roots_energy(n: int, s: float) -> float:
     return 2.0 ** (-s) * n * pairwise_sum(terms)
 
 
-def midpoint_potential(n: int, s: float) -> float:
-    """s-potential of the n-th roots of unity at the midpoint of an adjacent arc.
-
-    Direct summation of sum_{k=1}^{n} |exp(pi*i/n) - exp(2*pi*k*i/n)|**(-s);
-    the k-th chord has length 2*sin((2k-1)*pi/(2n)).
-    """
-    _check_roots_args(n, s)
+def _midpoint_sum(n: int, s: float) -> float:
+    """Direct sum of the n chord kernels 2*sin((2k-1)*pi/(2n))**(-s), k = 1..n."""
     k = np.arange(1, n + 1, dtype=np.float64)
     d = 2.0 * np.sin((2.0 * k - 1.0) * (np.pi / (2.0 * n)))
     return pairwise_sum(d ** (-s))
+
+
+def midpoint_potential(n, s: float):
+    """s-potential of the n-th roots of unity at the midpoint of an adjacent arc.
+
+    The sum over k = 1..n of |exp(pi*i/n) - exp(2*pi*k*i/n)|**(-s), whose k-th
+    chord has length 2*sin((2k-1)*pi/(2n)).  It equals E_s(2n)/(2n) - E_s(n)/n,
+    so by ``roots_energy_expansion`` it is
+
+        V_s*n + sum_k a_k*(2**(s-2k) - 1)*n**(s-2k),
+
+    evaluated in O(1) per n for n >= 8 and s <= 32 at least 0.01 from an odd
+    integer; the other cases are summed directly.  ``n`` is an int (float
+    result) or a 1-d integer array (array result, equal bitwise to the scalar
+    calls), for which the coefficients are computed once.
+    """
+    ns = np.atleast_1d(np.asarray(n))
+    if ns.ndim != 1 or not (ns.size == 0 or np.issubdtype(ns.dtype, np.integer)):
+        raise ValueError("N must be an int or a 1-d integer array")
+    _check_roots_args(ns, s)
+    out = np.empty(ns.size)
+    nearest_odd = 2.0 * math.floor(0.5 * s) + 1.0
+    expansion = s <= _EXPANSION_MAX_S and abs(s - nearest_odd) >= _ODD_MARGIN
+    fast = (ns >= _EXPANSION_MIN_N) & expansion
+    for i in np.flatnonzero(~fast):
+        out[i] = _midpoint_sum(int(ns[i]), s)
+    if fast.any():
+        v, a = roots_energy_expansion(s)
+        c = [ak * math.expm1((s - 2.0 * k) * math.log(2.0)) for k, ak in enumerate(a)]
+        nf = ns[fast].astype(np.float64)
+        q = 1.0 / (nf * nf)
+        poly = np.full(nf.size, c[-1])
+        for ck in reversed(c[:-1]):  # Horner in 1/n**2
+            poly = poly * q + ck
+        out[fast] = v * nf + nf ** s * poly
+    return float(out[0]) if np.ndim(n) == 0 else out
 
 
 def leja_sup_norm_log(config: Configuration, x: float) -> float:

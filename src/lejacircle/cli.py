@@ -59,8 +59,11 @@ def cmd_sequence(args) -> int:
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 2
+    if args.initial is not None and not args.numerical:
+        print("error: --initial applies only with --numerical", file=sys.stderr)
+        return 2
     if args.numerical:
-        initial = _parse_initial(args.initial)
+        initial = _parse_initial("0" if args.initial is None else args.initial)
         run = greedy_numerical(initial, args.s, args.n)
         rows = run.to_csv_rows()
     else:
@@ -181,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="direct numerical minimization")
     p_seq.add_argument("--n", type=int, default=2048, help="number of points")
     p_seq.add_argument("--s", type=float, default=0.5, help="Riesz exponent")
-    p_seq.add_argument("--initial", type=str, default="0",
-                       help="comma-separated initial turn angles (numerical mode)")
+    p_seq.add_argument("--initial", type=str, default=None,
+                       help="comma-separated initial turn angles (numerical mode, default 0)")
     p_seq.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
     p_seq.set_defaults(func=cmd_sequence)
 

@@ -88,9 +88,11 @@ def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
     if n_max > MAX_POINTS:
         raise BudgetExceededError(f"N={n_max} exceeds the compute budget {MAX_POINTS}")
     n = np.arange(1, n_max + 1, dtype=np.int64)
+    bits = int(n_max).bit_length()
+    table = midpoint_potential(1 << np.arange(bits), s)
     out = np.zeros(n_max)
-    for j in range(int(n_max).bit_length()):
-        out += ((n >> j) & 1) * midpoint_potential(1 << j, s)
+    for j in range(bits):
+        out += ((n >> j) & 1) * table[j]
     return out
 
 

@@ -1,13 +1,18 @@
 """Special functions and the catalog of theoretical limit constants.
 
-Provides the Riemann zeta function on s > 0 (s != 1) via the alternating
-(eta) series accelerated with Chebyshev-polynomial weights (Cohen /
-Rodriguez Villegas / Zagier), the Gamma function via a Lanczos approximation
-(g = 7, nine terms), the Euler-Mascheroni constant, and the continuous
-s-energy of normalized arc length on the circle
+Provides the regime classification of the Riesz exponent, the Riemann zeta
+function on s > 0 (s != 1) via the alternating (eta) series accelerated with
+Chebyshev-polynomial weights (Cohen / Rodriguez Villegas / Zagier), the
+Gamma function via a Lanczos approximation (g = 7, nine terms), the
+Euler-Mascheroni constant, and the continuous s-energy of normalized arc
+length on the circle
 
     I_s = 2**(-s)/sqrt(pi) * Gamma((1-s)/2) / Gamma(1-s/2)
         = Gamma(1-s) / Gamma(1-s/2)**2,        0 < s < 1,  I_0 = 0.
+
+:func:`roots_energy_expansion` gives the coefficients of the
+Brauchart-Hardin-Saff expansion of the roots-of-unity energy, using zeta
+continued below 0 by the functional equation.
 
 :func:`limit_catalog` assembles, per regime of the exponent s, the first- and
 second-order limit constants of the extremal greedy potentials:
@@ -26,12 +31,6 @@ import math
 from dataclasses import dataclass
 
 from . import binary
-from .circle import (
-    REGIME_CRITICAL,
-    REGIME_LOG,
-    REGIME_SUBCRITICAL,
-    classify_regime,
-)
 
 __all__ = [
     "EULER_GAMMA",
@@ -41,6 +40,12 @@ __all__ = [
     "ConstantsCatalog",
     "limit_catalog",
 ]
+
+# Regime labels for the Riesz exponent.
+REGIME_LOG = "log"
+REGIME_SUBCRITICAL = "subcritical"
+REGIME_CRITICAL = "critical"
+REGIME_SUPERCRITICAL = "supercritical"
 
 # Euler-Mascheroni constant, nearest double.
 EULER_GAMMA = 0.5772156649015329
@@ -61,6 +66,19 @@ _LANCZOS_COEF = (
 
 # Terms of the accelerated alternating series; error ~ (3+sqrt(8))**(-n).
 _ZETA_TERMS = 50
+
+
+def classify_regime(s: float) -> str:
+    """Classify the Riesz exponent: log (s=0), subcritical, critical, supercritical."""
+    if not s >= 0:
+        raise ValueError(f"Riesz exponent must be >= 0, got {s}")
+    if s == 0:
+        return REGIME_LOG
+    if s < 1:
+        return REGIME_SUBCRITICAL
+    if s == 1:
+        return REGIME_CRITICAL
+    return REGIME_SUPERCRITICAL
 
 
 def gamma_fn(x: float) -> float:
@@ -103,6 +121,12 @@ def zeta(s: float) -> float:
     return eta / (1.0 - 2.0 ** (1.0 - s))
 
 
+# Terms a_0..a_12 of roots_energy_expansion (circle.py states the truncation bound).
+_EXPANSION_TERMS = 13
+# zeta(2j), j = 1..12: j times the z**(2j) coefficient of log(pi*z/sin(pi*z)).
+_ZETA_EVEN = tuple(zeta(2.0 * j) for j in range(1, _EXPANSION_TERMS))
+
+
 def continuous_energy(s: float) -> float:
     """Continuous s-energy of normalized arc length, for 0 <= s < 1.
 
@@ -120,6 +144,55 @@ def continuous_energy(s: float) -> float:
             f"closed forms for the continuous energy disagree at s={s}: {first} vs {second}"
         )
     return first
+
+
+def _zeta_continued(x: float) -> float:
+    """zeta(x) for every real x != 1.
+
+    ``zeta`` itself for x > 0, -1/2 at 0, and below 0 the functional equation
+    zeta(x) = 2**x pi**(x-1) sin(pi x/2) Gamma(1-x) zeta(1-x).
+    """
+    if x > 0:
+        return zeta(x)
+    if x == 0:
+        return -0.5
+    if x % 2.0 == 0.0:
+        return 0.0  # the trivial zeros
+    sin_half = math.sin(math.pi * math.fmod(0.5 * x, 2.0))  # the reduction mod 2 is exact
+    return 2.0 ** x * math.pi ** (x - 1.0) * sin_half * gamma_fn(1.0 - x) * zeta(1.0 - x)
+
+
+def roots_energy_expansion(s: float) -> tuple[float, list[float]]:
+    """V_s and a_0..a_12 of E_s(M)/M = V_s*M + sum_k a_k*M**(s-2k) + O(M**(s-26)).
+
+    The asymptotic expansion of the roots-of-unity energy E_s(M) = roots_energy(M, s)
+    by Brauchart, Hardin and Saff (Bull. LMS 41, 2009), for s > 0 other than an odd
+    integer, where log M terms appear.  a_k = 2*alpha_k(s)*zeta(s-2k)/(2*pi)**s with
+    alpha_k(s) the Taylor coefficients of (sin(pi*z)/(pi*z))**(-s) in z**2.  V_s is the
+    continuous energy I_s for s < 1 and its continuation
+    2**(-s)/sqrt(pi)*tan(pi*s/2)*Gamma(s/2)/Gamma((1+s)/2) for s > 1, 0 at even s.
+    """
+    if not s > 0 or s % 2.0 == 1.0:
+        raise ValueError(f"the expansion needs s > 0 other than an odd integer, got {s}")
+    # (sin(pi z)/(pi z))**(-s) = exp(s * sum_j zeta(2j)/j * z**(2j)); differentiating gives
+    # k*alpha_k = sum_{j=1..k} s*zeta(2j)*alpha_(k-j).
+    b = [s * z for z in _ZETA_EVEN]
+    alpha = [1.0]
+    for k in range(1, _EXPANSION_TERMS):
+        alpha.append(math.fsum(b[j] * alpha[k - 1 - j] for j in range(k)) / k)
+    scale = 2.0 / (2.0 * math.pi) ** s
+    coefs = [scale * a * _zeta_continued(s - 2.0 * k) for k, a in enumerate(alpha)]
+    if s < 1:
+        v = continuous_energy(s)
+    elif s % 2.0 == 0.0:
+        v = 0.0
+    else:
+        # tan(pi*s/2) = -1/tan(pi*(h - 1/2)) with h = s/2 mod 1; h - 1/2 is exact, so
+        # the pole at odd s costs no precision
+        h = math.fmod(0.5 * s, 1.0)
+        v = -(2.0 ** (-s) / math.sqrt(math.pi) * gamma_fn(0.5 * s) / gamma_fn(0.5 + 0.5 * s)
+              / math.tan(math.pi * (h - 0.5)))
+    return v, coefs
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ complex-arithmetic oracles in conftest.py before being asserted here.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,10 @@ from lejacircle.circle import (
     prefix_potentials,
     roots_energy,
 )
+from lejacircle.circle import _EXPANSION_MIN_N
 from lejacircle.sequences import structural_angles
+from lejacircle.special import _EXPANSION_TERMS, roots_energy_expansion
+from lejacircle.summation import pairwise_sum
 
 
 def chord(x, y):
@@ -239,8 +243,9 @@ class TestMidpointPotential:
     def test_energy_identity_sweep(self, s):
         # midpoint potential == roots_energy(2N)/(2N) - roots_energy(N)/N
         worst = 0.0
+        mp = midpoint_potential(np.arange(1, 1025), s)
         for n in range(1, 1025):
-            lhs = midpoint_potential(n, s)
+            lhs = mp[n - 1]
             rhs = roots_energy(2 * n, s) / (2 * n) - roots_energy(n, s) / n
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
         assert worst < 1e-10
@@ -255,6 +260,116 @@ class TestMidpointPotential:
             rhs = roots_energy(n, s) / n
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
         assert worst < 1e-10
+
+
+def midpoint_mpmath(n, s):
+    """The midpoint potential summed at 30 digits."""
+    with mp.workdps(30):
+        total = mp.fsum((2 * mp.sin((2 * k - 1) * mp.pi / (2 * n))) ** (-mp.mpf(s))
+                        for k in range(1, n + 1))
+        return float(total)
+
+
+def midpoint_direct(n, s):
+    """The direct sum, as midpoint_potential evaluates it below N0 and at odd s."""
+    k = np.arange(1, n + 1, dtype=np.float64)
+    d = 2.0 * np.sin((2.0 * k - 1.0) * (np.pi / (2.0 * n)))
+    return pairwise_sum(d ** (-s))
+
+
+def expansion_mpmath(s, k_max):
+    """a_0..a_k_max of E_s(M)/M at 30 digits: 2*alpha_k(s)*zeta(s-2k)/(2*pi)**s."""
+    with mp.workdps(30):
+        z = mp.mpf(s)
+        alpha = mp.taylor(lambda x: (mp.sin(mp.pi * x) / (mp.pi * x)) ** (-z) if x else 1,
+                          0, 2 * k_max)[::2]
+        return [float(2 * a * mp.zeta(z - 2 * k) / (2 * mp.pi) ** z) for k, a in enumerate(alpha)]
+
+
+EXPANSION_S = [0.001, 0.1, 0.5, 1.5, 2.0, 2.5, 3.5, 6.0, 8.5]
+
+
+class TestMidpointExpansion:
+    N0 = _EXPANSION_MIN_N
+
+    @pytest.mark.parametrize("s", EXPANSION_S + [0.99, 1.005])
+    def test_matches_mpmath(self, s):
+        rel = 5e-12 if s in (0.99, 1.005) else 1e-14
+        ns = np.array([self.N0, self.N0 + 1, 64, 1000])
+        for n, got in zip(ns, midpoint_potential(ns, s)):
+            want = midpoint_mpmath(int(n), s)
+            assert abs(got - want) <= rel * abs(want), (n, got, want)
+
+    @pytest.mark.parametrize("s, rel", [(0.5, 1e-12), (1.5, 1e-11)])
+    def test_matches_direct_sum(self, s, rel):
+        ns = np.concatenate([np.arange(1, 1025), np.linspace(1025, 1 << 14, 40, dtype=np.int64)])
+        got = midpoint_potential(ns, s)
+        want = np.array([midpoint_direct(int(n), s) for n in ns])
+        assert np.max(np.abs(got - want) / want) <= rel
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.0, 8.5, 40.0])
+    def test_array_call_equals_scalar_calls(self, s):
+        ns = np.concatenate([np.arange(1, 40), [64, 1000, 4097, 1 << 14]])
+        got = midpoint_potential(ns, s)
+        assert got.dtype == np.float64 and got.shape == ns.shape
+        assert np.array_equal(got, [midpoint_potential(int(n), s) for n in ns])
+        assert np.array_equal(midpoint_potential(ns[::-1], s), got[::-1])
+
+    @pytest.mark.parametrize("s", EXPANSION_S + [1.0, 3.0, 5.0])
+    def test_direct_sum_below_n0_and_at_odd_s(self, s):
+        ns = range(1, self.N0) if s not in (1.0, 3.0, 5.0) else [*range(1, 40), 1000, 4096]
+        for n in ns:
+            assert midpoint_potential(n, s) == midpoint_direct(n, s)
+
+    def test_direct_sum_near_odd_s_and_beyond_32(self):
+        for s in (0.995, 1.005, 2.999, 40.0):
+            for n in (8, 100, 1000):
+                assert midpoint_potential(n, s) == midpoint_direct(n, s)
+
+    def test_s2_closed_form(self):
+        # E_2(M)/M = (M**2 - 1)/12, so the expansion stops after k = 1 and mp(N) = N**2/4.
+        v, a = roots_energy_expansion(2.0)
+        assert v == 0.0 and a[2:] == [0.0] * (_EXPANSION_TERMS - 2)
+        assert a[0] == pytest.approx(1.0 / 12.0, rel=1e-15)
+        assert a[1] == pytest.approx(-1.0 / 12.0, rel=1e-15)
+        n = np.arange(8, 5000)
+        assert np.max(np.abs(midpoint_potential(n, 2.0) / (n * n) - 0.25)) <= 4e-16
+
+    @pytest.mark.parametrize("s", [0.3, 1.5, 2.5, 6.0, 8.5, 20.25, 31.5])
+    def test_truncation_bound(self, s):
+        # The first omitted term, k = _EXPANSION_TERMS, is below 1e-18 of the value at N0.
+        k = _EXPANSION_TERMS
+        term = expansion_mpmath(s, k)[k] * (2 ** (s - 2 * k) - 1) * self.N0 ** (s - 2 * k)
+        assert abs(term) <= 1e-18 * midpoint_mpmath(self.N0, s)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 1.5, 2.5, 3.5, 6.0])
+    def test_expansion_coefficients_match_mpmath(self, s):
+        v, a = roots_energy_expansion(s)
+        assert len(a) == _EXPANSION_TERMS
+        for got, want in zip(a, expansion_mpmath(s, _EXPANSION_TERMS - 1)):
+            assert got == pytest.approx(want, rel=1e-13)
+        with mp.workdps(30):
+            z = mp.mpf(s)  # 1/Gamma(1 - s/2) vanishes at even s
+            want_v = 2 ** (-z) / mp.sqrt(mp.pi) * mp.gamma((1 - z) / 2) * mp.rgamma(1 - z / 2)
+        assert v == pytest.approx(float(want_v), rel=1e-14)
+
+    def test_expansion_domain(self):
+        for s in (0.0, -0.5, 1.0, 3.0):
+            with pytest.raises(ValueError):
+                roots_energy_expansion(s)
+
+    def test_array_validation(self):
+        assert midpoint_potential(np.array([], dtype=np.int64), 0.5).shape == (0,)
+        with pytest.raises(ValueError):
+            midpoint_potential(np.array([0, 5]), 0.5)
+        with pytest.raises(ValueError):
+            midpoint_potential(np.array([4.0, 5.0]), 0.5)
+        with pytest.raises(ValueError):
+            midpoint_potential(np.array([[4, 5]]), 0.5)
+        with pytest.raises(ValueError):
+            midpoint_potential(np.array([4, 5]), 0.0)
+        with pytest.raises(BudgetExceededError):
+            midpoint_potential(np.array([4, 1 << 21]), 0.5)
 
 
 class TestLejaSupNormLog:

@@ -44,6 +44,16 @@ class TestSequence:
         assert run_cli(["sequence", "--numerical", "--initial", "0.2,0.2", "--n", "4"]) == 2
         assert run_cli(["sequence", "--numerical", "--initial", "nan", "--n", "4"]) == 2
 
+    def test_initial_requires_numerical(self, tmp_path, capsys):
+        assert run_cli(["sequence", "--initial", "0.3", "--n", "8"]) == 2
+        assert run_cli(["sequence", "--structural", "--initial", "0", "--n", "8"]) == 2
+        assert "--numerical" in capsys.readouterr().err
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert run_cli(["sequence", "--numerical", "--n", "8", "--out", str(default)]) == 0
+        assert run_cli(["sequence", "--numerical", "--initial", "0", "--n", "8",
+                        "--out", str(explicit)]) == 0
+        assert default.read_text() == explicit.read_text()
+
     def test_budget_exit(self):
         assert run_cli(["sequence", "--structural", "--n", str((1 << 20) + 2)]) == 3
 
