@@ -34,7 +34,6 @@ from .circle import (
     roots_energy,
 )
 from .analysis import (
-    DiscrepancyReport,
     LimitPointCheck,
     NormalizedSeries,
     VerificationReport,
@@ -44,7 +43,6 @@ from .analysis import (
     normalized_series,
     star_discrepancy,
     theta_limit_prediction,
-    uniform_distribution_report,
     verify_all,
 )
 from .sequences import (

@@ -52,7 +52,6 @@ from .circle import (
     roots_energy,
 )
 from .sequences import (
-    GreedyRun,
     energy_series_from_extremal,
     extremal_values_structural,
     greedy_numerical,
@@ -64,7 +63,6 @@ from .summation import pairwise_sum
 __all__ = [
     "SERIES_KINDS",
     "NormalizedSeries",
-    "DiscrepancyReport",
     "LimitPointCheck",
     "CheckResult",
     "VerificationReport",
@@ -74,7 +72,6 @@ __all__ = [
     "theta_limit_prediction",
     "limit_point_check",
     "star_discrepancy",
-    "uniform_distribution_report",
     "verify_all",
 ]
 
@@ -98,17 +95,6 @@ class NormalizedSeries:
     s: float
     n: np.ndarray
     values: np.ndarray
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return [(int(a), float(b)) for a, b in zip(self.n, self.values)]
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    n: int
-    star_discrepancy: float
-    energy_gap: float
 
 
 @dataclass(frozen=True)
@@ -255,21 +241,6 @@ def star_discrepancy(angles) -> float:
         raise ValueError("need at least one sample")
     i = np.arange(1, n + 1, dtype=np.float64)
     return float(np.max(np.maximum(i / n - x, x - (i - 1.0) / n)))
-
-
-def uniform_distribution_report(run: GreedyRun) -> DiscrepancyReport:
-    """Star discrepancy and energy gap of a greedy run (regimes 0 <= s < 1).
-
-    The discrepancy is computed exactly from the sorted angles.
-    """
-    s = run.s
-    if not 0 <= s < 1:
-        raise ValueError(f"uniform-distribution report applies for 0 <= s < 1, got s={s}")
-    n = len(run.points)
-    disc = star_discrepancy(run.points.angles())
-    i_sigma = continuous_energy(s)
-    gap = energy(run.points, s) / float(n) ** 2 - i_sigma
-    return DiscrepancyReport(n=n, star_discrepancy=disc, energy_gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,16 @@ The suprema/infima of G and Lambda over all theta have no known closed forms;
 :func:`search_g_extremes` and :func:`search_lambda` provide certified
 one-sided bounds from a finite enumeration plus the structured family
 M = 2**t - 1, which approaches the known landmarks 1/(2**s - 1) and -2*log 2
-fastest.
+fastest.  The enumeration is evaluated as numpy arrays over all odd M, one
+pass per bit; only the M within rounding of the array extreme are evaluated
+again exactly, so no ThetaVector is built except the witnesses.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "BinaryExpansion",
@@ -32,6 +36,7 @@ __all__ = [
     "decompose",
     "theta_from_odd",
     "enumerate_theta",
+    "count_theta",
     "g_value",
     "lambda_value",
     "search_g_extremes",
@@ -42,6 +47,13 @@ __all__ = [
 
 # Largest exponent used when probing the structured family M = 2**t - 1.
 _FAMILY_MAX_T = 60
+# The array screen of the searches keeps every M whose array value lies within
+# this relative slack of the array extreme.  An array value is a sum of at
+# most 60 same-signed terms, so it is within about 1e-14 relative of the exact
+# (fsum) value; the slack is far above that and far below the gaps between
+# distinct values.  The absolute floor covers extremes that underflow to 0.
+_SCREEN_SLACK = 1e-12
+_SCREEN_FLOOR = 1e-300
 
 
 def tau_b(n: int) -> int:
@@ -121,6 +133,13 @@ def theta_from_odd(m: int, p: int) -> ThetaVector:
     return ThetaVector(m=m, exponents=decompose(m).exponents, trailing_zeros=p - t)
 
 
+def _check_theta_args(p: int, max_bits: int) -> None:
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
+    if max_bits < 1:
+        raise ValueError(f"need max_bits >= 1, got {max_bits}")
+
+
 def enumerate_theta(p: int, max_bits: int) -> list[ThetaVector]:
     """All theta vectors with odd M < 2**max_bits and at most p nonzero parts.
 
@@ -128,15 +147,22 @@ def enumerate_theta(p: int, max_bits: int) -> list[ThetaVector]:
     deterministic; distinct M give distinct vectors, so no deduplication is
     needed.
     """
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    if max_bits < 1:
-        raise ValueError(f"need max_bits >= 1, got {max_bits}")
+    _check_theta_args(p, max_bits)
     out = []
     for m in range(1, 1 << max_bits, 2):
         if tau_b(m) <= p:
             out.append(theta_from_odd(m, p))
     return out
+
+
+def count_theta(p: int, max_bits: int) -> int:
+    """len(enumerate_theta(p, max_bits)), without building the vectors.
+
+    An odd M < 2**max_bits has bit 0 set and max_bits - 1 free bits, so the
+    count is sum_{j < min(p, max_bits)} C(max_bits - 1, j).
+    """
+    _check_theta_args(p, max_bits)
+    return sum(math.comb(max_bits - 1, j) for j in range(min(p, max_bits)))
 
 
 def g_value(theta: ThetaVector, s: float) -> float:
@@ -205,42 +231,79 @@ class LambdaSearchResult:
         return min(self.inf_found, self.family_inf)
 
 
+def _odd_bit_sums(max_bits: int, term):
+    """Odd M < 2**max_bits and, for each, the sum of term(2**j/M) over its set bits j.
+
+    One array pass per bit position; the sums are within rounding of the
+    fsum values of ``g_value``/``lambda_value`` and serve only as a screen.
+    """
+    if max_bits < 1:
+        raise ValueError(f"need max_bits >= 1, got {max_bits}")
+    m = np.arange(1, 1 << max_bits, 2, dtype=np.int64)
+    mf = m.astype(np.float64)
+    total = np.zeros(m.size)
+    for j in range(max_bits):
+        bit = ((m >> j) & 1) == 1
+        total[bit] += term(math.ldexp(1.0, j) / mf[bit])
+    return m, total
+
+
+def _first_extreme(m, screen, exact, sign):
+    """The extreme of ``exact`` over m and the first M (ascending) that attains it.
+
+    ``sign`` is 1 for a maximum and -1 for a minimum.  Only the M whose
+    ``screen`` value lies within the slack of the screen's extreme are
+    evaluated exactly, in ascending order, keeping the first strict
+    improvement, as a loop over all M would.
+    """
+    scaled = sign * screen
+    top = float(scaled.max())
+    keep = scaled >= top - (_SCREEN_SLACK * abs(top) + _SCREEN_FLOOR)
+    best_v, best_m = -math.inf, 1
+    for cand in m[keep].tolist():
+        v = sign * exact(cand)
+        if v > best_v:
+            best_v, best_m = v, cand
+    return sign * best_v, best_m
+
+
 def search_g_extremes(s: float, max_bits: int) -> GSearchResult:
     """Bounded search for the extremes of G(.; s).
 
-    Scans every enumerated vector with odd M < 2**max_bits; the structured
-    family M = 2**t - 1, t <= 60, is evaluated separately and reported in the
-    ``family_*`` fields.  At s = 1 the function is identically 1 and the
-    result is flagged degenerate.
+    Scans every vector with odd M < 2**max_bits (as ``enumerate_theta(max_bits,
+    max_bits)`` lists them); the structured family M = 2**t - 1, t <= 60, is
+    evaluated separately and reported in the ``family_*`` fields.  At s = 1
+    the function is identically 1 and the result is flagged degenerate.
     """
     if not s > 0:
         raise ValueError(f"need s > 0, got {s}")
     one = theta_from_odd(1, 1)
     if s == 1.0:
         return GSearchResult(1.0, 1.0, one, one, 1.0, 1.0, degenerate=True)
-    sup_v, sup_w = -math.inf, one
-    inf_v, inf_w = math.inf, one
-    for theta in enumerate_theta(max_bits, max_bits):
-        g = g_value(theta, s)
-        if g > sup_v:
-            sup_v, sup_w = g, theta
-        if g < inf_v:
-            inf_v, inf_w = g, theta
+    m, screen = _odd_bit_sums(max_bits, lambda theta: theta ** s)
+
+    def exact(mm):
+        return g_value(theta_from_odd(mm, max_bits), s)
+
+    sup_v, sup_m = _first_extreme(m, screen, exact, 1)
+    inf_v, inf_m = _first_extreme(m, screen, exact, -1)
     family = [g_value(_family_vector(t), s) for t in range(1, _FAMILY_MAX_T + 1)]
-    return GSearchResult(sup_v, inf_v, sup_w, inf_w, max(family), min(family))
+    return GSearchResult(
+        sup_v, inf_v, theta_from_odd(sup_m, max_bits), theta_from_odd(inf_m, max_bits),
+        max(family), min(family),
+    )
 
 
 def search_lambda(max_bits: int) -> LambdaSearchResult:
     """Bounded search for the infimum of Lambda: a certified upper bound.
 
-    ``inf_found`` is the minimum over the enumeration with odd
-    M < 2**max_bits; the family M = 2**t - 1, t <= 60, which approaches the
-    landmark -2*log 2 from above, is evaluated separately.
+    ``inf_found`` is the minimum over the vectors with odd M < 2**max_bits;
+    the family M = 2**t - 1, t <= 60, which approaches the landmark -2*log 2
+    from above, is evaluated separately.
     """
-    best_v, best_w = math.inf, theta_from_odd(1, 1)
-    for theta in enumerate_theta(max_bits, max_bits):
-        lam = lambda_value(theta)
-        if lam < best_v:
-            best_v, best_w = lam, theta
+    m, screen = _odd_bit_sums(max_bits, lambda theta: theta * np.log(theta))
+    best_v, best_m = _first_extreme(
+        m, screen, lambda mm: lambda_value(theta_from_odd(mm, max_bits)), -1
+    )
     family_inf = min(lambda_value(_family_vector(t)) for t in range(1, _FAMILY_MAX_T + 1))
-    return LambdaSearchResult(best_v, best_w, family_inf)
+    return LambdaSearchResult(best_v, theta_from_odd(best_m, max_bits), family_inf)

@@ -27,8 +27,11 @@ Closed forms for N-th roots of unity:
                              midpoint of an arc between adjacent roots
 
 roots_energy is a direct sum with deterministic compensated reduction (see
-summation.py).  midpoint_potential is E_s(2N)/(2N) - E_s(N)/N evaluated by
-the Brauchart-Hardin-Saff expansion of E_s (O(1) per N).  The direct sum
+summation.py); each chord is taken at the reflected index where that is
+smaller (sin(k*pi/N) = sin((N-k)*pi/N)), so no sine sees an argument near
+pi, whose rounding would cost about N*eps on the shortest chords.
+midpoint_potential is E_s(2N)/(2N) - E_s(N)/N evaluated by the
+Brauchart-Hardin-Saff expansion of E_s (O(1) per N).  The direct sum
 serves N < 8, s > 32, and s within 0.01 of an odd integer: at odd s the
 expansion has log N terms, and next to it its rounding grows.
 Both are evaluated afresh on every call; nothing is cached.
@@ -168,10 +171,16 @@ def energy(config: Configuration, s: float) -> float:
 
 def _check_roots_args(n, s: float) -> None:
     """Validate N (an int or an array of ints) and s for the roots-of-unity closed forms."""
-    if np.size(n) and np.min(n) < 1:
-        raise ValueError(f"need N >= 1, got {np.min(n)}")
-    if np.size(n) and np.max(n) > MAX_POINTS:
-        raise BudgetExceededError(f"N={np.max(n)} exceeds the compute budget {MAX_POINTS}")
+    if isinstance(n, int):
+        lo = hi = n
+    elif np.size(n):
+        lo, hi = np.min(n), np.max(n)
+    else:
+        lo = hi = 1
+    if lo < 1:
+        raise ValueError(f"need N >= 1, got {lo}")
+    if hi > MAX_POINTS:
+        raise BudgetExceededError(f"N={hi} exceeds the compute budget {MAX_POINTS}")
     if not s > 0:
         raise ValueError(f"need s > 0, got {s}")
 
@@ -186,14 +195,14 @@ def roots_energy(n: int, s: float) -> float:
     if n == 1:
         return 0.0
     k = np.arange(1, n, dtype=np.float64)
-    terms = np.sin(k * (np.pi / n)) ** (-s)
+    terms = np.sin(np.minimum(k, n - k) * (np.pi / n)) ** (-s)
     return 2.0 ** (-s) * n * pairwise_sum(terms)
 
 
 def _midpoint_sum(n: int, s: float) -> float:
     """Direct sum of the n chord kernels 2*sin((2k-1)*pi/(2n))**(-s), k = 1..n."""
-    k = np.arange(1, n + 1, dtype=np.float64)
-    d = 2.0 * np.sin((2.0 * k - 1.0) * (np.pi / (2.0 * n)))
+    j = 2.0 * np.arange(1, n + 1, dtype=np.float64) - 1.0
+    d = 2.0 * np.sin(np.minimum(j, 2.0 * n - j) * (np.pi / (2.0 * n)))
     return pairwise_sum(d ** (-s))
 
 

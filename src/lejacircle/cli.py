@@ -16,9 +16,12 @@ exceeded.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, binary, special
 from .circle import BudgetExceededError, Configuration
@@ -32,18 +35,41 @@ FIGURE_GRIDS = {
 }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+# Rows formatted per write by _write_csv; bounds its string temporaries.
+_CSV_CHUNK_ROWS = 1 << 14
 
 
-def _write_lines(lines, out_path):
-    text = "\n".join(lines) + "\n"
+def _open_out(out_path):
+    """The file out_path opened for writing, or stdout (left open) for None."""
     if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8")
+        return contextlib.nullcontext(sys.stdout)
+    return open(out_path, "w", encoding="utf-8")
+
+
+def _write_text(text, out_path):
+    with _open_out(out_path) as out:
+        out.write(text)
+
+
+def _write_csv(out_path, head, index, *columns):
+    """Write ``head`` (the header and any irregular first rows), then the rows
+    (index[i], columns[0][i], ...) in chunks of _CSV_CHUNK_ROWS rows.
+
+    Index entries print with %d and column entries with %.17g, so floats
+    round-trip; each chunk is one %-format of a repeated row template.
+    """
+    index = np.asarray(index)
+    columns = [np.asarray(c) for c in columns]
+    width = 1 + len(columns)
+    template = "%d" + ",%.17g" * len(columns) + "\n"
+    with _open_out(out_path) as out:
+        out.write(head)
+        for start in range(0, index.size, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, index.size)
+            flat = [None] * (width * (stop - start))
+            for k, col in enumerate([index] + columns):
+                flat[k::width] = col[start:stop].tolist()
+            out.write(template * (stop - start) % tuple(flat))
 
 
 def _parse_initial(text: str) -> Configuration:
@@ -65,39 +91,39 @@ def cmd_sequence(args) -> int:
     if args.numerical:
         initial = _parse_initial("0" if args.initial is None else args.initial)
         run = greedy_numerical(initial, args.s, args.n)
-        rows = run.to_csv_rows()
+        angles, values = run.points.angles(), run.extremal_values
     else:
-        values = extremal_values_structural(args.n - 1, args.s).tolist() if args.n > 1 else []
-        rows = zip(range(args.n), structural_angles(args.n).tolist(), [""] + values)
-    lines = ["n,angle_turns,extremal_value"]
-    lines += [f"{n},{_fmt(a)},{_fmt(v)}" for n, a, v in rows]
-    _write_lines(lines, args.out)
+        angles = structural_angles(args.n)
+        values = extremal_values_structural(args.n - 1, args.s) if args.n > 1 else []
+    # Row 0 has no value: U_n(a_n) is defined from n = 1 on.
+    head = "n,angle_turns,extremal_value\n0,%.17g,\n" % angles[0]
+    _write_csv(args.out, head, np.arange(1, len(angles)), angles[1:], values)
     return 0
 
 
 def cmd_constants(args) -> int:
     catalog = special.limit_catalog(args.s, max_bits=args.max_bits)
-    _write_lines([json.dumps(catalog.to_dict(), indent=2)], args.out)
+    _write_text(json.dumps(catalog.to_dict(), indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_theta(args) -> int:
-    vectors = binary.enumerate_theta(args.p, args.max_bits)
     if args.format == "csv":
-        lines = ["M,t,p,components,g_value,lambda_value"]
-        for theta in vectors:
+        lines = ["M,t,p,components,g_value,lambda_value\n"]
+        for theta in binary.enumerate_theta(args.p, args.max_bits):
             comps = "|".join(str(c) for c in theta.components())
             g = binary.g_value(theta, args.s) if args.s != 1 else 1.0
             lines.append(
-                f"{theta.m},{theta.t},{theta.p},{comps},{_fmt(g)},{_fmt(binary.lambda_value(theta))}"
+                "%d,%d,%d,%s,%.17g,%.17g\n"
+                % (theta.m, theta.t, theta.p, comps, g, binary.lambda_value(theta))
             )
-        _write_lines(lines, args.out)
+        _write_text("".join(lines), args.out)
         return 0
     payload = {
         "p": args.p,
         "max_bits": args.max_bits,
         "s": args.s,
-        "count": len(vectors),
+        "count": binary.count_theta(args.p, args.max_bits),
         "lambda_search": None,
         "g_search": None,
     }
@@ -117,7 +143,7 @@ def cmd_theta(args) -> int:
             "family_sup": g.family_sup,
             "family_inf": g.family_inf,
         }
-    _write_lines([json.dumps(payload, indent=2)], args.out)
+    _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -141,18 +167,14 @@ def cmd_figure(args) -> int:
     for s in plan["s_values"]:
         series = _figure_series(plan["kind"], s, plan["n_max"])
         name = f"fig{args.id}.csv" if len(plan["s_values"]) == 1 else f"fig{args.id}_s{s:g}.csv"
-        lines = ["N,value"]
-        lines += [f"{n},{_fmt(v)}" for n, v in series.entries]
-        _write_lines(lines, out_dir / name)
+        _write_csv(out_dir / name, "N,value\n", series.n, series.values)
         print(out_dir / name)
     return 0
 
 
 def cmd_series(args) -> int:
     series = analysis.normalized_series(args.kind, args.s, args.n_max)
-    lines = ["N,value"]
-    lines += [f"{n},{_fmt(v)}" for n, v in series.entries]
-    _write_lines(lines, args.out)
+    _write_csv(args.out, "N,value\n", series.n, series.values)
     return 0
 
 

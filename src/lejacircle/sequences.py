@@ -124,11 +124,6 @@ class GreedyRun:
         """Index of the last initial point (initial set has p+1 points)."""
         return len(self.initial) - 1
 
-    def to_csv_rows(self):
-        """Rows (n, angle_turns, extremal_value); the n = 0 row has no value."""
-        angles = self.points.angles().tolist()
-        return list(zip(range(len(angles)), angles, [""] + list(self.extremal_values)))
-
 
 def _derivatives(x: np.ndarray, charges: np.ndarray, sv: float):
     """U, U' and U'' in the turn angle at each point of x, strictly inside its gap."""

@@ -118,7 +118,8 @@ def zeta(s: float) -> float:
         acc += c * (k + 1.0) ** (-s)
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
     eta = acc / d
-    return eta / (1.0 - 2.0 ** (1.0 - s))
+    # 1 - 2**(1-s) without the cancellation next to s = 1
+    return eta / -math.expm1((1.0 - s) * math.log(2.0))
 
 
 # Terms a_0..a_12 of roots_energy_expansion (circle.py states the truncation bound).

@@ -14,16 +14,11 @@ from lejacircle.analysis import (
     normalized_series,
     star_discrepancy,
     theta_limit_prediction,
-    uniform_distribution_report,
     verify_all,
 )
 from lejacircle.binary import theta_from_odd
-from lejacircle.circle import (
-    BudgetExceededError,
-    Configuration,
-    roots_energy,
-)
-from lejacircle.sequences import GreedyRun, structural_angles
+from lejacircle.circle import BudgetExceededError, roots_energy
+from lejacircle.sequences import structural_angles
 from lejacircle.special import EULER_GAMMA, continuous_energy, second_order_scale, zeta
 
 CRITICAL_LEVEL = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
@@ -263,31 +258,6 @@ class TestStarDiscrepancy:
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force(self, xs):
         assert star_discrepancy(xs) == pytest.approx(brute_star_discrepancy(xs), abs=1e-12)
-
-
-class TestUniformDistributionReport:
-    def test_structural_dyadic(self):
-        cfg = Configuration.from_turns(structural_angles(64))
-        run = GreedyRun(
-            s=0.5,
-            initial=Configuration.from_turns([0.0]),
-            points=cfg,
-            extremal_values=[],
-        )
-        rep = uniform_distribution_report(run)
-        assert rep.star_discrepancy == pytest.approx(1.0 / 64.0, abs=1e-15)
-        assert rep.energy_gap < 0.0  # greedy energy sits below the continuous level
-
-    def test_regime_rejected(self):
-        cfg = Configuration.from_turns(structural_angles(8))
-        run = GreedyRun(
-            s=1.5,
-            initial=Configuration.from_turns([0.0]),
-            points=cfg,
-            extremal_values=[],
-        )
-        with pytest.raises(ValueError):
-            uniform_distribution_report(run)
 
 
 class TestVerifyAll:

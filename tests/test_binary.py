@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lejacircle.binary import (
+    count_theta,
     decompose,
     enumerate_theta,
     g_value,
@@ -17,6 +19,7 @@ from lejacircle.binary import (
     tau_b,
     theta_from_odd,
 )
+from lejacircle.binary import _first_extreme
 
 
 class TestTauB:
@@ -199,3 +202,61 @@ class TestSearches:
     def test_domain(self):
         with pytest.raises(ValueError):
             search_g_extremes(0.0, 8)
+
+
+def loop_extremes(max_bits, value):
+    """Reference search: the loop over enumerate_theta, keeping the first strict improvement."""
+    sup_v, sup_m, inf_v, inf_m = -math.inf, 1, math.inf, 1
+    for theta in enumerate_theta(max_bits, max_bits):
+        v = value(theta)
+        if v > sup_v:
+            sup_v, sup_m = v, theta.m
+        if v < inf_v:
+            inf_v, inf_m = v, theta.m
+    return sup_v, sup_m, inf_v, inf_m
+
+
+class TestArraySearchOracle:
+    """The array searches equal the loop over enumerate_theta bitwise, value and witness."""
+
+    @pytest.mark.parametrize("max_bits", [1, 2, 3, 8, 12])
+    @pytest.mark.parametrize("s", [0.001, 0.1, 0.5, 0.99, 1.5, 2.0, 3.0, 5.0])
+    def test_g(self, s, max_bits):
+        got = search_g_extremes(s, max_bits)
+        sup_v, sup_m, inf_v, inf_m = loop_extremes(max_bits, lambda th: g_value(th, s))
+        assert (got.sup_found, got.sup_witness.m) == (sup_v, sup_m)
+        assert (got.inf_found, got.inf_witness.m) == (inf_v, inf_m)
+        assert got.sup_witness.p == got.inf_witness.p == max_bits
+
+    @pytest.mark.parametrize("max_bits", [1, 2, 3, 8, 12])
+    def test_lambda(self, max_bits):
+        got = search_lambda(max_bits)
+        _, _, inf_v, inf_m = loop_extremes(max_bits, lambda_value)
+        assert (got.inf_found, got.witness.m, got.witness.p) == (inf_v, inf_m, max_bits)
+
+    def test_screen_keeps_rounding_ties_and_first_witness(self):
+        # The screen puts M = 3 a rounding error below M = 5; exactly they tie,
+        # and the first M in ascending order is the witness.
+        m = np.array([1, 3, 5, 7])
+        exact = {1: 0.5, 3: 2.0, 5: 2.0, 7: 1.0}.get
+        screen = np.array([0.5, 2.0 * (1.0 - 1e-14), 2.0, 1.0])
+        assert _first_extreme(m, screen, exact, 1) == (2.0, 3)
+        assert _first_extreme(m, screen, exact, -1) == (0.5, 1)
+
+    def test_max_bits_domain(self):
+        with pytest.raises(ValueError):
+            search_lambda(0)
+        with pytest.raises(ValueError):
+            search_g_extremes(0.5, 0)
+
+
+class TestCountTheta:
+    def test_matches_enumeration(self):
+        for bits in range(1, 9):
+            for p in range(1, 11):
+                assert count_theta(p, bits) == len(enumerate_theta(p, bits)), (p, bits)
+
+    def test_domain(self):
+        for p, bits in ((0, 4), (4, 0)):
+            with pytest.raises(ValueError):
+                count_theta(p, bits)

@@ -228,6 +228,16 @@ class TestRootsEnergy:
         with pytest.raises(BudgetExceededError):
             roots_energy(1 << 21, 1.0)
 
+    def test_int_and_array_errors_agree(self):
+        for n in (0, np.int64(0)):
+            with pytest.raises(ValueError, match=r"^need N >= 1, got 0$"):
+                roots_energy(n, 1.0)
+        with pytest.raises(ValueError, match=r"^need N >= 1, got -3$"):
+            midpoint_potential(np.array([5, -3, 0]), 1.0)
+        for n in (1 << 21, np.array([4, 1 << 21])):
+            with pytest.raises(BudgetExceededError, match=r"^N=2097152 exceeds the compute budget 1048576$"):
+                midpoint_potential(n, 1.0)
+
 
 class TestMidpointPotential:
     def test_n1(self):
@@ -271,9 +281,13 @@ def midpoint_mpmath(n, s):
 
 
 def midpoint_direct(n, s):
-    """The direct sum, as midpoint_potential evaluates it below N0 and at odd s."""
-    k = np.arange(1, n + 1, dtype=np.float64)
-    d = 2.0 * np.sin((2.0 * k - 1.0) * (np.pi / (2.0 * n)))
+    """The direct sum, as midpoint_potential evaluates it below N0 and at odd s.
+
+    Chord k is taken at the reflected odd multiple 2n - (2k - 1) where that is
+    smaller, so the sine argument stays at most pi/2.
+    """
+    j = 2.0 * np.arange(1, n + 1, dtype=np.float64) - 1.0
+    d = 2.0 * np.sin(np.minimum(j, 2.0 * n - j) * (np.pi / (2.0 * n)))
     return pairwise_sum(d ** (-s))
 
 
@@ -320,6 +334,12 @@ class TestMidpointExpansion:
         ns = range(1, self.N0) if s not in (1.0, 3.0, 5.0) else [*range(1, 40), 1000, 4096]
         for n in ns:
             assert midpoint_potential(n, s) == midpoint_direct(n, s)
+
+    def test_direct_sum_reflects_long_chords(self):
+        # Sine arguments near pi would cost about N*eps on the shortest chords.
+        got = midpoint_potential(11869, 1.0)
+        want = midpoint_mpmath(11869, 1.0)
+        assert abs(got - want) <= 1e-15 * want
 
     def test_direct_sum_near_odd_s_and_beyond_32(self):
         for s in (0.995, 1.005, 2.999, 40.0):

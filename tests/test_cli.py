@@ -6,7 +6,11 @@ import math
 
 import pytest
 
-from lejacircle.cli import main
+from lejacircle.analysis import normalized_series
+from lejacircle.binary import enumerate_theta
+from lejacircle.circle import Configuration
+from lejacircle.cli import _CSV_CHUNK_ROWS, main
+from lejacircle.sequences import extremal_values_structural, greedy_numerical, structural_angles
 
 
 def run_cli(args):
@@ -74,6 +78,41 @@ class TestSequence:
                 assert f"{v:.17g}" == row["extremal_value"]
 
 
+def per_line_csv(header, rows):
+    """Reference rendering: one f-string per row, floats at 17 significant digits."""
+    def cell(x):
+        return f"{x:.17g}" if isinstance(x, float) else str(x)
+    return "".join(",".join(cell(x) for x in row) + "\n" for row in [header] + rows)
+
+
+class TestCsvGolden:
+    """The chunked writer is byte-equal to a per-line rendering."""
+
+    def test_structural_past_one_chunk(self, tmp_path):
+        n, s = _CSV_CHUNK_ROWS + 2, 0.5
+        out = tmp_path / "seq.csv"
+        assert run_cli(["sequence", "--structural", "--n", str(n), "--s", str(s),
+                        "--out", str(out)]) == 0
+        values = [""] + extremal_values_structural(n - 1, s).tolist()
+        rows = [list(r) for r in zip(range(n), structural_angles(n).tolist(), values)]
+        assert out.read_text() == per_line_csv(["n", "angle_turns", "extremal_value"], rows)
+
+    def test_numerical(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli(["sequence", "--numerical", "--s", "0.5", "--initial", "0,0.1,0.37",
+                        "--n", "40", "--out", str(out)]) == 0
+        run = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 40)
+        values = [""] + run.extremal_values
+        rows = [list(r) for r in zip(range(40), run.points.angles().tolist(), values)]
+        assert out.read_text() == per_line_csv(["n", "angle_turns", "extremal_value"], rows)
+
+    def test_series_stdout(self, capsys):
+        assert run_cli(["series", "--kind", "W_subcritical", "--s", "0.5", "--n-max", "300"]) == 0
+        series = normalized_series("W_subcritical", 0.5, 300)
+        rows = [[int(n), float(v)] for n, v in zip(series.n, series.values)]
+        assert capsys.readouterr().out == per_line_csv(["N", "value"], rows)
+
+
 class TestConstants:
     def test_s2(self, capsys):
         assert run_cli(["constants", "--s", "2"]) == 0
@@ -107,6 +146,17 @@ class TestTheta:
         rows = list(csv.DictReader(out.open()))
         assert [r["M"] for r in rows] == ["1", "3", "5", "7"]
         assert rows[1]["components"] == "2/3|1/3|0"
+
+    @pytest.mark.parametrize("p, bits", [(1, 5), (3, 7), (7, 7), (9, 7), (16, 12)])
+    def test_json_count(self, capsys, p, bits):
+        assert run_cli(["theta", "--p", str(p), "--max-bits", str(bits)]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == len(enumerate_theta(p, bits))
+
+    def test_json_rejects_bad_sizes(self, capsys):
+        assert run_cli(["theta", "--p", "0"]) == 2
+        assert run_cli(["theta", "--max-bits", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "need p >= 1, got 0" in err and "need max_bits >= 1, got 0" in err
 
     def test_json_search(self, capsys):
         assert run_cli(["theta", "--p", "8", "--max-bits", "8", "--s", "2"]) == 0

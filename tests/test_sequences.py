@@ -184,9 +184,3 @@ class TestGreedyNumerical:
         b = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 24)
         assert a.points.angles().tolist() == b.points.angles().tolist()
         assert a.extremal_values == b.extremal_values
-
-    def test_csv_rows(self):
-        run = greedy_numerical(Configuration.from_turns([0.0]), 1.0, 3)
-        rows = run.to_csv_rows()
-        assert rows[0] == (0, 0.0, "")
-        assert rows[1][0] == 1 and isinstance(rows[1][2], float)

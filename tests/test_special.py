@@ -72,6 +72,12 @@ class TestZeta:
         for s in [0.001, 0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 1.005, 1.1, 1.5, 2.5, 3.5, 5.0, 9.0]:
             assert zeta(s) == pytest.approx(float(mp.zeta(s)), rel=1e-10)
 
+    def test_next_to_pole(self):
+        # 1 - 2**(1-s) is formed without cancellation, so the error stays at rounding level.
+        for s in (0.99, 0.999, 1.001, 1.01):
+            want = mp.zeta(s)
+            assert abs((zeta(s) - want) / want) <= 2e-15, s
+
     def test_signs(self):
         assert all(zeta(s / 16.0) < 0.0 for s in range(1, 16))
         assert all(zeta(1.0 + s / 2.0) > 1.0 for s in range(1, 12))
