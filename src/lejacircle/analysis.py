@@ -131,6 +131,12 @@ def _normalized_extremal(s: float, n_max: int) -> np.ndarray:
     )
 
 
+def _r_series(e: np.ndarray, s: float) -> np.ndarray:
+    """R(N) = (E_s(N) - N**2*I_s)/N**(1+s) for N = 1..e.size, where e[N-1] = E_s(N)."""
+    nf = np.arange(1, e.size + 1, dtype=np.float64)
+    return (e - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
+
+
 def log_ratio_value(n: int) -> float:
     """log(product of distances)/log(N+1) for the bit-reversal sequence.
 
@@ -161,8 +167,7 @@ def normalized_series(kind: str, s: float, n_max: int) -> NormalizedSeries:
     n = np.arange(1, n_max + 1, dtype=np.int64)
     nf = n.astype(np.float64)
     if kind == "R_subcritical":
-        vals = np.array([roots_energy(int(k), s) for k in n])
-        values = (vals - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
+        values = _r_series(roots_energy(n, s), s)
     elif kind == "W1_critical":
         n, nf = n[1:], nf[1:]
         values = midpoint_potential(n, 1.0) / (nf * np.log(nf))
@@ -286,9 +291,13 @@ def _max_le(name, residual, budget, detail="") -> CheckResult:
     return CheckResult(name, residual <= budget, float(residual), float(budget), detail)
 
 
-def check_sup_norm_identity(n: int = 2048) -> CheckResult:
-    """The product of distances from a_N to its predecessors is 2**tau_b(N), N <= n."""
-    log_products = -prefix_potentials(structural_angles(n + 1), 0.0)
+def check_sup_norm_identity(u0: np.ndarray) -> CheckResult:
+    """The product of distances from a_N to its predecessors is 2**tau_b(N), N <= u0.size.
+
+    u0[N-1] is the structural U_N(a_N) at s = 0, the negated log of that product.
+    """
+    n = u0.size
+    log_products = -u0
     taus = np.array([tau_b(k) for k in range(1, n + 1)], dtype=np.float64)
     worst = float(np.max(np.abs(log_products - taus * math.log(2.0))))
     return _max_le("sup-norm-identity", worst, 1e-7, f"N<={n}")
@@ -314,19 +323,23 @@ def check_sup_norm_ratio_doubling_decreasing(n: int = 64) -> CheckResult:
     )
 
 
-def check_roots_potential_identity(s: float, n: int = 1024) -> CheckResult:
-    """The potential of the N-th roots of unity at one root is E_s(N)/N, 2 <= N <= n."""
-    ks = range(2, n + 1)
+def check_roots_potential_identity(s: float, e: np.ndarray) -> CheckResult:
+    """The potential of the N-th roots of unity at one root is E_s(N)/N, 2 <= N <= e.size.
+
+    e[N-1] = E_s(N), the roots-of-unity energy; the potentials are summed here.
+    """
+    ks = range(2, e.size + 1)
     chords = (2.0 * np.sin(np.pi * (np.arange(1, k) / k)) for k in ks)
     lhs = np.array([pairwise_sum(c ** (-s)) for c in chords])
-    rhs = np.array([roots_energy(k, s) / k for k in ks])
+    rhs = e[1:] / np.arange(2, e.size + 1)
     return _max_le(f"roots-potential-identity[s={s:g}]", float(np.max(_rel(lhs, rhs))), 1e-10)
 
 
-def check_midpoint_energy_identity(s: float, n: int = 1024) -> CheckResult:
-    """midpoint_potential(N) = E_s(2N)/(2N) - E_s(N)/N for N <= n."""
+def check_midpoint_energy_identity(s: float, e: np.ndarray) -> CheckResult:
+    """midpoint_potential(N) = E_s(2N)/(2N) - E_s(N)/N for N <= n = e.size // 2, e[N-1] = E_s(N)."""
+    n = e.size // 2
     lhs = midpoint_potential(np.arange(1, n + 1), s)
-    e = np.array([roots_energy(k, s) / k for k in range(1, 2 * n + 1)])  # E_s(N)/N
+    e = e[: 2 * n] / np.arange(1, 2 * n + 1)  # E_s(N)/N
     worst = float(np.max(_rel(lhs, e[1::2] - e[:n])))
     return _max_le(f"midpoint-energy-identity[s={s:g}]", worst, 1e-10)
 
@@ -339,40 +352,43 @@ def check_inverse_square_bruteforce(n: int = 64) -> CheckResult:
     return _max_le("inverse-square-bruteforce", worst, 1e-12, f"N<={n}")
 
 
-def check_inverse_square_closed_form(n: int = 1024) -> CheckResult:
-    """roots_energy(N, 2)/N = (N^2 - 1)/12 for 2 <= N <= n."""
-    k = np.arange(2, n + 1, dtype=np.int64)
+def check_inverse_square_closed_form(e2: np.ndarray) -> CheckResult:
+    """E_2(N)/N = (N^2 - 1)/12 for 2 <= N <= e2.size, where e2[N-1] = roots_energy(N, 2)."""
+    k = np.arange(2, e2.size + 1, dtype=np.int64)
     closed = (k.astype(np.float64) ** 2 - 1.0) / 12.0
-    vals = np.array([roots_energy(int(j), 2.0) / int(j) for j in k])
+    vals = e2[1:] / k
     return _max_le("inverse-square-closed-form", float(np.max(_rel(vals, closed))), 1e-10)
 
 
-def check_roots_energy_direct(s: float, n: int = 512) -> CheckResult:
-    """The direct energy of the N-th roots equals the closed form, 2 <= N <= n."""
-    ks = range(2, n + 1)
-    direct = np.array([energy(Configuration.from_turns(np.arange(k) / k), s) for k in ks])
-    worst = float(np.max(_rel(direct, np.array([roots_energy(k, s) for k in ks]))))
+def check_roots_energy_direct(s: float, direct: np.ndarray, e: np.ndarray) -> CheckResult:
+    """The direct energy of the N-th roots equals the closed form, 2 <= N <= n = e.size.
+
+    direct[N-2] is the direct energy of the N-th roots and e[N-1] = E_s(N).
+    """
+    n = e.size
+    worst = float(np.max(_rel(direct, e[1:])))
     return _max_le(f"roots-energy-direct[s={s:g}]", worst, 1e-9, f"N<={n}")
 
 
-def check_binary_decomposition_potential(s: float, n: int = 2048) -> CheckResult:
-    """The direct U_N(a_N) equals its sum of dyadic midpoint potentials, N <= n."""
-    direct = prefix_potentials(structural_angles(n + 1), s)
-    worst = float(np.max(_rel(direct, extremal_values_structural(n, s))))
+def check_binary_decomposition_potential(s: float, u: np.ndarray) -> CheckResult:
+    """The direct U_N(a_N) equals its sum of dyadic midpoint potentials, N <= u.size.
+
+    u[N-1] is the direct structural U_N(a_N) at s (``prefix_potentials``).
+    """
+    worst = float(np.max(_rel(u, extremal_values_structural(u.size, s))))
     return _max_le(f"binary-decomposition-potential[s={s:g}]", worst, 1e-9)
 
 
-def check_subcritical_w_r_relation(s: float, w: np.ndarray) -> CheckResult:
-    """W(N) = 2**s R(2N) - R(N) for N <= w.size, w the series W_subcritical."""
-    r = normalized_series("R_subcritical", s, 2 * w.size).values
+def check_subcritical_w_r_relation(s: float, w: np.ndarray, r: np.ndarray) -> CheckResult:
+    """W(N) = 2**s R(2N) - R(N) for N <= w.size, w and r the series W and R (r to 2 w.size)."""
     worst = float(np.max(np.abs(w - (2.0 ** s * r[1::2] - r[: w.size]))))
     return _max_le(f"subcritical-w-r-relation[s={s:g}]", worst, 1e-12)
 
 
-def check_subcritical_r_limit(s: float, n: int = 2048) -> CheckResult:
-    """R(N) reaches 2 zeta(s)/(2 pi)**s at N = n and n - 1, shrinking per doubling."""
+def check_subcritical_r_limit(s: float, rr: np.ndarray) -> CheckResult:
+    """R(N) reaches 2 zeta(s)/(2 pi)**s at N = n and n - 1, shrinking per doubling; rr is R to n."""
     c_r = 2.0 * zeta(s) / (2.0 * math.pi) ** s
-    rr = normalized_series("R_subcritical", s, n).values
+    n = rr.size
     res_full = abs(rr[-1] - c_r)
     res_half = abs(rr[n // 2 - 1] - c_r)
     res_odd = abs(rr[-2] - c_r)
@@ -505,9 +521,11 @@ def check_extremal_monotone(s: float, n: int = 2048) -> CheckResult:
     return _max_le(f"extremal-monotone[s={s:g}]", worst, budget, detail)
 
 
-def check_greedy_energy_dominates_roots(s: float, n: int = 256) -> CheckResult:
+def check_greedy_energy_dominates_roots(s: float, e: np.ndarray) -> CheckResult:
+    """E_s(N) <= the greedy energy for 2 <= N <= n = e.size, where e[N-1] = E_s(N)."""
+    n = e.size
     energies = energy_series_from_extremal(extremal_values_structural(n - 1, s))
-    worst = max(0.0, *(roots_energy(k, s) - energies[k - 1] for k in range(2, n + 1)))
+    worst = max(0.0, float(np.max(e[1:] - energies[1:])))
     return _max_le(
         f"greedy-energy-dominates-roots[s={s:g}]",
         worst,
@@ -625,30 +643,47 @@ def check_generalized_greedy_trend(s: float, n: int = 256) -> CheckResult:
 
 
 def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationReport:
-    """Run every identity, inequality, and limit check over the given grid (each s once)."""
+    """Run every identity, inequality, and limit check over the given grid (each s once).
+
+    The arrays that several checks read are built once and handed to them: for
+    each positive s the roots-of-unity energies E_s(N), N <= max(2*min(n_max,
+    1024), n_max), and the R series from them; the direct energies of the N-th
+    roots, N <= min(n_max, 512), with one chord pass per N for all positive s;
+    the structural prefix potentials at s = 0 and all positive s in one pass;
+    and the W series.
+    """
     _check_n_max(n_max, low=8)
     s_grid = tuple(dict.fromkeys(float(s) for s in s_grid))
     pos = [s for s in s_grid if classify_regime(s) != REGIME_LOG]  # also validates s >= 0
     sub = [s for s in pos if s < 1]
     sup = [s for s in pos if s > 1]
     n_roots = min(n_max, 1024)
+    n_direct = min(n_max, 512)
+
+    ns = np.arange(1, max(2 * n_roots, n_max) + 1)
+    e = {s: roots_energy(ns, s) for s in pos}  # e[s][N-1] = E_s(N)
+    e2 = e[2.0] if 2.0 in e else roots_energy(ns[:n_roots], 2.0)
+    roots = (Configuration.from_turns(np.arange(k) / k) for k in range(2, n_direct + 1))
+    direct = np.array([energy(c, pos) for c in roots]).T if pos else []  # one row per s
+    u = prefix_potentials(structural_angles(n_max + 1), [0.0] + pos)
 
     checks = [
-        check_sup_norm_identity(min(n_max, 5000)),
+        check_sup_norm_identity(u[0, : min(n_max, 5000)]),
         check_sup_norm_ratio_dyadic_ones(n_max),
         check_sup_norm_ratio_doubling_decreasing(min(64, n_max)),
     ]
     for s in pos:
-        checks.append(check_roots_potential_identity(s, n_roots))
-        checks.append(check_midpoint_energy_identity(s, n_roots))
+        checks.append(check_roots_potential_identity(s, e[s][:n_roots]))
+        checks.append(check_midpoint_energy_identity(s, e[s][: 2 * n_roots]))
     checks.append(check_inverse_square_bruteforce(min(64, n_max)))
-    checks.append(check_inverse_square_closed_form(n_roots))
-    checks += [check_roots_energy_direct(s, min(n_max, 512)) for s in pos]
-    checks += [check_binary_decomposition_potential(s, n_max) for s in pos]
+    checks.append(check_inverse_square_closed_form(e2[:n_roots]))
+    checks += [check_roots_energy_direct(s, d, e[s][:n_direct]) for s, d in zip(pos, direct)]
+    checks += [check_binary_decomposition_potential(s, u_s) for s, u_s in zip(pos, u[1:])]
     for s in sub:
         w = normalized_series("W_subcritical", s, n_roots).values
-        checks.append(check_subcritical_w_r_relation(s, w))
-        checks.append(check_subcritical_r_limit(s, n_max))
+        r = _r_series(e[s], s)
+        checks.append(check_subcritical_w_r_relation(s, w, r[: 2 * n_roots]))
+        checks.append(check_subcritical_r_limit(s, r[:n_max]))
         checks.append(check_subcritical_negative(s, n_max))
         checks.append(check_subcritical_window(s, w, n_max))
         checks.append(check_divergence_witnesses(s, n_max))
@@ -666,7 +701,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
         checks.append(check_divergence_witnesses(s, n_max))
     for s in pos:
         checks.append(check_extremal_monotone(s, n_max))
-        checks.append(check_greedy_energy_dominates_roots(s, min(256, n_max)))
+        checks.append(check_greedy_energy_dominates_roots(s, e[s][: min(256, n_max)]))
     checks.append(check_continuous_energy_forms())
     checks.append(check_zeta_sign_and_euler_gamma())
     checks.append(check_theta_invariants(pos))

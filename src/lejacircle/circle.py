@@ -18,6 +18,9 @@ map from chord lengths to kernel values.
 
 ``prefix_potentials`` gives the potential U_n(a_n) of every point against its
 predecessors, in bounded row blocks; the energy is E = 2 * sum_n U_n(a_n).
+Both take one exponent or a 1-d array of them: the chords of a row block do
+not depend on s, so an array of exponents shares them and gives one row (or
+energy) per exponent, equal bitwise to the single-exponent call.
 
 Closed forms for N-th roots of unity:
 
@@ -26,10 +29,12 @@ Closed forms for N-th roots of unity:
     midpoint_potential(N, s) s-potential of the N roots evaluated at the
                              midpoint of an arc between adjacent roots
 
-roots_energy is a direct sum with deterministic compensated reduction (see
-summation.py); each chord is taken at the reflected index where that is
-smaller (sin(k*pi/N) = sin((N-k)*pi/N)), so no sine sees an argument near
-pi, whose rounding would cost about N*eps on the shortest chords.
+Both take N as an int or a 1-d integer array (one value per entry, equal
+bitwise to the int call).  roots_energy is a direct sum per entry with
+deterministic compensated reduction (see summation.py); each chord is taken
+at the reflected index where that is smaller (sin(k*pi/N) = sin((N-k)*pi/N)),
+so no sine sees an argument near pi, whose rounding would cost about N*eps on
+the shortest chords.
 midpoint_potential is E_s(2N)/(2N) - E_s(N)/N evaluated by the
 Brauchart-Hardin-Saff expansion of E_s (O(1) per N).  The direct sum
 serves N < 8, s > 32, and s within 0.01 of an odd integer: at odd s the
@@ -130,12 +135,17 @@ def chord_kernel(d: np.ndarray, s: float) -> np.ndarray:
     return -np.log(d) if s == 0.0 else d ** (-s)
 
 
-def kernel_values(angles: np.ndarray, x, s: float) -> np.ndarray:
-    """Kernel values from turn angle x to each angle (x and angles broadcast)."""
+def _distinct_chords(angles: np.ndarray, x) -> np.ndarray:
+    """chord_lengths(angles, x), refusing a zero chord (where every kernel is infinite)."""
     d = chord_lengths(angles, x)
     if np.any(d == 0.0):
         raise CoincidentPointsError("kernel is infinite at coincident points")
-    return chord_kernel(d, s)
+    return d
+
+
+def kernel_values(angles: np.ndarray, x, s: float) -> np.ndarray:
+    """Kernel values from turn angle x to each angle (x and angles broadcast)."""
+    return chord_kernel(_distinct_chords(angles, x), s)
 
 
 def potential(config: Configuration, x: float, s: float) -> float:
@@ -143,60 +153,81 @@ def potential(config: Configuration, x: float, s: float) -> float:
     return pairwise_sum(kernel_values(config.angles(), x, s))
 
 
-def prefix_potentials(angles, s: float) -> np.ndarray:
+def prefix_potentials(angles, s) -> np.ndarray:
     """Running potentials U_n(a_n) = sum_{i<n} k(a_i, a_n) for n = 1..len-1.
 
-    Rows go in blocks of at most max(_BLOCK_CELLS, len) chords and ``row_sums``
-    reduces each one, so entry n-1 has the same bits for every input that
-    starts with a_0..a_n.
+    ``s`` is an exponent (1-d result) or a 1-d array of exponents (one row per
+    exponent, row i equal bitwise to the call at s[i]); each row block takes
+    its chords once and applies every exponent's kernel to them.  Rows go in
+    blocks of at most max(_BLOCK_CELLS, len) chords and ``row_sums`` reduces
+    each one, so entry n-1 has the same bits for every input that starts with
+    a_0..a_n.
     """
+    scalar = not hasattr(s, "__len__") or np.ndim(s) == 0  # np.ndim alone costs 2 us
+    if not scalar and np.ndim(s) > 1:
+        raise ValueError("s must be a float or a 1-d array of floats")
+    exponents = [s] if scalar else np.asarray(s, dtype=np.float64).tolist()
     a = np.asarray(angles, dtype=np.float64)
     n = a.size
-    out = np.empty(max(n - 1, 0))
+    out = np.empty((len(exponents), max(n - 1, 0)))
     step = max(1, _BLOCK_CELLS // max(n, 1))
     for start in range(1, n, step):
         stop = min(start + step, n)
         earlier = np.tri(stop - start, stop - 1, start - 1, dtype=bool)
         x = a[start:stop, None]
         # Unused cells hold the antipode of their row's point: finite, then dropped.
-        k = kernel_values(np.where(earlier, a[:stop - 1], x + 0.5), x, s)
-        out[start - 1:stop - 1] = row_sums(np.where(earlier, k, 0.0))
-    return out
+        d = _distinct_chords(np.where(earlier, a[:stop - 1], x + 0.5), x)
+        for row, e in zip(out, exponents):
+            row[start - 1:stop - 1] = row_sums(np.where(earlier, chord_kernel(d, e), 0.0))
+    return out[0] if scalar else out
 
 
-def energy(config: Configuration, s: float) -> float:
-    """Discrete s-energy E = 2 * sum_n U_n(a_n), the kernel sum over ordered pairs."""
-    return 2.0 * pairwise_sum(prefix_potentials(config.angles(), s))
+def energy(config: Configuration, s):
+    """Discrete s-energy E = 2 * sum_n U_n(a_n), the kernel sum over ordered pairs.
+
+    A 1-d array of exponents gives an array of energies, entry i equal bitwise
+    to the call at s[i], from one pass over the chords.
+    """
+    u = prefix_potentials(config.angles(), s)
+    if u.ndim == 1:
+        return 2.0 * pairwise_sum(u)
+    return np.array([2.0 * pairwise_sum(row) for row in u])
 
 
-def _check_roots_args(n, s: float) -> None:
-    """Validate N (an int or an array of ints) and s for the roots-of-unity closed forms."""
-    if isinstance(n, int):
-        lo = hi = n
-    elif np.size(n):
-        lo, hi = np.min(n), np.max(n)
-    else:
-        lo = hi = 1
+def _roots_n(n, s: float) -> np.ndarray:
+    """Validate N (an int or a 1-d integer array) and s for the roots-of-unity closed forms.
+
+    Returns N as a 1-d array.
+    """
+    ns = np.atleast_1d(np.asarray(n))
+    if ns.ndim != 1 or not (ns.size == 0 or np.issubdtype(ns.dtype, np.integer)):
+        raise ValueError("N must be an int or a 1-d integer array")
+    lo, hi = (ns.min(), ns.max()) if ns.size else (1, 1)
     if lo < 1:
         raise ValueError(f"need N >= 1, got {lo}")
     if hi > MAX_POINTS:
         raise BudgetExceededError(f"N={hi} exceeds the compute budget {MAX_POINTS}")
     if not s > 0:
         raise ValueError(f"need s > 0, got {s}")
+    return ns
 
 
-def roots_energy(n: int, s: float) -> float:
-    """Minimal n-point s-energy on the circle (attained by the n-th roots of unity).
-
-    Closed form 2**(-s) * n * sum_{k=1}^{n-1} sin(k*pi/n)**(-s); by convention
-    the value for n = 1 is 0.
-    """
-    _check_roots_args(n, s)
-    if n == 1:
-        return 0.0
+def _roots_sum(n: int, s: float) -> float:
+    """2**(-s) * n * sum_{k=1}^{n-1} sin(k*pi/n)**(-s), each chord at min(k, n-k)."""
     k = np.arange(1, n, dtype=np.float64)
     terms = np.sin(np.minimum(k, n - k) * (np.pi / n)) ** (-s)
     return 2.0 ** (-s) * n * pairwise_sum(terms)
+
+
+def roots_energy(n, s: float):
+    """Minimal n-point s-energy on the circle (attained by the n-th roots of unity).
+
+    Closed form 2**(-s) * n * sum_{k=1}^{n-1} sin(k*pi/n)**(-s); by convention
+    the value for n = 1 is 0.  ``n`` is an int (float result) or a 1-d integer
+    array (array result, equal bitwise to the scalar calls).
+    """
+    out = np.array([_roots_sum(m, s) for m in _roots_n(n, s).tolist()], dtype=np.float64)
+    return float(out[0]) if np.ndim(n) == 0 else out
 
 
 def _midpoint_sum(n: int, s: float) -> float:
@@ -220,10 +251,7 @@ def midpoint_potential(n, s: float):
     result) or a 1-d integer array (array result, equal bitwise to the scalar
     calls), for which the coefficients are computed once.
     """
-    ns = np.atleast_1d(np.asarray(n))
-    if ns.ndim != 1 or not (ns.size == 0 or np.issubdtype(ns.dtype, np.integer)):
-        raise ValueError("N must be an int or a 1-d integer array")
-    _check_roots_args(ns, s)
+    ns = _roots_n(n, s)
     out = np.empty(ns.size)
     nearest_odd = 2.0 * math.floor(0.5 * s) + 1.0
     expansion = s <= _EXPANSION_MAX_S and abs(s - nearest_odd) >= _ODD_MARGIN

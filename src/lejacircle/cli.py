@@ -179,8 +179,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    s_grid = args.s if args.s else [0.5, 1.0, 1.5, 2.0]
-    report = analysis.verify_all(n_max=args.n_max, s_grid=s_grid)
+    grid = {"s_grid": args.s} if args.s else {}  # verify_all owns the default grid
+    report = analysis.verify_all(n_max=args.n_max, **grid)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         detail = f"  ({check.detail})" if check.detail else ""

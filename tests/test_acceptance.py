@@ -145,8 +145,9 @@ def test_potential_binary_decomposition(canonical_angles_5001):
 def test_roots_of_unity_identities():
     crit = Criterion("roots-of-unity potential and energy identities")
     for s in S_GRID:
-        crit.require(check_roots_potential_identity(s, 1024))
-        crit.require(check_midpoint_energy_identity(s, 1024))
+        e = roots_energy(np.arange(1, 2049), s)  # E_s(N), N <= 2 * 1024
+        crit.require(check_roots_potential_identity(s, e[:1024]))
+        crit.require(check_midpoint_energy_identity(s, e))
 
     worst = 0.0
     for n in range(2, 65):

@@ -16,9 +16,21 @@ from lejacircle.analysis import (
     theta_limit_prediction,
     verify_all,
 )
-from lejacircle.binary import theta_from_odd
-from lejacircle.circle import BudgetExceededError, roots_energy
-from lejacircle.sequences import structural_angles
+from lejacircle.binary import tau_b, theta_from_odd
+from lejacircle.circle import (
+    BudgetExceededError,
+    Configuration,
+    energy,
+    midpoint_potential,
+    prefix_potentials,
+    roots_energy,
+)
+from lejacircle.sequences import (
+    energy_series_from_extremal,
+    extremal_values_structural,
+    structural_angles,
+)
+from lejacircle.summation import pairwise_sum
 from lejacircle.special import EULER_GAMMA, continuous_energy, second_order_scale, zeta
 
 CRITICAL_LEVEL = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
@@ -282,3 +294,41 @@ class TestVerifyAll:
         payload = report.to_dict()
         assert set(payload) == {"all_pass", "checks"}
         assert all({"name", "status", "residual", "budget", "detail"} == set(c) for c in payload["checks"])
+
+    def test_shared_arrays_keep_each_checks_indices(self):
+        # verify_all hands the checks slices of arrays it builds once; these
+        # residuals, recomputed from per-N scalar calls, must come out equal.
+        n = 64
+        got = {c.name: c.residual for c in verify_all(n_max=n).checks}
+
+        def rel(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
+
+        log_products = -prefix_potentials(structural_angles(n + 1), 0.0)
+        taus = np.array([tau_b(k) for k in range(1, n + 1)], dtype=np.float64)
+        assert got["sup-norm-identity"] == float(np.max(np.abs(log_products - taus * math.log(2.0))))
+        ks = range(2, n + 1)
+        closed = [(k * k - 1.0) / 12.0 for k in ks]
+        assert got["inverse-square-closed-form"] == rel([roots_energy(k, 2.0) / k for k in ks], closed)
+        for s in (0.5, 1.0, 1.5, 2.0):
+            direct = [energy(Configuration.from_turns(np.arange(k) / k), s) for k in ks]
+            assert got[f"roots-energy-direct[s={s:g}]"] == rel(direct, [roots_energy(k, s) for k in ks])
+            lhs = [pairwise_sum((2.0 * np.sin(np.pi * (np.arange(1, k) / k))) ** -s) for k in ks]
+            rhs = [roots_energy(k, s) / k for k in ks]
+            assert got[f"roots-potential-identity[s={s:g}]"] == rel(lhs, rhs)
+            e = np.array([roots_energy(k, s) / k for k in range(1, 2 * n + 1)])
+            mid = midpoint_potential(np.arange(1, n + 1), s)
+            assert got[f"midpoint-energy-identity[s={s:g}]"] == rel(mid, e[1::2] - e[:n])
+            u = prefix_potentials(structural_angles(n + 1), s)
+            assert got[f"binary-decomposition-potential[s={s:g}]"] == rel(u, extremal_values_structural(n, s))
+            greedy = energy_series_from_extremal(extremal_values_structural(n - 1, s))
+            worst = max(0.0, *(roots_energy(k, s) - greedy[k - 1] for k in ks))
+            assert got[f"greedy-energy-dominates-roots[s={s:g}]"] == worst
+        s = 0.5
+        e = np.array([roots_energy(k, s) for k in range(1, 2 * n + 1)])
+        nf = np.arange(1, 2 * n + 1, dtype=np.float64)
+        r = (e - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
+        w = normalized_series("W_subcritical", s, n).values
+        worst = float(np.max(np.abs(w - (2.0 ** s * r[1::2] - r[:n]))))
+        assert got["subcritical-w-r-relation[s=0.5]"] == worst

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chord_oracle, energy_oracle, potential_oracle
+from lejacircle import circle
 from lejacircle.circle import (
     BudgetExceededError,
     CoincidentPointsError,
@@ -196,6 +197,60 @@ class TestPrefixPotentials:
             assert energy(cfg, s) == pytest.approx(energy_oracle(self.ANGLES, s), rel=1e-12)
 
 
+class TestExponentAxis:
+    """An array of exponents gives one row (energy) per exponent, equal bitwise
+    to the call at that exponent."""
+
+    S = (0.0, 0.5, 1.0, 2.0, 3.5)
+    # 128 columns per row_sums block; at the default _BLOCK_CELLS the rows of
+    # length 129 split 127 + 1 and those of length 182 split 90 + 90 + 1.
+    LENGTHS = (2, 3, 127, 128, 129, 130, 182, 257)
+
+    @staticmethod
+    def inputs(n):
+        rng = np.random.default_rng(n)
+        return {
+            "roots": np.arange(n) / n,
+            "random": (rng.permutation(n) + rng.uniform(0.1, 0.9, n)) / n,
+            "structural": structural_angles(n),
+        }
+
+    @pytest.mark.parametrize("block_cells", [circle._BLOCK_CELLS, 1000])
+    def test_prefix_rows_equal_scalar_calls(self, monkeypatch, block_cells):
+        monkeypatch.setattr(circle, "_BLOCK_CELLS", block_cells)
+        for n in self.LENGTHS:
+            for kind, a in self.inputs(n).items():
+                rows = prefix_potentials(a, self.S)
+                assert rows.shape == (len(self.S), n - 1)
+                for row, s in zip(rows, self.S):
+                    assert row.tobytes() == prefix_potentials(a, s).tobytes(), (n, kind, s)
+
+    def test_energy_entries_equal_scalar_calls(self):
+        for n in self.LENGTHS:
+            for kind, a in self.inputs(n).items():
+                cfg = Configuration.from_turns(a)
+                want = np.array([energy(cfg, s) for s in self.S])
+                assert energy(cfg, self.S).tobytes() == want.tobytes(), (n, kind)
+
+    def test_fewer_than_two_points(self):
+        for a in ([], [0.25]):
+            assert prefix_potentials(np.array(a), self.S).shape == (len(self.S), 0)
+            assert energy(Configuration.from_turns(a), self.S).tolist() == [0.0] * len(self.S)
+        assert prefix_potentials(np.array([0.1, 0.2]), []).shape == (0, 1)
+
+    def test_scalar_keeps_its_shape(self):
+        a = self.inputs(5)["random"]
+        assert prefix_potentials(a, np.float64(0.5)).shape == (4,)
+        assert prefix_potentials(a, [0.5]).shape == (1, 4)
+        assert isinstance(energy(Configuration.from_turns(a), 0.5), float)
+
+    def test_repeated_angle_raises(self):
+        with pytest.raises(CoincidentPointsError):
+            prefix_potentials(np.array([0.1, 0.4, 0.1]), self.S)
+        with pytest.raises(ValueError):
+            prefix_potentials(np.array([0.1, 0.4]), [[0.5, 1.0]])
+
+
 class TestRootsEnergy:
     def test_convention_n1(self):
         for s in (0.5, 1.0, 2.0, 3.7):
@@ -232,11 +287,24 @@ class TestRootsEnergy:
         for n in (0, np.int64(0)):
             with pytest.raises(ValueError, match=r"^need N >= 1, got 0$"):
                 roots_energy(n, 1.0)
-        with pytest.raises(ValueError, match=r"^need N >= 1, got -3$"):
-            midpoint_potential(np.array([5, -3, 0]), 1.0)
-        for n in (1 << 21, np.array([4, 1 << 21])):
-            with pytest.raises(BudgetExceededError, match=r"^N=2097152 exceeds the compute budget 1048576$"):
-                midpoint_potential(n, 1.0)
+        for f in (roots_energy, midpoint_potential):
+            with pytest.raises(ValueError, match=r"^need N >= 1, got -3$"):
+                f(np.array([5, -3, 0]), 1.0)
+            for n in (1 << 21, np.array([4, 1 << 21, 3])):
+                with pytest.raises(BudgetExceededError, match=r"^N=2097152 exceeds the compute budget 1048576$"):
+                    f(n, 1.0)
+            for n in (np.array([2.0, 3.0]), np.array([[2, 3]]), 4.0):
+                with pytest.raises(ValueError, match=r"^N must be an int or a 1-d integer array$"):
+                    f(n, 1.0)
+
+    def test_array_entries_equal_scalar_calls(self):
+        ns = np.array([1, 2, 3, 7, 128, 129, 130, 257, 1000, 1])
+        for s in (0.5, 1.0, 2.0, 3.5):
+            got = roots_energy(ns, s)
+            want = np.array([roots_energy(int(n), s) for n in ns])
+            assert got.tobytes() == want.tobytes()
+            assert got[0] == 0.0 and not np.signbit(got[0])
+        assert roots_energy(np.array([], dtype=np.int64), 1.0).shape == (0,)
 
 
 class TestMidpointPotential:

@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
 import csv
+import inspect
 import json
 import math
 
 import pytest
 
-from lejacircle.analysis import normalized_series
+from lejacircle import analysis
+from lejacircle.analysis import VerificationReport, normalized_series
 from lejacircle.binary import enumerate_theta
 from lejacircle.circle import Configuration
 from lejacircle.cli import _CSV_CHUNK_ROWS, main
@@ -224,6 +226,18 @@ class TestVerify:
 
     def test_budget_exit(self):
         assert run_cli(["verify", "--n-max", str((1 << 20) + 1)]) == 3
+
+    def test_default_grid_is_verify_alls(self, monkeypatch, capsys):
+        default = inspect.signature(analysis.verify_all).parameters["s_grid"].default
+        with pytest.raises(SystemExit):
+            run_cli(["verify", "--help"])
+        grid = ",".join(f"{s:g}" for s in default)
+        assert f"default grid {grid})" in " ".join(capsys.readouterr().out.split())
+        calls = []
+        monkeypatch.setattr(analysis, "verify_all", lambda **kw: calls.append(kw) or VerificationReport())
+        run_cli(["verify", "--n-max", "64"])
+        run_cli(["verify", "--n-max", "64", "--s", "2"])
+        assert calls == [{"n_max": 64}, {"n_max": 64, "s_grid": [2.0]}]
 
     def test_json_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
