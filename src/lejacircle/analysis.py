@@ -31,7 +31,6 @@ asserts and returns a machine-readable report; each check is a plain
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -323,14 +322,13 @@ def check_sup_norm_ratio_doubling_decreasing(n: int = 64) -> CheckResult:
     )
 
 
-def check_roots_potential_identity(s: float, e: np.ndarray) -> CheckResult:
+def check_roots_potential_identity(s: float, chords: list, e: np.ndarray) -> CheckResult:
     """The potential of the N-th roots of unity at one root is E_s(N)/N, 2 <= N <= e.size.
 
-    e[N-1] = E_s(N), the roots-of-unity energy; the potentials are summed here.
+    chords[N-2] holds the chords 2*sin(pi*j/N), j = 1..N-1, unreflected, so the
+    potentials summed here are independent of e[N-1] = E_s(N), the energy.
     """
-    ks = range(2, e.size + 1)
-    chords = (2.0 * np.sin(np.pi * (np.arange(1, k) / k)) for k in ks)
-    lhs = np.array([pairwise_sum(c ** (-s)) for c in chords])
+    lhs = np.array([pairwise_sum(c ** (-s)) for c in chords[: e.size - 1]])
     rhs = e[1:] / np.arange(2, e.size + 1)
     return _max_le(f"roots-potential-identity[s={s:g}]", float(np.max(_rel(lhs, rhs))), 1e-10)
 
@@ -565,9 +563,10 @@ def check_theta_invariants(s_values=(0.5, 1.0, 1.5, 2.0)) -> CheckResult:
     worst = 0.0
     ok = True
     for theta in binary.enumerate_theta(12, 12):
-        comps = theta.components()
-        ok = ok and sum(comps) == 1
-        ok = ok and all(c <= Fraction(1, 1 << (k - 1)) for k, c in enumerate(comps, start=1))
+        # theta_k = 2**e_k/M: the sum is 1 and theta_k <= 2**(1-k), in integers
+        m, exps = theta.m, theta.exponents
+        ok = ok and sum(1 << e for e in exps) == m
+        ok = ok and all(1 << (e + k - 1) <= m for k, e in enumerate(exps, start=1))
         lam = binary.lambda_value(theta)
         ok = ok and -2.5 < lam <= 0.0
         for s in (s for s in s_values if s != 1.0):
@@ -591,8 +590,8 @@ def check_g_strictly_decreasing_in_s(s_values=(0.5, 1.0, 1.5, 2.0)) -> CheckResu
 
 def check_tau_binary_properties() -> CheckResult:
     n_arr = np.arange(1, 1_000_001, dtype=np.int64)
-    taus = sum((n_arr >> j) & 1 for j in range(20))
-    tau2 = sum(((n_arr << 1) >> j) & 1 for j in range(21))
+    taus = np.bitwise_count(n_arr).astype(np.int64)
+    tau2 = np.bitwise_count(n_arr << 1)
     tau_ok = bool(np.all(n_arr >= (1 << taus) - 1)) and bool(np.all(tau2 == taus))
     recon_ok = all(decompose(int(k)).value == int(k) for k in range(1, 2048))
     return CheckResult(
@@ -645,12 +644,12 @@ def check_generalized_greedy_trend(s: float, n: int = 256) -> CheckResult:
 def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationReport:
     """Run every identity, inequality, and limit check over the given grid (each s once).
 
-    The arrays that several checks read are built once and handed to them: for
-    each positive s the roots-of-unity energies E_s(N), N <= max(2*min(n_max,
-    1024), n_max), and the R series from them; the direct energies of the N-th
-    roots, N <= min(n_max, 512), with one chord pass per N for all positive s;
-    the structural prefix potentials at s = 0 and all positive s in one pass;
-    and the W series.
+    The arrays that several checks read are built once and handed to them: in
+    one call the roots-of-unity energies E_s(N), N <= max(2*min(n_max, 1024),
+    n_max), at every positive s and 2, and the R series; the chords of the N-th
+    roots, N <= min(n_max, 1024); the direct energies of the N-th roots, N <=
+    min(n_max, 512), one chord pass per N for all s; the structural prefix
+    potentials at s = 0 and all positive s in one pass; and the W series.
     """
     _check_n_max(n_max, low=8)
     s_grid = tuple(dict.fromkeys(float(s) for s in s_grid))
@@ -661,8 +660,9 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     n_direct = min(n_max, 512)
 
     ns = np.arange(1, max(2 * n_roots, n_max) + 1)
-    e = {s: roots_energy(ns, s) for s in pos}  # e[s][N-1] = E_s(N)
-    e2 = e[2.0] if 2.0 in e else roots_energy(ns[:n_roots], 2.0)
+    exponents = pos + [2.0] * (2.0 not in pos)
+    e = dict(zip(exponents, roots_energy(ns, exponents)))  # e[s][N-1] = E_s(N)
+    chords = [2.0 * np.sin(np.pi * (np.arange(1, k) / k)) for k in range(2, n_roots + 1)]
     roots = (Configuration.from_turns(np.arange(k) / k) for k in range(2, n_direct + 1))
     direct = np.array([energy(c, pos) for c in roots]).T if pos else []  # one row per s
     u = prefix_potentials(structural_angles(n_max + 1), [0.0] + pos)
@@ -673,10 +673,10 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
         check_sup_norm_ratio_doubling_decreasing(min(64, n_max)),
     ]
     for s in pos:
-        checks.append(check_roots_potential_identity(s, e[s][:n_roots]))
+        checks.append(check_roots_potential_identity(s, chords, e[s][:n_roots]))
         checks.append(check_midpoint_energy_identity(s, e[s][: 2 * n_roots]))
     checks.append(check_inverse_square_bruteforce(min(64, n_max)))
-    checks.append(check_inverse_square_closed_form(e2[:n_roots]))
+    checks.append(check_inverse_square_closed_form(e[2.0][:n_roots]))
     checks += [check_roots_energy_direct(s, d, e[s][:n_direct]) for s, d in zip(pos, direct)]
     checks += [check_binary_decomposition_potential(s, u_s) for s, u_s in zip(pos, u[1:])]
     for s in sub:

@@ -20,7 +20,11 @@ map from chord lengths to kernel values.
 predecessors, in bounded row blocks; the energy is E = 2 * sum_n U_n(a_n).
 Both take one exponent or a 1-d array of them: the chords of a row block do
 not depend on s, so an array of exponents shares them and gives one row (or
-energy) per exponent, equal bitwise to the single-exponent call.
+energy) per exponent, equal bitwise to the single-exponent call.  Block rows
+start..stop-1 take their chords from one ``chord_lengths`` call; columns
+before start are earlier points of every row, so only the diagonal tile of
+columns start..stop-2 is masked.  Each kernel is written straight into one
+zeroed buffer of whole 128-column blocks, which ``row_sums`` reduces.
 
 Closed forms for N-th roots of unity:
 
@@ -30,7 +34,9 @@ Closed forms for N-th roots of unity:
                              midpoint of an arc between adjacent roots
 
 Both take N as an int or a 1-d integer array (one value per entry, equal
-bitwise to the int call).  roots_energy is a direct sum per entry with
+bitwise to the int call).  roots_energy also takes a 1-d array of exponents,
+which adds a leading axis (row i equal bitwise to the call at s[i]) and
+shares the sines of each N among them.  It is a direct sum per entry with
 deterministic compensated reduction (see summation.py); each chord is taken
 at the reflected index where that is smaller (sin(k*pi/N) = sin((N-k)*pi/N)),
 so no sine sees an argument near pi, whose rounding would cost about N*eps on
@@ -54,7 +60,7 @@ from .special import (  # the regime labels and classify_regime are also this mo
     classify_regime,
     roots_energy_expansion,
 )
-from .summation import pairwise_sum, row_sums
+from .summation import pairwise_sum, row_sums, zero_rows
 
 # Library-wide size guard: direct summations refuse N beyond this.
 MAX_POINTS = 1 << 20
@@ -124,33 +130,45 @@ class Configuration:
 
 
 def chord_lengths(angles: np.ndarray, x: float) -> np.ndarray:
-    """Chord distances 2*|sin(pi*(x - angles))| from turn angle x to each angle."""
-    delta = x - angles
-    delta = delta - np.round(delta)  # reduce to [-1/2, 1/2] for full sin precision
-    return 2.0 * np.abs(np.sin(np.pi * delta))
+    """Chord distances 2*|sin(pi*(x - angles))| from turn angle x to each angle, in one buffer."""
+    d = np.asarray(np.subtract(x, angles), dtype=np.float64)
+    d -= np.rint(d)  # reduce to [-1/2, 1/2] for full sin precision
+    np.sin(np.multiply(d, np.pi, out=d), out=d)
+    return np.multiply(np.abs(d, out=d), 2.0, out=d)
 
 
-def chord_kernel(d: np.ndarray, s: float) -> np.ndarray:
-    """Kernel values at chord lengths d: d**(-s) for s > 0, -log d for s = 0."""
-    return -np.log(d) if s == 0.0 else d ** (-s)
+def chord_kernel(d: np.ndarray, s: float, out=None, where=True) -> np.ndarray:
+    """Kernel values at chord lengths d: d**(-s) for s > 0, -log d for s = 0.
 
-
-def _distinct_chords(angles: np.ndarray, x) -> np.ndarray:
-    """chord_lengths(angles, x), refusing a zero chord (where every kernel is infinite)."""
-    d = chord_lengths(angles, x)
-    if np.any(d == 0.0):
-        raise CoincidentPointsError("kernel is infinite at coincident points")
-    return d
+    Given ``out``, they are written there, at the cells where ``where`` holds.
+    s = 1 takes numpy's reciprocal, as d ** -1.0 does.
+    """
+    if s == 0.0:
+        return np.negative(np.log(d, out=out, where=where), out=out, where=where)
+    if s == 1.0:
+        return np.reciprocal(d, out=out, where=where)
+    return np.power(d, -s, out=out, where=where)
 
 
 def kernel_values(angles: np.ndarray, x, s: float) -> np.ndarray:
     """Kernel values from turn angle x to each angle (x and angles broadcast)."""
-    return chord_kernel(_distinct_chords(angles, x), s)
+    d = chord_lengths(angles, x)
+    if np.any(d == 0.0):
+        raise CoincidentPointsError("kernel is infinite at coincident points")
+    return chord_kernel(d, s)
 
 
 def potential(config: Configuration, x: float, s: float) -> float:
     """Potential of a configuration at turn angle x: the sum of its kernel values."""
     return pairwise_sum(kernel_values(config.angles(), x, s))
+
+
+def _exponents(s) -> tuple[list, bool]:
+    """The exponents of ``s`` (a float or a 1-d array) as a list, and whether s was a float."""
+    scalar = not hasattr(s, "__len__") or np.ndim(s) == 0  # np.ndim alone costs 2 us
+    if not scalar and np.ndim(s) > 1:
+        raise ValueError("s must be a float or a 1-d array of floats")
+    return ([s] if scalar else np.asarray(s, dtype=np.float64).tolist()), scalar
 
 
 def prefix_potentials(angles, s) -> np.ndarray:
@@ -163,22 +181,24 @@ def prefix_potentials(angles, s) -> np.ndarray:
     each one, so entry n-1 has the same bits for every input that starts with
     a_0..a_n.
     """
-    scalar = not hasattr(s, "__len__") or np.ndim(s) == 0  # np.ndim alone costs 2 us
-    if not scalar and np.ndim(s) > 1:
-        raise ValueError("s must be a float or a 1-d array of floats")
-    exponents = [s] if scalar else np.asarray(s, dtype=np.float64).tolist()
+    exponents, scalar = _exponents(s)
     a = np.asarray(angles, dtype=np.float64)
     n = a.size
     out = np.empty((len(exponents), max(n - 1, 0)))
     step = max(1, _BLOCK_CELLS // max(n, 1))
     for start in range(1, n, step):
         stop = min(start + step, n)
-        earlier = np.tri(stop - start, stop - 1, start - 1, dtype=bool)
-        x = a[start:stop, None]
-        # Unused cells hold the antipode of their row's point: finite, then dropped.
-        d = _distinct_chords(np.where(earlier, a[:stop - 1], x + 0.5), x)
-        for row, e in zip(out, exponents):
-            row[start - 1:stop - 1] = row_sums(np.where(earlier, chord_kernel(d, e), 0.0))
+        rows = stop - start
+        tile = np.tri(rows, rows - 1, -1, dtype=bool)  # the cells of columns >= start in use
+        d = chord_lengths(a[:stop - 1], a[start:stop, None])
+        if not (d[:, :start].all() and d[:, start:][tile].all()):
+            raise CoincidentPointsError("kernel is infinite at coincident points")
+        k = zero_rows(len(exponents) * rows, stop - 1)
+        for i, e in enumerate(exponents):
+            ki = k[i * rows:(i + 1) * rows]
+            chord_kernel(d[:, :start], e, ki[:, :start])
+            chord_kernel(d[:, start:], e, ki[:, start:stop - 1], tile)
+        out[:, start - 1:stop - 1] = row_sums(k).reshape(len(exponents), rows)
     return out[0] if scalar else out
 
 
@@ -194,8 +214,8 @@ def energy(config: Configuration, s):
     return np.array([2.0 * pairwise_sum(row) for row in u])
 
 
-def _roots_n(n, s: float) -> np.ndarray:
-    """Validate N (an int or a 1-d integer array) and s for the roots-of-unity closed forms.
+def _roots_n(n, exponents) -> np.ndarray:
+    """Validate N (an int or a 1-d integer array) and every exponent for the roots-of-unity forms.
 
     Returns N as a 1-d array.
     """
@@ -207,27 +227,30 @@ def _roots_n(n, s: float) -> np.ndarray:
         raise ValueError(f"need N >= 1, got {lo}")
     if hi > MAX_POINTS:
         raise BudgetExceededError(f"N={hi} exceeds the compute budget {MAX_POINTS}")
-    if not s > 0:
-        raise ValueError(f"need s > 0, got {s}")
+    for s in exponents:
+        if not s > 0:
+            raise ValueError(f"need s > 0, got {s}")
     return ns
 
 
-def _roots_sum(n: int, s: float) -> float:
-    """2**(-s) * n * sum_{k=1}^{n-1} sin(k*pi/n)**(-s), each chord at min(k, n-k)."""
-    k = np.arange(1, n, dtype=np.float64)
-    terms = np.sin(np.minimum(k, n - k) * (np.pi / n)) ** (-s)
-    return 2.0 ** (-s) * n * pairwise_sum(terms)
-
-
-def roots_energy(n, s: float):
+def roots_energy(n, s):
     """Minimal n-point s-energy on the circle (attained by the n-th roots of unity).
 
     Closed form 2**(-s) * n * sum_{k=1}^{n-1} sin(k*pi/n)**(-s); by convention
     the value for n = 1 is 0.  ``n`` is an int (float result) or a 1-d integer
-    array (array result, equal bitwise to the scalar calls).
+    array (array result, equal bitwise to the int calls).  A 1-d array of
+    exponents adds a leading axis, row i equal bitwise to the call at s[i].
     """
-    out = np.array([_roots_sum(m, s) for m in _roots_n(n, s).tolist()], dtype=np.float64)
-    return float(out[0]) if np.ndim(n) == 0 else out
+    exponents, scalar = _exponents(s)
+    ns = _roots_n(n, exponents)
+    out = np.empty((len(exponents), ns.size))
+    for j, m in enumerate(ns.tolist()):
+        k = np.arange(1, m, dtype=np.float64)
+        sines = np.sin(np.minimum(k, m - k) * (np.pi / m))
+        for i, e in enumerate(exponents):
+            out[i, j] = 2.0 ** (-e) * m * pairwise_sum(sines ** (-e))
+    out = out[:, 0] if np.ndim(n) == 0 else out
+    return out if not scalar else float(out[0]) if out.ndim == 1 else out[0]
 
 
 def _midpoint_sum(n: int, s: float) -> float:
@@ -251,7 +274,7 @@ def midpoint_potential(n, s: float):
     result) or a 1-d integer array (array result, equal bitwise to the scalar
     calls), for which the coefficients are computed once.
     """
-    ns = _roots_n(n, s)
+    ns = _roots_n(n, [s])
     out = np.empty(ns.size)
     nearest_odd = 2.0 * math.floor(0.5 * s) + 1.0
     expansion = s <= _EXPANSION_MAX_S and abs(s - nearest_odd) >= _ODD_MARGIN

@@ -36,11 +36,18 @@ def pairwise_sum(values) -> float:
     return math.fsum(partials)
 
 
+def zero_rows(rows: int, cols: int) -> np.ndarray:
+    """Zeros with room for ``cols`` columns in whole blocks, which row_sums reduces uncopied."""
+    return np.zeros((rows, max(1, -(-cols // _BLOCK)) * _BLOCK))
+
+
 def row_sums(values) -> np.ndarray:
     """Sum each row of a 2-d float array with a fixed blockwise reduction."""
     rows, cols = np.shape(values)
     blocks = max(1, -(-cols // _BLOCK))
-    padded = np.zeros((rows, blocks * _BLOCK))
-    padded[:, :cols] = values
-    partials = np.sum(padded.reshape(-1, _BLOCK), axis=1).reshape(rows, blocks)
+    if cols != blocks * _BLOCK:
+        padded = zero_rows(rows, cols)
+        padded[:, :cols] = values
+        values = padded
+    partials = np.sum(np.reshape(values, (-1, _BLOCK)), axis=1).reshape(rows, blocks)
     return np.cumsum(partials, axis=1)[:, -1]  # left to right; zero partials add nothing

@@ -144,9 +144,10 @@ def test_potential_binary_decomposition(canonical_angles_5001):
 
 def test_roots_of_unity_identities():
     crit = Criterion("roots-of-unity potential and energy identities")
-    for s in S_GRID:
-        e = roots_energy(np.arange(1, 2049), s)  # E_s(N), N <= 2 * 1024
-        crit.require(check_roots_potential_identity(s, e[:1024]))
+    chords = [2.0 * np.sin(np.pi * (np.arange(1, k) / k)) for k in range(2, 1025)]
+    # e[N-1] = E_s(N), N <= 2 * 1024
+    for s, e in zip(S_GRID, roots_energy(np.arange(1, 2049), S_GRID)):
+        crit.require(check_roots_potential_identity(s, chords, e[:1024]))
         crit.require(check_midpoint_energy_identity(s, e))
 
     worst = 0.0

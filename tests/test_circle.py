@@ -31,7 +31,7 @@ from lejacircle.circle import (
 from lejacircle.circle import _EXPANSION_MIN_N
 from lejacircle.sequences import structural_angles
 from lejacircle.special import _EXPANSION_TERMS, roots_energy_expansion
-from lejacircle.summation import pairwise_sum
+from lejacircle.summation import pairwise_sum, row_sums
 
 
 def chord(x, y):
@@ -191,6 +191,37 @@ class TestPrefixPotentials:
         with pytest.raises(CoincidentPointsError):
             prefix_potentials(np.array([0.1, 0.4, 0.1]), 1.0)
 
+    # 2**8 cells per block leave one row per block at n = 300.
+    @pytest.mark.parametrize("block_cells", [circle._BLOCK_CELLS, 1 << 8])
+    def test_rows_equal_per_row_reference(self, monkeypatch, block_cells):
+        # Each block writes its kernels into a 128-column-aligned buffer,
+        # masking only the diagonal tile; every entry must keep the bits of
+        # summing that point's own kernel row.
+        monkeypatch.setattr(circle, "_BLOCK_CELLS", block_cells)
+        s_grid = (0.0, 0.5, 1.0, 2.0, 3.5)
+        for n in (1, 2, 127, 128, 129, 300):
+            a = self.ANGLES[:n]
+            rows = prefix_potentials(a, s_grid)
+            for s, row in zip(s_grid, rows):
+                want = [row_sums(kernel_values(a[:i], a[i], s)[None])[0] for i in range(1, n)]
+                assert row.tobytes() == np.array(want).tobytes(), (n, s)
+                assert prefix_potentials(a, s).tobytes() == row.tobytes(), (n, s)
+
+    # With 2**11 cells per block the 300 points go 6 rows to a block, and
+    # one block holds points 25..30: a repeat of an earlier point falls in
+    # that block's unmasked rectangle (columns < 25) or its diagonal tile.
+    @pytest.mark.parametrize(
+        "later, earlier", [(27, 3), (25, 24), (26, 25), (27, 25), (30, 29)]
+    )
+    def test_repeated_point_in_rectangle_or_tile(self, monkeypatch, later, earlier):
+        monkeypatch.setattr(circle, "_BLOCK_CELLS", 1 << 11)
+        a = self.ANGLES.copy()
+        a[later] = a[earlier]
+        for s in (0.5, [0.0, 1.0]):
+            with pytest.raises(CoincidentPointsError):
+                prefix_potentials(a, s)
+        assert prefix_potentials(a[:later], 0.5).shape == (later - 1,)
+
     def test_energy_over_several_row_blocks(self):
         cfg = Configuration.from_turns(self.ANGLES)
         for s in (0.5, 1.0):
@@ -305,6 +336,32 @@ class TestRootsEnergy:
             assert got.tobytes() == want.tobytes()
             assert got[0] == 0.0 and not np.signbit(got[0])
         assert roots_energy(np.array([], dtype=np.int64), 1.0).shape == (0,)
+
+    S = (0.001, 0.5, 1.0, 2.0, 3.5)
+
+    def test_exponent_axis_rows_equal_scalar_calls(self):
+        ns = np.array([1, 2, 3, 7, 128, 129, 130, 257, 1000, 1])
+        rows = roots_energy(ns, self.S)
+        assert rows.shape == (len(self.S), ns.size)
+        for row, s in zip(rows, self.S):
+            assert row.tobytes() == roots_energy(ns, s).tobytes(), s
+            assert row.tolist() == [roots_energy(int(n), s) for n in ns], s
+
+    def test_exponent_axis_keeps_the_shape_of_n(self):
+        assert roots_energy(np.array([], dtype=np.int64), self.S).shape == (len(self.S), 0)
+        col = roots_energy(7, self.S)
+        assert col.shape == (len(self.S),)
+        assert col.tolist() == [roots_energy(7, s) for s in self.S]
+        assert roots_energy(np.array([5, 6]), []).shape == (0, 2)
+
+    def test_exponent_axis_validates_every_s(self):
+        for s in ([0.5, 0.0], [-1.0, 2.0], [1.0, 2.0, math.nan]):
+            with pytest.raises(ValueError, match=r"^need s > 0, got "):
+                roots_energy(np.array([3, 4]), s)
+            with pytest.raises(ValueError, match=r"^need s > 0, got "):
+                roots_energy(4, s)
+        with pytest.raises(ValueError):
+            roots_energy(4, [[0.5, 1.0]])
 
 
 class TestMidpointPotential:
