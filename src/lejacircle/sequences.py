@@ -13,17 +13,20 @@ after N points decomposes over the binary expansion of N:
     U_N(a_N) = sum_k midpoint_potential(2**n_k, s),   N = sum_k 2**n_k.
 
 ``extremal_values_structural`` evaluates that decomposition from the table
-of dyadic midpoint potentials: one whole-array pass per bit, added in a fixed
-order, so the whole series for N <= N_max costs O(N_max * log N_max)
-additions and is bit-reproducible.
+of dyadic midpoint potentials by the same doubling recursion,
+U_(2**k + l) = midpoint_potential(2**k) + U_l, so the whole series for
+N <= N_max costs N_max additions, each in a fixed order, and is
+bit-reproducible.
 
 ``greedy_numerical`` grows an arbitrary initial configuration by appending
 the global minimizer of the running potential (s > 0) or of -sum log distance
 (s = 0).  Every kernel term is strictly convex between two adjacent charges,
 so each gap holds exactly one minimizer; a safeguarded Newton/bisection on the
 derivative finds it and brackets the gap minimum from both sides, and the
-global minimum is the smallest gap minimum.  After each appended point only
-the gaps whose bracket can still reach the best value are solved again.
+global minimum is the smallest gap minimum.  A gap is solved once its bracket
+is tight or its Newton step no longer moves the iterate, which takes a handful
+of derivative passes.  After each appended point only the gaps whose bracket
+can still reach the best value are solved again.
 """
 
 from dataclasses import dataclass, field
@@ -50,8 +53,9 @@ __all__ = [
 ]
 
 # A gap counts as solved once its certified bracket upper - lower is this small
-# relative to the value; Newton converges quadratically, so that takes a few
-# steps, and the iteration cap is only a safeguard.
+# relative to the value, or once its Newton step rounds to the iterate (at s = 0
+# and s >= 1.5 U' may never meet this budget).  Either takes a few steps; no
+# solve needs the iteration cap, which is only a safeguard.
 _SOLVED = 1e-13
 _MAX_ITERS = 100
 # Minima within this absolute slack count as ties; the smallest angle wins.
@@ -61,25 +65,23 @@ _TIE = 1e-12
 def structural_angles(n_points: int) -> np.ndarray:
     """Turn angles x_0..x_(n_points-1) of the bit-reversal greedy sequence.
 
-    x_n = sum_j b_j * 2**(-j-1) for n = sum_j b_j * 2**j, built by one
-    whole-array pass per bit; every term and partial sum is exact.
+    x_n = sum_j b_j * 2**(-j-1) for n = sum_j b_j * 2**j, built by the
+    recursion x_(2**k + l) = x_l + 2**(-k-1); every term and partial sum is
+    exact.
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
     if n_points > MAX_POINTS:
         raise BudgetExceededError(f"N={n_points} exceeds the compute budget {MAX_POINTS}")
-    n = np.arange(n_points, dtype=np.int64)
-    out = np.zeros(n_points)
-    for j in range(max(n_points - 1, 0).bit_length()):
-        out += ((n >> j) & 1) * 0.5 ** (j + 1)
-    return out
+    bits = max(n_points - 1, 0).bit_length()
+    return _doubling(0.5 ** np.arange(1, bits + 1), n_points)
 
 
 def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
     """Extremal potential values U_N(a_N) for N = 1..n_max (s > 0).
 
     Entry N-1 is the sum of midpoint potentials of the dyadic blocks of N,
-    added from the lowest bit up.
+    added from the lowest bit up: U_(2**k + l) = U_l + midpoint_potential(2**k).
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
@@ -87,12 +89,22 @@ def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
         raise ValueError(f"need s > 0, got {s}")
     if n_max > MAX_POINTS:
         raise BudgetExceededError(f"N={n_max} exceeds the compute budget {MAX_POINTS}")
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    bits = int(n_max).bit_length()
-    table = midpoint_potential(1 << np.arange(bits), s)
-    out = np.zeros(n_max)
-    for j in range(bits):
-        out += ((n >> j) & 1) * table[j]
+    table = midpoint_potential(1 << np.arange(int(n_max).bit_length()), s)
+    return _doubling(table, n_max + 1)[1:]
+
+
+def _doubling(terms: np.ndarray, size: int) -> np.ndarray:
+    """v[0..size-1] with v[0] = 0 and v[2**j + l] = v[l] + terms[j] for l < 2**j.
+
+    Entry n is the sum of terms[j] over the set bits j of n, added from the
+    lowest bit up, so it equals a pass-per-bit sum bitwise; N additions in all.
+    """
+    out = np.empty(size)
+    out[:1] = 0.0
+    for j, t in enumerate(terms):
+        start = 1 << j
+        stop = min(2 * start, size)
+        np.add(out[:stop - start], t, out=out[start:stop])
     return out
 
 
@@ -146,8 +158,11 @@ def _solve_gaps(charges: np.ndarray, lo: np.ndarray, hi: np.ndarray, sv: float):
     through zero exactly once per gap.  A safeguarded Newton iteration on U'
     keeps a sign bracket and bisects it whenever the Newton step leaves it;
     starting at the midpoint keeps symmetric gaps exactly at their dyadic
-    midpoints.  Returns (x, upper, lower) with upper = U(x) and, by convexity,
-    lower = U(x) - |U'(x)| * (hi - lo) <= the gap minimum <= upper.
+    midpoints.  A gap stops once |U'| * (hi - lo) <= _SOLVED * max(|U|, 1),
+    or once its Newton step rounds to the iterate itself: x is then the root
+    to working precision, even where U' cannot meet that budget in double
+    precision.  Returns (x, upper, lower) with upper = U(x) and, by
+    convexity, lower = U(x) - |U'(x)| * (hi - lo) <= the gap minimum <= upper.
     """
     length = hi - lo
     xl, xh = lo.copy(), hi.copy()
@@ -164,7 +179,7 @@ def _solve_gaps(charges: np.ndarray, lo: np.ndarray, hi: np.ndarray, sv: float):
         step = xi - dui / ddui
         nxt = np.where((step > bl) & (step < bh), step, 0.5 * (bl + bh))
         done = np.abs(dui) * length[active] <= _SOLVED * np.maximum(np.abs(ui), 1.0)
-        done |= (nxt == xi) | (it == _MAX_ITERS - 1)
+        done |= (step == xi) | (nxt == xi) | (it == _MAX_ITERS - 1)
         x[active] = np.where(done, xi, nxt)
         active = active[~done]
         if active.size == 0:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import potential_oracle
+from lejacircle import sequences
 from lejacircle.circle import (
     BudgetExceededError,
     CoincidentPointsError,
     Configuration,
+    midpoint_potential,
     roots_energy,
 )
 from lejacircle.sequences import (
@@ -57,6 +59,34 @@ class TestCanonicalStructural:
             blk = 1 << k
             np.testing.assert_array_equal(x[blk: 2 * blk], 0.5 ** (k + 1) + x[:blk])
         assert (x[0], x[1], x[5], x[6]) == (0.0, 0.5, 0.625, 0.375)
+
+
+# Lengths around the powers of two, where the doubling recursion ends a block.
+DOUBLING_SIZES = [1, 2, 3, 1000] + [(1 << k) + d for k in (2, 5, 10, 12) for d in (-1, 0, 1)]
+
+
+def _bit_loop(terms, n):
+    """Entry i of the sum of terms[j] over the set bits j of i, one pass per bit."""
+    idx = np.arange(n, dtype=np.int64)
+    out = np.zeros(n)
+    for j, t in enumerate(terms):
+        out += ((idx >> j) & 1) * t
+    return out
+
+
+class TestDoublingRecursion:
+    @pytest.mark.parametrize("n", DOUBLING_SIZES)
+    def test_structural_angles_equal_bit_loop(self, n):
+        bits = max(n - 1, 0).bit_length()
+        want = _bit_loop([0.5 ** (j + 1) for j in range(bits)], n)
+        assert structural_angles(n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", DOUBLING_SIZES)
+    def test_extremal_values_equal_bit_loop(self, n):
+        for s in (0.5, 1.0, 3.5):
+            table = midpoint_potential(1 << np.arange(n.bit_length()), s)
+            want = _bit_loop(table, n + 1)[1:]
+            assert extremal_values_structural(n, s).tobytes() == want.tobytes()
 
 
 class TestExtremalValuesStructural:
@@ -153,17 +183,45 @@ class TestGreedyNumerical:
     def test_every_step_is_the_global_minimizer(self):
         # independent dense search: 64 samples inside every gap of every prefix,
         # all of which lie at or above the true minimum
-        s, n = 2.0, 64
-        run = greedy_numerical(Configuration.from_turns([0.3137]), s, n)
-        angles = np.asarray(run.points.angles())
+        n = 64
         frac = (np.arange(64) + 0.5) / 64
-        for k in range(1, n):
-            a = np.sort(angles[:k])
-            xs = (a[:, None] + np.diff(np.append(a, a[0] + 1.0))[:, None] * frac).ravel()
-            d = np.abs(np.exp(2j * np.pi * xs)[:, None] - np.exp(2j * np.pi * a)[None, :])
-            sampled = float(np.min((d ** -s).sum(axis=1)))
-            chosen = potential_oracle(angles[:k], float(angles[k]), s)
-            assert chosen <= sampled + 1e-12 * max(abs(sampled), 1.0), f"step {k} is not greedy"
+        for initial, s in (([0.3137], 2.0), ([0.0, 0.1, 0.37], 0.0), ([0.0], 3.5)):
+            run = greedy_numerical(Configuration.from_turns(initial), s, n)
+            angles = np.asarray(run.points.angles())
+            for k in range(len(initial), n):
+                a = np.sort(angles[:k])
+                xs = (a[:, None] + np.diff(np.append(a, a[0] + 1.0))[:, None] * frac).ravel()
+                d = np.abs(np.exp(2j * np.pi * xs)[:, None] - np.exp(2j * np.pi * a)[None, :])
+                kernel = -np.log(d) if s == 0 else d ** -s
+                sampled = float(np.min(kernel.sum(axis=1)))
+                chosen = potential_oracle(angles[:k], float(angles[k]), s)
+                assert chosen <= sampled + 1e-12 * max(abs(sampled), 1.0), \
+                    f"s={s} from {initial}: step {k} is not greedy"
+
+    @pytest.mark.parametrize("initial, s, n", [
+        ([0.3137], 2.0, 128),
+        ([0.581152, 0.681152, 0.951152], 0.0, 256),
+        ([0.0], 3.5, 256),
+    ])
+    def test_gap_solves_take_few_iterations(self, monkeypatch, initial, s, n):
+        # where U' cannot meet the bracket budget in double precision, each solve
+        # must still stop once its Newton step rounds to the iterate, not bisect on
+        iterations = []
+        derivatives, solve_gaps = sequences._derivatives, sequences._solve_gaps
+
+        def counting_derivatives(*args):
+            iterations[-1] += 1
+            return derivatives(*args)
+
+        def counting_solve_gaps(*args):
+            iterations.append(0)
+            return solve_gaps(*args)
+
+        monkeypatch.setattr(sequences, "_derivatives", counting_derivatives)
+        monkeypatch.setattr(sequences, "_solve_gaps", counting_solve_gaps)
+        greedy_numerical(Configuration.from_turns(initial), s, n)
+        assert len(iterations) >= n - len(initial)
+        assert max(iterations) <= 6
 
     def test_n_not_larger_than_initial(self):
         init = Configuration.from_turns([0.0, 0.3, 0.6])
