@@ -8,7 +8,6 @@ and a verification harness for the first- and second-order asymptotics.
 """
 
 from .binary import (
-    BinaryExpansion,
     ThetaVector,
     decompose,
     enumerate_theta,
@@ -24,7 +23,6 @@ from .circle import (
     CoincidentPointsError,
     Configuration,
     chord_lengths,
-    classify_regime,
     energy,
     kernel_values,
     leja_sup_norm_log,
@@ -37,8 +35,7 @@ from .analysis import (
     LimitPointCheck,
     NormalizedSeries,
     VerificationReport,
-    extremal_first_order_series,
-    extremal_second_order_series,
+    extremal_series,
     limit_point_check,
     normalized_series,
     star_discrepancy,
@@ -53,8 +50,10 @@ from .sequences import (
     structural_angles,
 )
 from .special import (
+    CRITICAL_LEVEL,
     EULER_GAMMA,
     ConstantsCatalog,
+    classify_regime,
     continuous_energy,
     gamma_fn,
     limit_catalog,

@@ -30,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "BinaryExpansion",
     "ThetaVector",
     "tau_b",
     "decompose",
@@ -63,26 +62,11 @@ def tau_b(n: int) -> int:
     return int(n).bit_count()
 
 
-@dataclass(frozen=True)
-class BinaryExpansion:
-    """Exponents n_1 > n_2 > ... > n_p >= 0 of the set bits of an integer."""
-
-    exponents: tuple[int, ...]
-
-    @property
-    def value(self) -> int:
-        return sum(1 << e for e in self.exponents)
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-
-def decompose(n: int) -> BinaryExpansion:
-    """Binary expansion of n >= 1, exponents in decreasing order."""
+def decompose(n: int) -> tuple[int, ...]:
+    """Exponents n_1 > n_2 > ... > n_p >= 0 of the set bits of n >= 1."""
     if n < 1:
         raise ValueError(f"need N >= 1, got {n}")
-    exps = tuple(i for i in range(n.bit_length() - 1, -1, -1) if (n >> i) & 1)
-    return BinaryExpansion(exps)
+    return tuple(i for i in range(n.bit_length() - 1, -1, -1) if (n >> i) & 1)
 
 
 @dataclass(frozen=True)
@@ -130,7 +114,7 @@ def theta_from_odd(m: int, p: int) -> ThetaVector:
     t = tau_b(m)
     if p < t:
         raise ValueError(f"need p >= tau_b(M) = {t}, got p = {p}")
-    return ThetaVector(m=m, exponents=decompose(m).exponents, trailing_zeros=p - t)
+    return ThetaVector(m=m, exponents=decompose(m), trailing_zeros=p - t)
 
 
 def _check_theta_args(p: int, max_bits: int) -> None:

@@ -52,14 +52,7 @@ import math
 
 import numpy as np
 
-from .special import (  # the regime labels and classify_regime are also this module's API
-    REGIME_CRITICAL,
-    REGIME_LOG,
-    REGIME_SUBCRITICAL,
-    REGIME_SUPERCRITICAL,
-    classify_regime,
-    roots_energy_expansion,
-)
+from .special import roots_energy_expansion
 from .summation import pairwise_sum, row_sums, zero_rows
 
 # Library-wide size guard: direct summations refuse N beyond this.

@@ -27,11 +27,12 @@ from . import analysis, binary, special
 from .circle import BudgetExceededError, Configuration
 from .sequences import extremal_values_structural, greedy_numerical, structural_angles
 
+# figure id -> (s values, n_max); each file is analysis.extremal_series(s, n_max)
 FIGURE_GRIDS = {
-    1: {"kind": "log_ratio", "s_values": [0.0], "n_max": 5000},
-    2: {"kind": "second_order_subcritical", "s_values": [0.001, 0.1, 0.3, 0.5, 0.7, 0.99], "n_max": 2048},
-    3: {"kind": "second_order_1", "s_values": [1.0], "n_max": 2048},
-    4: {"kind": "first_order_supercritical", "s_values": [1.005, 1.5, 3.5, 5.0], "n_max": 2048},
+    1: ([0.0], 5000),
+    2: ([0.001, 0.1, 0.3, 0.5, 0.7, 0.99], 2048),
+    3: ([1.0], 2048),
+    4: ([1.005, 1.5, 3.5, 5.0], 2048),
 }
 
 
@@ -147,26 +148,16 @@ def cmd_theta(args) -> int:
     return 0
 
 
-def _figure_series(kind, s, n_max):
-    if kind == "log_ratio":
-        return analysis.normalized_series("log_ratio", 0.0, n_max)
-    if kind == "second_order_subcritical":
-        return analysis.extremal_second_order_series(s, n_max)
-    if kind == "second_order_1":
-        return analysis.normalized_series("second_order_1", 1.0, n_max)
-    return analysis.extremal_first_order_series(s, n_max)
-
-
 def cmd_figure(args) -> int:
     if args.id not in FIGURE_GRIDS:
         print(f"error: unknown figure id {args.id}", file=sys.stderr)
         return 2
-    plan = FIGURE_GRIDS[args.id]
+    s_values, n_max = FIGURE_GRIDS[args.id]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for s in plan["s_values"]:
-        series = _figure_series(plan["kind"], s, plan["n_max"])
-        name = f"fig{args.id}.csv" if len(plan["s_values"]) == 1 else f"fig{args.id}_s{s:g}.csv"
+    for s in s_values:
+        series = analysis.extremal_series(s, n_max)
+        name = f"fig{args.id}.csv" if len(s_values) == 1 else f"fig{args.id}_s{s:g}.csv"
         _write_csv(out_dir / name, "N,value\n", series.n, series.values)
         print(out_dir / name)
     return 0

@@ -39,10 +39,10 @@ from .circle import (
     Configuration,
     chord_kernel,
     chord_lengths,
-    classify_regime,
     midpoint_potential,
     prefix_potentials,
 )
+from .special import classify_regime
 
 __all__ = [
     "GreedyRun",

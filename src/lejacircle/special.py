@@ -3,9 +3,9 @@
 Provides the regime classification of the Riesz exponent, the Riemann zeta
 function on s > 0 (s != 1) via the alternating (eta) series accelerated with
 Chebyshev-polynomial weights (Cohen / Rodriguez Villegas / Zagier), the
-Gamma function via a Lanczos approximation (g = 7, nine terms), the
-Euler-Mascheroni constant, and the continuous s-energy of normalized arc
-length on the circle
+Gamma function (``math.gamma``), the Euler-Mascheroni constant, the critical
+second-order level (gamma + log(8/pi))/pi, and the continuous s-energy of
+normalized arc length on the circle
 
     I_s = 2**(-s)/sqrt(pi) * Gamma((1-s)/2) / Gamma(1-s/2)
         = Gamma(1-s) / Gamma(1-s/2)**2,        0 < s < 1,  I_0 = 0.
@@ -34,6 +34,8 @@ from . import binary
 
 __all__ = [
     "EULER_GAMMA",
+    "CRITICAL_LEVEL",
+    "classify_regime",
     "gamma_fn",
     "zeta",
     "continuous_energy",
@@ -49,20 +51,8 @@ REGIME_SUPERCRITICAL = "supercritical"
 
 # Euler-Mascheroni constant, nearest double.
 EULER_GAMMA = 0.5772156649015329
-
-# Lanczos coefficients for g = 7, n = 9 (double precision, ~14 digits).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+# limsup of the critical second-order series (U_N(a_N) - N log(N)/pi)/N
+CRITICAL_LEVEL = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
 
 # Terms of the accelerated alternating series; error ~ (3+sqrt(8))**(-n).
 _ZETA_TERMS = 50
@@ -82,18 +72,10 @@ def classify_regime(s: float) -> str:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 via the Lanczos approximation (>= 12 digits)."""
+    """Gamma(x) for x > 0, by ``math.gamma``."""
     if not x > 0:
         raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # Reflection keeps full precision near 0.
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def zeta(s: float) -> float:
@@ -264,7 +246,6 @@ def limit_catalog(s: float, *, max_bits: int = 12) -> ConstantsCatalog:
             liminf_upper=g_sup_lb * c,
         )
     if regime == REGIME_CRITICAL:
-        level = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
         search = binary.search_lambda(max_bits)
         lam_ub = min(search.best_inf_bound, -2.0 * math.log(2.0))
         # Constructive lower bound for Lambda: -M/e - 2*log 2 with 2**(-M) < 1/e,
@@ -276,9 +257,9 @@ def limit_catalog(s: float, *, max_bits: int = 12) -> ConstantsCatalog:
             i_sigma=None,
             zeta_s=None,
             first_order_limit=1.0 / math.pi,
-            limsup_second_order=level,
-            liminf_lower=level + lam_lb / math.pi,
-            liminf_upper=level + lam_ub / math.pi,
+            limsup_second_order=CRITICAL_LEVEL,
+            liminf_lower=CRITICAL_LEVEL + lam_lb / math.pi,
+            liminf_upper=CRITICAL_LEVEL + lam_ub / math.pi,
         )
     c = second_order_scale(s)  # positive here
     search = binary.search_g_extremes(s, max_bits)

@@ -42,7 +42,7 @@ from lejacircle.analysis import (
     check_roots_potential_identity,
     check_sup_norm_ratio_doubling_decreasing,
     check_sup_norm_ratio_dyadic_ones,
-    extremal_second_order_series,
+    extremal_series,
     limit_point_check,
     normalized_series,
     star_discrepancy,
@@ -177,7 +177,7 @@ def test_subcritical_second_order_limits():
     s = 0.5
     dyadic_limit = (2.0 ** s - 1.0) * 2.0 * zeta(s) / (2.0 * math.pi) ** s
     ones_limit = 2.0 * zeta(s) / (2.0 * math.pi) ** s
-    series = extremal_second_order_series(s, 1 << 12).values
+    series = extremal_series(s, 1 << 12).values
 
     res_dyadic = abs(series[(1 << 12) - 1] - dyadic_limit)
     res_dyadic_half = abs(series[(1 << 11) - 1] - dyadic_limit)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lejacircle.analysis import (
-    extremal_first_order_series,
-    extremal_second_order_series,
+    extremal_series,
     limit_point_check,
     normalized_series,
     star_discrepancy,
@@ -155,14 +154,14 @@ class TestNormalizedSeries:
 
 class TestExtremalSeries:
     def test_subcritical_dyadic_value(self):
-        ser = extremal_second_order_series(0.5, 4096)
+        ser = extremal_series(0.5, 4096)
         assert abs(ser.values[4095] - second_order_scale(0.5)) < 1e-4
 
     def test_all_ones_exact_identity(self):
         # at N = 2^p - 1 the value equals R(2^p)*(1 - 2^-p)^(-s) + I_s*(2^p-1)^(-s)
         s = 0.5
         i_sigma = continuous_energy(s)
-        ser = extremal_second_order_series(s, 4095)
+        ser = extremal_series(s, 4095)
         p = 12
         n = (1 << p) - 1
         m = 1 << p
@@ -174,13 +173,13 @@ class TestExtremalSeries:
 
     def test_everywhere_negative(self):
         for s in (0.1, 0.5, 0.9):
-            ser = extremal_second_order_series(s, 2048)
+            ser = extremal_series(s, 2048)
             assert np.all(ser.values < 0.0)
 
     def test_reconstruction_against_w_table(self):
         # value at N equals sum_k W(2^(n_k)) * (2^(n_k)/N)^s over the bits of N
         s = 0.5
-        ser = extremal_second_order_series(s, 512)
+        ser = extremal_series(s, 512)
         w = normalized_series("W_subcritical", s, 512).values
         worst = 0.0
         for n in range(1, 513):
@@ -193,17 +192,23 @@ class TestExtremalSeries:
 
     def test_supercritical_positive_bounded(self):
         for s in (1.5, 3.5):
-            ser = extremal_first_order_series(s, 2048)
+            ser = extremal_series(s, 2048)
             assert np.all(ser.values > 0.0)
             w = normalized_series("W_supercritical", s, 2048).values
             bound = float(np.max(w)) * 2.0 ** s / (2.0 ** s - 1.0)
             assert np.all(ser.values <= bound + 1e-12)
 
-    def test_regime_validation(self):
+    def test_negative_s_raises(self):
         with pytest.raises(ValueError):
-            extremal_second_order_series(1.0, 64)
+            extremal_series(-0.5, 64)
         with pytest.raises(ValueError):
-            extremal_first_order_series(0.5, 64)
+            extremal_series(float("nan"), 64)
+
+    def test_log_case_is_the_direct_potential(self):
+        # -U_N(a_N) at s = 0 is the log of the product of distances, summed directly
+        n = 1024
+        direct = -prefix_potentials(structural_angles(n + 1), 0.0) / np.log(np.arange(2, n + 2))
+        np.testing.assert_allclose(extremal_series(0.0, n).values, direct, rtol=0, atol=1e-12)
 
 
 class TestThetaLimitPrediction:

@@ -19,7 +19,6 @@ from lejacircle.circle import (
     CoincidentPointsError,
     Configuration,
     chord_lengths,
-    classify_regime,
     energy,
     kernel_values,
     leja_sup_norm_log,
@@ -30,7 +29,7 @@ from lejacircle.circle import (
 )
 from lejacircle.circle import _EXPANSION_MIN_N
 from lejacircle.sequences import structural_angles
-from lejacircle.special import _EXPANSION_TERMS, roots_energy_expansion
+from lejacircle.special import _EXPANSION_TERMS, classify_regime, roots_energy_expansion
 from lejacircle.summation import pairwise_sum, row_sums
 
 

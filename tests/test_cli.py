@@ -11,7 +11,7 @@ from lejacircle import analysis
 from lejacircle.analysis import VerificationReport, normalized_series
 from lejacircle.binary import enumerate_theta
 from lejacircle.circle import Configuration
-from lejacircle.cli import _CSV_CHUNK_ROWS, main
+from lejacircle.cli import _CSV_CHUNK_ROWS, FIGURE_GRIDS, main
 from lejacircle.sequences import extremal_values_structural, greedy_numerical, structural_angles
 
 
@@ -196,6 +196,17 @@ class TestFigure:
 
     def test_unknown_id(self):
         assert run_cli(["figure", "--id", "9"]) == 2
+
+    @pytest.mark.parametrize("fig_id", sorted(FIGURE_GRIDS))
+    def test_files_are_the_extremal_series(self, tmp_path, capsys, fig_id):
+        assert run_cli(["figure", "--id", str(fig_id), "--out-dir", str(tmp_path)]) == 0
+        s_values, n_max = FIGURE_GRIDS[fig_id]
+        for s in s_values:
+            name = f"fig{fig_id}.csv" if len(s_values) == 1 else f"fig{fig_id}_s{s:g}.csv"
+            rows = list(csv.DictReader((tmp_path / name).open()))
+            expected = analysis.extremal_series(s, n_max).values
+            assert [r["N"] for r in rows] == [str(k) for k in range(1, n_max + 1)]
+            assert [r["value"] for r in rows] == ["%.17g" % v for v in expected]
 
 
 class TestSeries:
