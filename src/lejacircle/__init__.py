@@ -8,7 +8,6 @@ and a verification harness for the first- and second-order asymptotics.
 """
 
 from .binary import (
-    ThetaVector,
     decompose,
     enumerate_theta,
     g_value,
@@ -16,7 +15,7 @@ from .binary import (
     search_g_extremes,
     search_lambda,
     tau_b,
-    theta_from_odd,
+    theta_components,
 )
 from .circle import (
     BudgetExceededError,

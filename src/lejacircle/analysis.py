@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binary
-from .binary import ThetaVector, decompose, tau_b
+from .binary import decompose
 from .circle import (
     MAX_POINTS,
     BudgetExceededError,
@@ -136,15 +136,6 @@ def _r_series(e: np.ndarray, s: float) -> np.ndarray:
     return (e - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
 
 
-def log_ratio_value(n: int) -> float:
-    """log(product of distances)/log(N+1) for the bit-reversal sequence.
-
-    Uses the exact product identity (product = 2**tau_b(N)) and base-2 logs,
-    so the value is exactly 1.0 whenever N+1 is a power of two.
-    """
-    return tau_b(n) / math.log2(n + 1)
-
-
 def extremal_series(s: float, n_max: int) -> NormalizedSeries:
     """The regime normalization of the structural U_N(a_N), N = 1..n_max, for s >= 0.
 
@@ -155,7 +146,7 @@ def extremal_series(s: float, n_max: int) -> NormalizedSeries:
     _check_n_max(n_max)
     n = np.arange(1, n_max + 1, dtype=np.int64)
     if regime == REGIME_LOG:
-        values = np.array([log_ratio_value(int(k)) for k in n])
+        values = np.bitwise_count(n).astype(np.float64) / np.log2(n + 1.0)
     else:
         values = _normalize(extremal_values_structural(n_max, s), n.astype(np.float64), s)
     return NormalizedSeries("extremal", s, n, values)
@@ -183,29 +174,29 @@ def normalized_series(kind: str, s: float, n_max: int) -> NormalizedSeries:
     return NormalizedSeries(kind, s, n, values)
 
 
-def theta_limit_prediction(theta: ThetaVector, s: float) -> float:
-    """Predicted limit point of the normalized extremal sequence for theta."""
+def theta_limit_prediction(m: int, s: float) -> float:
+    """Predicted limit point of the normalized extremal sequence for the theta of odd M."""
     regime = classify_regime(s)
     if regime == REGIME_LOG:
         raise ValueError("no second-order limit-point prediction in the log case")
     if regime == REGIME_CRITICAL:
-        return CRITICAL_LEVEL + binary.lambda_value(theta) / math.pi
-    return binary.g_value(theta, s) * second_order_scale(s)
+        return CRITICAL_LEVEL + binary.lambda_value(m) / math.pi
+    return binary.g_value(m, s) * second_order_scale(s)
 
 
-def limit_point_check(theta: ThetaVector, s: float, depth: int) -> LimitPointCheck:
-    """Evaluate the witness subsequence of theta at the given depth.
+def limit_point_check(m: int, p: int, s: float, depth: int) -> LimitPointCheck:
+    """Evaluate the witness subsequence of the length-p theta of odd M at the given depth.
 
-    The witness index is N = 2**depth * M with the trailing zeros realized by
-    appending the lowest ``trailing_zeros`` bits (adding 2**z - 1), which
+    The witness index is N = 2**depth * M with the z = p - tau_b(M) trailing
+    zeros realized by appending the lowest z bits (adding 2**z - 1), which
     vanish in the limit while preserving the digit ratios exactly.
     """
+    z = binary.theta_components(m, p).count(0)  # raises for an even M or p < tau_b(M)
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
-    z = theta.trailing_zeros
     if depth <= z - 1:
         raise ValueError(f"depth {depth} too small for {z} trailing zeros")
-    n_witness = (theta.m << depth) + ((1 << z) - 1)
+    n_witness = (m << depth) + ((1 << z) - 1)
     if n_witness > MAX_POINTS:
         raise BudgetExceededError(
             f"witness index {n_witness} exceeds the compute budget {MAX_POINTS}"
@@ -213,7 +204,7 @@ def limit_point_check(theta: ThetaVector, s: float, depth: int) -> LimitPointChe
     blocks = np.array([1 << e for e in decompose(n_witness)])
     u = math.fsum(midpoint_potential(blocks, s).tolist())
     observed = float(_normalize(u, float(n_witness), s))
-    predicted = theta_limit_prediction(theta, s)
+    predicted = theta_limit_prediction(m, s)
     return LimitPointCheck(
         n=n_witness, predicted=predicted, observed=observed, gap=abs(observed - predicted)
     )
@@ -283,22 +274,22 @@ def check_sup_norm_identity(u0: np.ndarray) -> CheckResult:
     """
     n = u0.size
     log_products = -u0
-    taus = np.array([tau_b(k) for k in range(1, n + 1)], dtype=np.float64)
+    taus = np.bitwise_count(np.arange(1, n + 1)).astype(np.float64)
     worst = float(np.max(np.abs(log_products - taus * math.log(2.0))))
     return _max_le("sup-norm-identity", worst, 1e-7, f"N<={n}")
 
 
 def check_sup_norm_ratio_dyadic_ones(n: int) -> CheckResult:
-    worst = max(abs(log_ratio_value((1 << m) - 1) - 1.0) for m in range(1, (n + 1).bit_length()))
+    ones = (1 << np.arange(1, (n + 1).bit_length())) - 1  # every N = 2**m - 1 <= n
+    worst = float(np.max(np.abs(extremal_series(0.0, n).values[ones - 1] - 1.0)))
     return _max_le("sup-norm-ratio-dyadic-ones", worst, 0.0, "exact 1 at N=2^m-1")
 
 
 def check_sup_norm_ratio_doubling_decreasing(n: int) -> CheckResult:
     """The norm ratio strictly decreases along N, 2N, ..., 64N for every N <= n."""
-    worst = max(
-        max(np.diff([tau_b(k) / math.log2((k << j) + 1) for j in range(7)]))
-        for k in range(1, n + 1)
-    )
+    ratio = extremal_series(0.0, n << 6).values
+    chains = ratio[(np.arange(1, n + 1)[:, None] << np.arange(7)) - 1]  # row k-1: k, ..., 64k
+    worst = float(np.max(np.diff(chains, axis=1)))
     return CheckResult(
         "sup-norm-ratio-doubling-decreasing",
         worst < 0.0,
@@ -548,15 +539,15 @@ def check_zeta_sign_and_euler_gamma() -> CheckResult:
 def check_theta_invariants(s_values) -> CheckResult:
     worst = 0.0
     ok = True
-    for theta in binary.enumerate_theta(12, 12):
+    for m in binary.enumerate_theta(12, 12):
         # theta_k = 2**e_k/M: the sum is 1 and theta_k <= 2**(1-k), in integers
-        m, exps = theta.m, theta.exponents
+        exps = decompose(m)
         ok = ok and sum(1 << e for e in exps) == m
         ok = ok and all(1 << (e + k - 1) <= m for k, e in enumerate(exps, start=1))
-        lam = binary.lambda_value(theta)
+        lam = binary.lambda_value(m)
         ok = ok and -2.5 < lam <= 0.0
         for s in (s for s in s_values if s != 1.0):
-            g = binary.g_value(theta, s)
+            g = binary.g_value(m, s)
             ok = ok and (1.0 <= g < 2.0 ** s / (2.0 ** s - 1.0) if s < 1 else 0.0 < g <= 1.0)
         worst = min(worst, lam)
     return CheckResult("theta-invariants", ok, worst, -2.5, "sum=1 exact, decay, G/Lambda brackets")
@@ -565,10 +556,8 @@ def check_theta_invariants(s_values) -> CheckResult:
 def check_g_strictly_decreasing_in_s(s_values) -> CheckResult:
     mono_ok = True
     grid_s = sorted(set(s_values) | {0.25, 0.75, 1.25, 3.0})
-    for theta in binary.enumerate_theta(8, 8):
-        if theta.m == 1:
-            continue  # the vector (1) has G identically 1
-        gs = [binary.g_value(theta, s) for s in grid_s]
+    for m in binary.enumerate_theta(8, 8)[1:]:  # M = 1, the vector (1), has G identically 1
+        gs = [binary.g_value(m, s) for s in grid_s]
         mono_ok = mono_ok and all(a > b for a, b in zip(gs, gs[1:]))
     detail = "for vectors other than (1)"
     return CheckResult("g-strictly-decreasing-in-s", mono_ok, 0.0, 0.0, detail)

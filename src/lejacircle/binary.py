@@ -7,9 +7,9 @@ family of vectors
 
     theta = (2**n_1/M, ..., 2**n_t/M, 0, ..., 0),   M = sum of the powers odd,
 
-represented exactly as rationals by :class:`ThetaVector`.  Two functionals on
-these vectors control the second-order limit points of the extremal
-potentials:
+so a vector is its odd M and a length p, with exact rationals given by
+:func:`theta_components`.  Two functionals of M control the second-order
+limit points of the extremal potentials:
 
     G(theta; s)  = sum_k theta_k**s
     Lambda(theta) = sum_k theta_k*log(theta_k)      (0*log 0 := 0)
@@ -20,7 +20,7 @@ one-sided bounds from a finite enumeration plus the structured family
 M = 2**t - 1, which approaches the known landmarks 1/(2**s - 1) and -2*log 2
 fastest.  The enumeration is evaluated as numpy arrays over all odd M, one
 pass per bit; only the M within rounding of the array extreme are evaluated
-again exactly, so no ThetaVector is built except the witnesses.
+again exactly, by the fsum of ``g_value``/``lambda_value``.
 """
 
 import math
@@ -30,10 +30,9 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "ThetaVector",
     "tau_b",
     "decompose",
-    "theta_from_odd",
+    "theta_components",
     "enumerate_theta",
     "count_theta",
     "g_value",
@@ -69,52 +68,22 @@ def decompose(n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n.bit_length() - 1, -1, -1) if (n >> i) & 1)
 
 
-@dataclass(frozen=True)
-class ThetaVector:
-    """Vector (2**n_1/M, ..., 2**n_t/M, 0, ..., 0) with M odd, n_t = 0.
-
-    Components are exact rationals; ``trailing_zeros`` pads the vector to
-    length p = t + trailing_zeros.  The components sum to exactly 1 and
-    satisfy theta_k <= 2**(1-k).
-    """
-
-    m: int
-    exponents: tuple[int, ...]
-    trailing_zeros: int = 0
-
-    def __post_init__(self):
-        if self.m < 1 or self.m % 2 == 0:
-            raise ValueError(f"M must be odd and positive, got {self.m}")
-        if self.trailing_zeros < 0:
-            raise ValueError("trailing_zeros must be >= 0")
-        if sum(1 << e for e in self.exponents) != self.m:
-            raise ValueError("exponents do not reconstruct M")
-        if list(self.exponents) != sorted(self.exponents, reverse=True) or self.exponents[-1] != 0:
-            raise ValueError("exponents must be strictly decreasing and end at 0")
-
-    @property
-    def p(self) -> int:
-        """Total length including trailing zeros."""
-        return len(self.exponents) + self.trailing_zeros
-
-    @property
-    def t(self) -> int:
-        """Number of nonzero components."""
-        return len(self.exponents)
-
-    def components(self) -> tuple[Fraction, ...]:
-        nonzero = tuple(Fraction(1 << e, self.m) for e in self.exponents)
-        return nonzero + (Fraction(0),) * self.trailing_zeros
-
-
-def theta_from_odd(m: int, p: int) -> ThetaVector:
-    """Theta vector of the odd integer m, padded with zeros to length p."""
+def _check_odd(m: int) -> None:
     if m < 1 or m % 2 == 0:
         raise ValueError(f"M must be odd and positive, got {m}")
-    t = tau_b(m)
-    if p < t:
-        raise ValueError(f"need p >= tau_b(M) = {t}, got p = {p}")
-    return ThetaVector(m=m, exponents=decompose(m), trailing_zeros=p - t)
+
+
+def theta_components(m: int, p: int) -> tuple[Fraction, ...]:
+    """The vector (2**n_1/M, ..., 2**n_t/M, 0, ..., 0) of odd M, padded to length p.
+
+    The components are exact rationals; they sum to exactly 1 and satisfy
+    theta_k <= 2**(1-k).
+    """
+    _check_odd(m)
+    exps = decompose(m)
+    if p < len(exps):
+        raise ValueError(f"need p >= tau_b(M) = {len(exps)}, got p = {p}")
+    return tuple(Fraction(1 << e, m) for e in exps) + (Fraction(0),) * (p - len(exps))
 
 
 def _check_theta_args(p: int, max_bits: int) -> None:
@@ -124,23 +93,18 @@ def _check_theta_args(p: int, max_bits: int) -> None:
         raise ValueError(f"need max_bits >= 1, got {max_bits}")
 
 
-def enumerate_theta(p: int, max_bits: int) -> list[ThetaVector]:
-    """All theta vectors with odd M < 2**max_bits and at most p nonzero parts.
+def enumerate_theta(p: int, max_bits: int) -> list[int]:
+    """The odd M < 2**max_bits with at most p set bits, in ascending order.
 
-    Each vector is padded to length p.  The order (ascending M) is
-    deterministic; distinct M give distinct vectors, so no deduplication is
-    needed.
+    Each is the theta vector of length p given by ``theta_components(M, p)``;
+    distinct M give distinct vectors, so no deduplication is needed.
     """
     _check_theta_args(p, max_bits)
-    out = []
-    for m in range(1, 1 << max_bits, 2):
-        if tau_b(m) <= p:
-            out.append(theta_from_odd(m, p))
-    return out
+    return [m for m in range(1, 1 << max_bits, 2) if tau_b(m) <= p]
 
 
 def count_theta(p: int, max_bits: int) -> int:
-    """len(enumerate_theta(p, max_bits)), without building the vectors.
+    """len(enumerate_theta(p, max_bits)), without listing the M.
 
     An odd M < 2**max_bits has bit 0 set and max_bits - 1 free bits, so the
     count is sum_{j < min(p, max_bits)} C(max_bits - 1, j).
@@ -149,43 +113,37 @@ def count_theta(p: int, max_bits: int) -> int:
     return sum(math.comb(max_bits - 1, j) for j in range(min(p, max_bits)))
 
 
-def g_value(theta: ThetaVector, s: float) -> float:
-    """G(theta; s) = sum_k theta_k**s (zero components contribute 0)."""
+def g_value(m: int, s: float) -> float:
+    """G(theta; s) = sum_k theta_k**s for the theta of odd M (zero components add 0)."""
+    _check_odd(m)
     if not s > 0:
         raise ValueError(f"need s > 0, got {s}")
-    m = theta.m
-    return math.fsum(((1 << e) / m) ** s for e in theta.exponents)
+    return math.fsum(((1 << e) / m) ** s for e in decompose(m))
 
 
-def lambda_value(theta: ThetaVector) -> float:
-    """Lambda(theta) = sum_k theta_k*log(theta_k), with 0*log 0 = 0; always <= 0."""
-    m = theta.m
+def lambda_value(m: int) -> float:
+    """Lambda(theta) = sum_k theta_k*log(theta_k) for the theta of odd M, with
+    0*log 0 = 0; always <= 0."""
+    _check_odd(m)
     log_m = math.log(m)
-    return math.fsum(
-        ((1 << e) / m) * (e * math.log(2.0) - log_m) for e in theta.exponents
-    )
-
-
-def _family_vector(t: int) -> ThetaVector:
-    """Structured vector for M = 2**t - 1 (components 2**j/M, j = t-1..0)."""
-    return ThetaVector(m=(1 << t) - 1, exponents=tuple(range(t - 1, -1, -1)))
+    return math.fsum(((1 << e) / m) * (e * math.log(2.0) - log_m) for e in decompose(m))
 
 
 @dataclass(frozen=True)
 class GSearchResult:
     """Extremes of G over the enumeration, plus the separate family probe.
 
-    ``sup_found``/``inf_found`` come from the enumeration with odd
-    M < 2**max_bits (certified one-sided bounds for sup G when 0 < s < 1 and
-    inf G when s > 1).  ``family_sup``/``family_inf`` are the extremes over
-    the structured family M = 2**t - 1, t <= 60, which approaches the
-    landmark 1/(2**s - 1) fastest; they are valid bounds of the same kind.
+    ``sup_found``/``inf_found`` (first at the odd M ``sup_witness``/``inf_witness``)
+    come from the enumeration with odd M < 2**max_bits: certified one-sided bounds
+    for sup G when 0 < s < 1 and inf G when s > 1.  ``family_sup``/``family_inf``,
+    the extremes over the family M = 2**t - 1, t <= 60, which approaches the
+    landmark 1/(2**s - 1) fastest, are valid bounds of the same kind.
     """
 
     sup_found: float
     inf_found: float
-    sup_witness: ThetaVector
-    inf_witness: ThetaVector
+    sup_witness: int
+    inf_witness: int
     family_sup: float
     family_inf: float
     degenerate: bool = False
@@ -203,10 +161,10 @@ class GSearchResult:
 
 @dataclass(frozen=True)
 class LambdaSearchResult:
-    """Minimum of Lambda over the enumeration, plus the separate family probe."""
+    """Minimum of Lambda over the enumeration, its first odd M, and the family probe."""
 
     inf_found: float
-    witness: ThetaVector
+    witness: int
     family_inf: float
 
     @property
@@ -261,21 +219,13 @@ def search_g_extremes(s: float, max_bits: int) -> GSearchResult:
     """
     if not s > 0:
         raise ValueError(f"need s > 0, got {s}")
-    one = theta_from_odd(1, 1)
     if s == 1.0:
-        return GSearchResult(1.0, 1.0, one, one, 1.0, 1.0, degenerate=True)
+        return GSearchResult(1.0, 1.0, 1, 1, 1.0, 1.0, degenerate=True)
     m, screen = _odd_bit_sums(max_bits, lambda theta: theta ** s)
-
-    def exact(mm):
-        return g_value(theta_from_odd(mm, max_bits), s)
-
-    sup_v, sup_m = _first_extreme(m, screen, exact, 1)
-    inf_v, inf_m = _first_extreme(m, screen, exact, -1)
-    family = [g_value(_family_vector(t), s) for t in range(1, _FAMILY_MAX_T + 1)]
-    return GSearchResult(
-        sup_v, inf_v, theta_from_odd(sup_m, max_bits), theta_from_odd(inf_m, max_bits),
-        max(family), min(family),
-    )
+    sup_v, sup_m = _first_extreme(m, screen, lambda mm: g_value(mm, s), 1)
+    inf_v, inf_m = _first_extreme(m, screen, lambda mm: g_value(mm, s), -1)
+    family = [g_value((1 << t) - 1, s) for t in range(1, _FAMILY_MAX_T + 1)]
+    return GSearchResult(sup_v, inf_v, sup_m, inf_m, max(family), min(family))
 
 
 def search_lambda(max_bits: int) -> LambdaSearchResult:
@@ -286,8 +236,6 @@ def search_lambda(max_bits: int) -> LambdaSearchResult:
     from above, is evaluated separately.
     """
     m, screen = _odd_bit_sums(max_bits, lambda theta: theta * np.log(theta))
-    best_v, best_m = _first_extreme(
-        m, screen, lambda mm: lambda_value(theta_from_odd(mm, max_bits)), -1
-    )
-    family_inf = min(lambda_value(_family_vector(t)) for t in range(1, _FAMILY_MAX_T + 1))
-    return LambdaSearchResult(best_v, theta_from_odd(best_m, max_bits), family_inf)
+    best_v, best_m = _first_extreme(m, screen, lambda_value, -1)
+    family_inf = min(lambda_value((1 << t) - 1) for t in range(1, _FAMILY_MAX_T + 1))
+    return LambdaSearchResult(best_v, best_m, family_inf)

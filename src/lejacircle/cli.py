@@ -111,12 +111,12 @@ def cmd_constants(args) -> int:
 def cmd_theta(args) -> int:
     if args.format == "csv":
         lines = ["M,t,p,components,g_value,lambda_value\n"]
-        for theta in binary.enumerate_theta(args.p, args.max_bits):
-            comps = "|".join(str(c) for c in theta.components())
-            g = binary.g_value(theta, args.s) if args.s != 1 else 1.0
+        for m in binary.enumerate_theta(args.p, args.max_bits):
+            comps = "|".join(str(c) for c in binary.theta_components(m, args.p))
+            g = binary.g_value(m, args.s) if args.s != 1 else 1.0
             lines.append(
                 "%d,%d,%d,%s,%.17g,%.17g\n"
-                % (theta.m, theta.t, theta.p, comps, g, binary.lambda_value(theta))
+                % (m, binary.tau_b(m), args.p, comps, g, binary.lambda_value(m))
             )
         _write_text("".join(lines), args.out)
         return 0
@@ -125,22 +125,21 @@ def cmd_theta(args) -> int:
         "max_bits": args.max_bits,
         "s": args.s,
         "count": binary.count_theta(args.p, args.max_bits),
-        "lambda_search": None,
-        "g_search": None,
     }
     lam = binary.search_lambda(args.max_bits)
     payload["lambda_search"] = {
         "inf_found": lam.inf_found,
-        "witness_m": lam.witness.m,
+        "witness_m": lam.witness,
         "family_inf": lam.family_inf,
     }
+    payload["g_search"] = None
     if args.s != 1:
         g = binary.search_g_extremes(args.s, args.max_bits)
         payload["g_search"] = {
             "sup_found": g.sup_found,
             "inf_found": g.inf_found,
-            "sup_witness_m": g.sup_witness.m,
-            "inf_witness_m": g.inf_witness.m,
+            "sup_witness_m": g.sup_witness,
+            "inf_witness_m": g.inf_witness,
             "family_sup": g.family_sup,
             "family_inf": g.family_inf,
         }

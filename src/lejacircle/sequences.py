@@ -42,7 +42,7 @@ from .circle import (
     midpoint_potential,
     prefix_potentials,
 )
-from .special import classify_regime
+from .special import REGIME_LOG, classify_regime
 
 __all__ = [
     "GreedyRun",
@@ -78,18 +78,22 @@ def structural_angles(n_points: int) -> np.ndarray:
 
 
 def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
-    """Extremal potential values U_N(a_N) for N = 1..n_max (s > 0).
+    """Extremal potential values U_N(a_N) for N = 1..n_max (s >= 0).
 
     Entry N-1 is the sum of midpoint potentials of the dyadic blocks of N,
     added from the lowest bit up: U_(2**k + l) = U_l + midpoint_potential(2**k).
+    At s = 0 every block's midpoint potential is -log 2: the product of the
+    distances from an arc midpoint to the 2**k-th roots is |(-1) - 1| = 2.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    if not s > 0:
-        raise ValueError(f"need s > 0, got {s}")
     if n_max > MAX_POINTS:
         raise BudgetExceededError(f"N={n_max} exceeds the compute budget {MAX_POINTS}")
-    table = midpoint_potential(1 << np.arange(int(n_max).bit_length()), s)
+    bits = int(n_max).bit_length()
+    if classify_regime(s) == REGIME_LOG:  # also validates s >= 0
+        table = np.full(bits, -np.log(2.0))
+    else:
+        table = midpoint_potential(1 << np.arange(bits), s)
     return _doubling(table, n_max + 1)[1:]
 
 

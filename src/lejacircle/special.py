@@ -28,7 +28,7 @@ reports certified brackets combining the bounded searches of
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import binary
 
@@ -182,30 +182,21 @@ def roots_energy_expansion(s: float) -> tuple[float, list[float]]:
 class ConstantsCatalog:
     """Regime-dependent theoretical limits for the extremal potentials.
 
-    ``liminf_lower``/``liminf_upper`` bracket the (unknown) liminf constant;
-    entries are None where a quantity does not apply to the regime.
+    The fields are the JSON keys; ``liminf_lower``/``liminf_upper`` bracket the
+    (unknown) liminf constant; entries are None where they do not apply.
     """
 
     s: float
     regime: str
-    i_sigma: float | None
-    zeta_s: float | None
-    first_order_limit: float
-    limsup_second_order: float | None
-    liminf_lower: float | None
-    liminf_upper: float | None
+    i_sigma: float | None = None
+    zeta: float | None = None
+    first_order: float = 0.0
+    limsup: float | None = None
+    liminf_lower: float | None = None
+    liminf_upper: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "regime": self.regime,
-            "i_sigma": self.i_sigma,
-            "zeta": self.zeta_s,
-            "first_order": self.first_order_limit,
-            "limsup": self.limsup_second_order,
-            "liminf_lower": self.liminf_lower,
-            "liminf_upper": self.liminf_upper,
-        }
+        return asdict(self)
 
 
 def second_order_scale(s: float) -> float:
@@ -220,16 +211,7 @@ def limit_catalog(s: float, *, max_bits: int = 12) -> ConstantsCatalog:
     """
     regime = classify_regime(s)
     if regime == REGIME_LOG:
-        return ConstantsCatalog(
-            s=s,
-            regime=regime,
-            i_sigma=0.0,
-            zeta_s=None,
-            first_order_limit=0.0,
-            limsup_second_order=None,
-            liminf_lower=None,
-            liminf_upper=None,
-        )
+        return ConstantsCatalog(s=s, regime=regime, i_sigma=0.0)
     if regime == REGIME_SUBCRITICAL:
         c = second_order_scale(s)  # negative here
         search = binary.search_g_extremes(s, max_bits)
@@ -239,9 +221,9 @@ def limit_catalog(s: float, *, max_bits: int = 12) -> ConstantsCatalog:
             s=s,
             regime=regime,
             i_sigma=continuous_energy(s),
-            zeta_s=zeta(s),
-            first_order_limit=continuous_energy(s),
-            limsup_second_order=c,
+            zeta=zeta(s),
+            first_order=continuous_energy(s),
+            limsup=c,
             liminf_lower=g_sup_ub * c,
             liminf_upper=g_sup_lb * c,
         )
@@ -254,10 +236,8 @@ def limit_catalog(s: float, *, max_bits: int = 12) -> ConstantsCatalog:
         return ConstantsCatalog(
             s=s,
             regime=regime,
-            i_sigma=None,
-            zeta_s=None,
-            first_order_limit=1.0 / math.pi,
-            limsup_second_order=CRITICAL_LEVEL,
+            first_order=1.0 / math.pi,
+            limsup=CRITICAL_LEVEL,
             liminf_lower=CRITICAL_LEVEL + lam_lb / math.pi,
             liminf_upper=CRITICAL_LEVEL + lam_ub / math.pi,
         )
@@ -267,10 +247,9 @@ def limit_catalog(s: float, *, max_bits: int = 12) -> ConstantsCatalog:
     return ConstantsCatalog(
         s=s,
         regime=regime,
-        i_sigma=None,
-        zeta_s=zeta(s),
-        first_order_limit=c,
-        limsup_second_order=c,
+        zeta=zeta(s),
+        first_order=c,
+        limsup=c,
         liminf_lower=0.0,
         liminf_upper=g_inf_ub * c,
     )

@@ -54,7 +54,6 @@ from lejacircle.binary import (
     search_g_extremes,
     search_lambda,
     tau_b,
-    theta_from_odd,
 )
 from lejacircle.circle import (
     Configuration,
@@ -255,10 +254,10 @@ def test_digit_functional_bounds_and_searches():
     crit = Criterion("digit-direction functionals: brackets, searches, limit point")
     upper_half = 2.0 ** 0.5 / (2.0 ** 0.5 - 1.0)  # 2 + sqrt 2 < 3.4142136
     ok_half = ok_two = ok_lam = True
-    for theta in enumerate_theta(16, 16):
-        g_half = g_value(theta, 0.5)
-        g_two = g_value(theta, 2.0)
-        lam = lambda_value(theta)
+    for m in enumerate_theta(16, 16):
+        g_half = g_value(m, 0.5)
+        g_two = g_value(m, 2.0)
+        lam = lambda_value(m)
         ok_half = ok_half and 1.0 <= g_half < 3.4142136 and g_half < upper_half
         ok_two = ok_two and 0.0 < g_two <= 1.0
         ok_lam = ok_lam and -2.5 < lam <= 0.0
@@ -273,7 +272,7 @@ def test_digit_functional_bounds_and_searches():
     lam_min = search_lambda(16).inf_found
     crit.check(lam_min <= -1.35, f"inf Lambda search found {lam_min:.4f} > -1.35")
 
-    gap = limit_point_check(theta_from_odd(3, 2), 0.5, 12).gap
+    gap = limit_point_check(3, 2, 0.5, 12).gap
     crit.check(gap <= 1e-3, f"limit-point witness gap {gap:.2e} > 1e-3")
     crit.finish()
 

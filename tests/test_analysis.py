@@ -15,7 +15,7 @@ from lejacircle.analysis import (
     theta_limit_prediction,
     verify_all,
 )
-from lejacircle.binary import tau_b, theta_from_odd
+from lejacircle.binary import tau_b
 from lejacircle.circle import (
     BudgetExceededError,
     Configuration,
@@ -213,49 +213,55 @@ class TestExtremalSeries:
 
 class TestThetaLimitPrediction:
     def test_single_component_subcritical(self):
-        theta = theta_from_odd(1, 1)
-        assert theta_limit_prediction(theta, 0.5) == pytest.approx(second_order_scale(0.5), rel=1e-15)
+        assert theta_limit_prediction(1, 0.5) == pytest.approx(second_order_scale(0.5), rel=1e-15)
 
     def test_m3_supercritical(self):
         # G((2/3, 1/3); 2) = 5/9 exactly, times 1/4
-        theta = theta_from_odd(3, 2)
-        assert theta_limit_prediction(theta, 2.0) == pytest.approx(5.0 / 36.0, rel=1e-12)
+        assert theta_limit_prediction(3, 2.0) == pytest.approx(5.0 / 36.0, rel=1e-12)
 
     def test_critical_single(self):
-        theta = theta_from_odd(1, 1)
-        assert theta_limit_prediction(theta, 1.0) == pytest.approx(CRITICAL_LEVEL, rel=1e-14)
+        assert theta_limit_prediction(1, 1.0) == pytest.approx(CRITICAL_LEVEL, rel=1e-14)
 
     def test_log_case_rejected(self):
         with pytest.raises(ValueError):
-            theta_limit_prediction(theta_from_odd(1, 1), 0.0)
+            theta_limit_prediction(1, 0.0)
 
 
 class TestLimitPointCheck:
     def test_m3_subcritical(self):
-        res = limit_point_check(theta_from_odd(3, 2), 0.5, 12)
+        res = limit_point_check(3, 2, 0.5, 12)
         assert res.n == 3 << 12
         assert res.gap <= 1e-3
 
     def test_exact_s2(self):
-        res = limit_point_check(theta_from_odd(1, 1), 2.0, 5)
+        res = limit_point_check(1, 1, 2.0, 5)
         assert res.gap <= 1e-9
 
     def test_trailing_zero_realization(self):
-        theta = theta_from_odd(13, 4)
-        gaps = [limit_point_check(theta, 0.5, d).gap for d in (6, 10, 14)]
+        gaps = [limit_point_check(13, 4, 0.5, d).gap for d in (6, 10, 14)]
         assert gaps[2] < gaps[1] < gaps[0]
         # witness index carries the appended low bit
-        assert limit_point_check(theta, 0.5, 6).n == (13 << 6) + 1
+        assert limit_point_check(13, 4, 0.5, 6).n == (13 << 6) + 1
 
     def test_critical(self):
-        res = limit_point_check(theta_from_odd(3, 2), 1.0, 12)
-        predicted = theta_limit_prediction(theta_from_odd(3, 2), 1.0)
+        res = limit_point_check(3, 2, 1.0, 12)
+        predicted = theta_limit_prediction(3, 1.0)
         assert res.predicted == pytest.approx(predicted, rel=1e-15)
         assert res.gap <= 1e-3
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            limit_point_check(theta_from_odd(3, 2), 0.5, 20)
+            limit_point_check(3, 2, 0.5, 20)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            limit_point_check(13, 2, 0.5, 6)  # p < tau_b(13) = 3
+        with pytest.raises(ValueError):
+            limit_point_check(4, 2, 0.5, 6)
+        with pytest.raises(ValueError):
+            limit_point_check(13, 4, 0.5, 0)
+        with pytest.raises(ValueError):
+            limit_point_check(1, 5, 0.5, 3)  # 4 trailing zeros need depth >= 4
 
 
 class TestStarDiscrepancy:

@@ -1,4 +1,4 @@
-"""Binary digit machinery: expansions, theta vectors, G and Lambda searches."""
+"""Binary digit machinery: expansions, theta vectors of odd M, G and Lambda searches."""
 
 import math
 from fractions import Fraction
@@ -17,7 +17,7 @@ from lejacircle.binary import (
     search_g_extremes,
     search_lambda,
     tau_b,
-    theta_from_odd,
+    theta_components,
 )
 from lejacircle.binary import _first_extreme
 
@@ -64,9 +64,10 @@ class TestDecompose:
 
 
 class TestThetaVector:
+    """theta_components(M, p): the exact vector of odd M, padded to length p."""
+
     def test_example_m13(self):
-        theta = theta_from_odd(13, 4)
-        assert theta.components() == (
+        assert theta_components(13, 4) == (
             Fraction(8, 13),
             Fraction(4, 13),
             Fraction(1, 13),
@@ -74,23 +75,28 @@ class TestThetaVector:
         )
 
     def test_single_component(self):
-        assert theta_from_odd(1, 1).components() == (Fraction(1),)
+        assert theta_components(1, 1) == (Fraction(1),)
 
     def test_m3(self):
-        assert theta_from_odd(3, 2).components() == (Fraction(2, 3), Fraction(1, 3))
+        assert theta_components(3, 2) == (Fraction(2, 3), Fraction(1, 3))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            theta_from_odd(4, 3)
+            theta_components(4, 3)
         with pytest.raises(ValueError):
-            theta_from_odd(13, 2)  # p < tau_b(13)
+            theta_components(-3, 3)
+        with pytest.raises(ValueError):
+            theta_components(13, 2)  # p < tau_b(13)
+
+    def test_padding(self):
+        assert theta_components(3, 9) == (Fraction(2, 3), Fraction(1, 3)) + (Fraction(0),) * 7
 
     @given(st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=200, deadline=None)
     def test_invariants(self, k):
         m = 2 * k + 1
-        theta = theta_from_odd(m, tau_b(m) + 2)
-        comps = theta.components()
+        comps = theta_components(m, tau_b(m) + 2)
+        assert len(comps) == tau_b(m) + 2
         assert sum(comps) == 1
         for idx, c in enumerate(comps, start=1):
             assert c <= Fraction(1, 1 << (idx - 1))
@@ -98,12 +104,10 @@ class TestThetaVector:
 
 class TestEnumerate:
     def test_p1(self):
-        vecs = enumerate_theta(1, 4)
-        assert [v.m for v in vecs] == [1]
+        assert enumerate_theta(1, 4) == [1]
 
     def test_p2_bits3(self):
-        vecs = enumerate_theta(2, 3)
-        got = [v.components() for v in vecs]
+        got = [theta_components(m, 2) for m in enumerate_theta(2, 3)]
         assert got == [
             (Fraction(1), Fraction(0)),
             (Fraction(2, 3), Fraction(1, 3)),
@@ -111,67 +115,79 @@ class TestEnumerate:
         ]
 
     def test_p2_bits2(self):
-        vecs = enumerate_theta(2, 2)
-        assert [v.m for v in vecs] == [1, 3]
+        assert enumerate_theta(2, 2) == [1, 3]
 
     def test_exhaustive_oracle(self):
         # every odd M < 2**bits with tau_b(M) <= p appears exactly once, in order
         for p, bits in ((2, 5), (3, 6), (6, 6)):
             expected = [m for m in range(1, 1 << bits, 2) if tau_b(m) <= p]
-            assert [v.m for v in enumerate_theta(p, bits)] == expected
+            assert enumerate_theta(p, bits) == expected
 
 
 class TestGValue:
     def test_trivial_one(self):
-        one = theta_from_odd(1, 1)
         for s in (0.1, 0.5, 1.0, 2.0, 7.0):
-            assert g_value(one, s) == 1.0
+            assert g_value(1, s) == 1.0
 
     def test_sum_to_one_at_s1(self):
-        assert g_value(theta_from_odd(3, 2), 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert g_value(3, 1.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_sqrt_example(self):
         expected = math.sqrt(2.0 / 3.0) + math.sqrt(1.0 / 3.0)  # direct evaluation
-        assert g_value(theta_from_odd(3, 2), 0.5) == pytest.approx(expected, rel=1e-15)
+        assert g_value(3, 0.5) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(1.3938468501173517, rel=1e-12)
 
     def test_zero_components_ignored(self):
-        assert g_value(theta_from_odd(3, 2), 0.5) == g_value(theta_from_odd(3, 9), 0.5)
+        # G of the padded vector is G of M: the zero components add nothing
+        padded = theta_components(3, 9)
+        assert g_value(3, 0.5) == math.fsum(float(c) ** 0.5 for c in padded)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            g_value(4, 0.5)
+        with pytest.raises(ValueError):
+            g_value(0, 0.5)
+        with pytest.raises(ValueError):
+            g_value(3, 0.0)
 
     def test_monotone_decreasing_in_s(self):
         for m in (3, 5, 11, 29, 61):
-            theta = theta_from_odd(m, tau_b(m))
-            values = [g_value(theta, s) for s in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)]
+            values = [g_value(m, s) for s in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestLambdaValue:
     def test_trivial_one(self):
-        assert lambda_value(theta_from_odd(1, 1)) == 0.0
+        assert lambda_value(1) == 0.0
 
     def test_m3(self):
         expected = (2 / 3) * math.log(2 / 3) + (1 / 3) * math.log(1 / 3)
-        assert lambda_value(theta_from_odd(3, 2)) == pytest.approx(expected, rel=1e-14)
+        assert lambda_value(3) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(-0.6365141682948128, rel=1e-12)
 
     def test_m7(self):
         comps = (4 / 7, 2 / 7, 1 / 7)
         expected = sum(c * math.log(c) for c in comps)  # direct evaluation
         assert expected == pytest.approx(-0.9556998911963002, rel=1e-9)
-        assert lambda_value(theta_from_odd(7, 3)) == pytest.approx(expected, rel=1e-13)
+        assert lambda_value(7) == pytest.approx(expected, rel=1e-13)
 
     @given(st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=200, deadline=None)
     def test_bounds(self, k):
-        lam = lambda_value(theta_from_odd(2 * k + 1, tau_b(2 * k + 1)))
+        lam = lambda_value(2 * k + 1)
         assert -2.5 < lam <= 0.0
+
+    def test_domain(self):
+        for m in (0, 4, -1):
+            with pytest.raises(ValueError):
+                lambda_value(m)
 
 
 class TestSearches:
     def test_lambda_trivial_frontier(self):
         result = search_lambda(1)
         assert result.inf_found == 0.0
-        assert result.witness.m == 1
+        assert result.witness == 1
 
     def test_lambda_16_bits(self):
         result = search_lambda(16)
@@ -207,12 +223,12 @@ class TestSearches:
 def loop_extremes(max_bits, value):
     """Reference search: the loop over enumerate_theta, keeping the first strict improvement."""
     sup_v, sup_m, inf_v, inf_m = -math.inf, 1, math.inf, 1
-    for theta in enumerate_theta(max_bits, max_bits):
-        v = value(theta)
+    for m in enumerate_theta(max_bits, max_bits):
+        v = value(m)
         if v > sup_v:
-            sup_v, sup_m = v, theta.m
+            sup_v, sup_m = v, m
         if v < inf_v:
-            inf_v, inf_m = v, theta.m
+            inf_v, inf_m = v, m
     return sup_v, sup_m, inf_v, inf_m
 
 
@@ -223,16 +239,15 @@ class TestArraySearchOracle:
     @pytest.mark.parametrize("s", [0.001, 0.1, 0.5, 0.99, 1.5, 2.0, 3.0, 5.0])
     def test_g(self, s, max_bits):
         got = search_g_extremes(s, max_bits)
-        sup_v, sup_m, inf_v, inf_m = loop_extremes(max_bits, lambda th: g_value(th, s))
-        assert (got.sup_found, got.sup_witness.m) == (sup_v, sup_m)
-        assert (got.inf_found, got.inf_witness.m) == (inf_v, inf_m)
-        assert got.sup_witness.p == got.inf_witness.p == max_bits
+        sup_v, sup_m, inf_v, inf_m = loop_extremes(max_bits, lambda m: g_value(m, s))
+        assert (got.sup_found, got.sup_witness) == (sup_v, sup_m)
+        assert (got.inf_found, got.inf_witness) == (inf_v, inf_m)
 
     @pytest.mark.parametrize("max_bits", [1, 2, 3, 8, 12])
     def test_lambda(self, max_bits):
         got = search_lambda(max_bits)
         _, _, inf_v, inf_m = loop_extremes(max_bits, lambda_value)
-        assert (got.inf_found, got.witness.m, got.witness.p) == (inf_v, inf_m, max_bits)
+        assert (got.inf_found, got.witness) == (inf_v, inf_m)
 
     def test_screen_keeps_rounding_ties_and_first_witness(self):
         # The screen puts M = 3 a rounding error below M = 5; exactly they tie,

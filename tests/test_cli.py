@@ -9,7 +9,7 @@ import pytest
 
 from lejacircle import analysis
 from lejacircle.analysis import VerificationReport, normalized_series
-from lejacircle.binary import enumerate_theta
+from lejacircle.binary import enumerate_theta, tau_b
 from lejacircle.circle import Configuration
 from lejacircle.cli import _CSV_CHUNK_ROWS, FIGURE_GRIDS, main
 from lejacircle.sequences import extremal_values_structural, greedy_numerical, structural_angles
@@ -29,6 +29,17 @@ class TestSequence:
         assert angles == [0.0, 0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875]
         assert rows[0]["extremal_value"] == ""
         assert float(rows[1]["extremal_value"]) == pytest.approx(0.5)
+
+    def test_structural_log_case(self, tmp_path):
+        out, num = tmp_path / "seq.csv", tmp_path / "num.csv"
+        assert run_cli(["sequence", "--structural", "--n", "64", "--s", "0", "--out", str(out)]) == 0
+        assert run_cli(["sequence", "--numerical", "--n", "64", "--s", "0", "--out", str(num)]) == 0
+        rows, num_rows = list(csv.DictReader(out.open())), list(csv.DictReader(num.open()))
+        values = [float(r["extremal_value"]) for r in rows[1:]]
+        assert values == [-tau_b(n) * math.log(2.0) for n in range(1, 64)]
+        assert [r["angle_turns"] for r in rows] == [r["angle_turns"] for r in num_rows]
+        numerical = [float(r["extremal_value"]) for r in num_rows[1:]]
+        assert numerical == pytest.approx(values, rel=0, abs=1e-9)
 
     def test_numerical_monotone_from_p1(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -13,3 +13,11 @@ def test_all_names_resolve(module):
     namespace = {}
     exec(f"from lejacircle.{module} import *", namespace)
     assert set(mod.__all__) <= set(namespace)
+
+
+def test_theta_components_exported():
+    import lejacircle
+    from lejacircle import binary
+
+    assert "theta_components" in binary.__all__
+    assert lejacircle.theta_components is binary.theta_components

@@ -12,6 +12,7 @@ from lejacircle.circle import (
     CoincidentPointsError,
     Configuration,
     midpoint_potential,
+    prefix_potentials,
     roots_energy,
 )
 from lejacircle.sequences import (
@@ -120,6 +121,19 @@ class TestExtremalValuesStructural:
         for s in (0.5, 1.0, 2.0):
             vals = extremal_values_structural(1024, s)
             assert np.all(np.diff(vals) >= -1e-12 * np.abs(vals[1:]))
+
+    def test_log_case(self):
+        # the product of distances from a_N to its predecessors is 2**tau_b(N)
+        n = 4096
+        vals = extremal_values_structural(n, 0.0)
+        taus = np.bitwise_count(np.arange(1, n + 1)).astype(np.float64)
+        assert vals.tobytes() == (-taus * math.log(2.0)).tobytes()
+        direct = prefix_potentials(structural_angles(n + 1), 0.0)
+        np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-12)
+
+    def test_negative_s_rejected(self):
+        with pytest.raises(ValueError):
+            extremal_values_structural(8, -0.5)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

@@ -132,12 +132,12 @@ class TestLimitCatalog:
     def test_critical(self):
         cat = limit_catalog(1.0)
         assert cat.regime == "critical"
-        assert cat.first_order_limit == pytest.approx(1.0 / math.pi, rel=1e-15)
+        assert cat.first_order == pytest.approx(1.0 / math.pi, rel=1e-15)
         # gamma ~ 0.5772157 and log(8/pi) ~ 0.9347117, assembled from oracles
         expected = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
         assert expected == pytest.approx(0.4812614133803565, rel=1e-12)
-        assert cat.limsup_second_order == pytest.approx(expected, rel=1e-15)
-        assert cat.i_sigma is None and cat.zeta_s is None
+        assert cat.limsup == pytest.approx(expected, rel=1e-15)
+        assert cat.i_sigma is None and cat.zeta is None
         # liminf bracket contains the -2 log 2 landmark value
         landmark = expected - 2.0 * math.log(2.0) / math.pi
         assert cat.liminf_lower < landmark
@@ -146,8 +146,8 @@ class TestLimitCatalog:
     def test_supercritical_s2_exact(self):
         cat = limit_catalog(2.0)
         # 3 * 2 * zeta(2) / (2 pi)^2 = 1/4 exactly
-        assert cat.limsup_second_order == pytest.approx(0.25, rel=1e-14)
-        assert cat.first_order_limit == pytest.approx(0.25, rel=1e-14)
+        assert cat.limsup == pytest.approx(0.25, rel=1e-14)
+        assert cat.first_order == pytest.approx(0.25, rel=1e-14)
         assert cat.liminf_lower == 0.0
         assert cat.liminf_upper <= 0.25 / 3.0 + 1e-12
 
@@ -155,17 +155,17 @@ class TestLimitCatalog:
         cat = limit_catalog(0.5)
         expected = (math.sqrt(2.0) - 1.0) * 2.0 * zeta(0.5) / math.sqrt(2.0 * math.pi)
         assert expected == pytest.approx(-0.4826392884367167, rel=1e-10)
-        assert cat.limsup_second_order == pytest.approx(expected, rel=1e-14)
-        assert cat.limsup_second_order < 0.0
-        assert cat.first_order_limit == pytest.approx(continuous_energy(0.5), rel=1e-15)
+        assert cat.limsup == pytest.approx(expected, rel=1e-14)
+        assert cat.limsup < 0.0
+        assert cat.first_order == pytest.approx(continuous_energy(0.5), rel=1e-15)
         # bracket: liminf in [2^s/(2^s-1)*c, max(found, 1/(2^s-1))*c]
-        assert cat.liminf_lower < cat.liminf_upper < cat.limsup_second_order
+        assert cat.liminf_lower < cat.liminf_upper < cat.limsup
 
     def test_log_case(self):
         cat = limit_catalog(0.0)
         assert cat.regime == "log"
         assert cat.i_sigma == 0.0
-        assert cat.first_order_limit == 0.0
+        assert cat.first_order == 0.0
 
     def test_serialization_keys(self):
         cat = limit_catalog(1.5)
