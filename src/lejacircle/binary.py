@@ -29,12 +29,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .circle import MAX_POINTS, BudgetExceededError
+
 __all__ = [
     "tau_b",
     "decompose",
     "theta_components",
     "enumerate_theta",
-    "count_theta",
     "g_value",
     "lambda_value",
     "search_g_extremes",
@@ -86,11 +87,13 @@ def theta_components(m: int, p: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 << e, m) for e in exps) + (Fraction(0),) * (p - len(exps))
 
 
-def _check_theta_args(p: int, max_bits: int) -> None:
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+def _odd_m(max_bits: int) -> np.ndarray:
+    """The odd M < 2**max_bits, ascending, as int64; their 2**(max_bits - 1) must fit MAX_POINTS."""
     if max_bits < 1:
         raise ValueError(f"need max_bits >= 1, got {max_bits}")
+    if max_bits > MAX_POINTS.bit_length():  # 2**(max_bits - 1) > MAX_POINTS
+        raise BudgetExceededError(f"2**{max_bits - 1} odd M exceed the compute budget {MAX_POINTS}")
+    return np.arange(1, 1 << max_bits, 2, dtype=np.int64)
 
 
 def enumerate_theta(p: int, max_bits: int) -> list[int]:
@@ -99,18 +102,10 @@ def enumerate_theta(p: int, max_bits: int) -> list[int]:
     Each is the theta vector of length p given by ``theta_components(M, p)``;
     distinct M give distinct vectors, so no deduplication is needed.
     """
-    _check_theta_args(p, max_bits)
-    return [m for m in range(1, 1 << max_bits, 2) if tau_b(m) <= p]
-
-
-def count_theta(p: int, max_bits: int) -> int:
-    """len(enumerate_theta(p, max_bits)), without listing the M.
-
-    An odd M < 2**max_bits has bit 0 set and max_bits - 1 free bits, so the
-    count is sum_{j < min(p, max_bits)} C(max_bits - 1, j).
-    """
-    _check_theta_args(p, max_bits)
-    return sum(math.comb(max_bits - 1, j) for j in range(min(p, max_bits)))
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
+    m = _odd_m(max_bits)
+    return m[np.bitwise_count(m) <= p].tolist()
 
 
 def g_value(m: int, s: float) -> float:
@@ -133,20 +128,20 @@ def lambda_value(m: int) -> float:
 class GSearchResult:
     """Extremes of G over the enumeration, plus the separate family probe.
 
-    ``sup_found``/``inf_found`` (first at the odd M ``sup_witness``/``inf_witness``)
+    ``sup_found``/``inf_found`` (first at the odd M ``sup_witness_m``/``inf_witness_m``)
     come from the enumeration with odd M < 2**max_bits: certified one-sided bounds
     for sup G when 0 < s < 1 and inf G when s > 1.  ``family_sup``/``family_inf``,
     the extremes over the family M = 2**t - 1, t <= 60, which approaches the
-    landmark 1/(2**s - 1) fastest, are valid bounds of the same kind.
+    landmark 1/(2**s - 1) fastest, are valid bounds of the same kind.  The
+    fields of both search records are the JSON keys of ``lejacircle theta``.
     """
 
     sup_found: float
     inf_found: float
-    sup_witness: int
-    inf_witness: int
+    sup_witness_m: int
+    inf_witness_m: int
     family_sup: float
     family_inf: float
-    degenerate: bool = False
 
     @property
     def best_sup_bound(self) -> float:
@@ -164,7 +159,7 @@ class LambdaSearchResult:
     """Minimum of Lambda over the enumeration, its first odd M, and the family probe."""
 
     inf_found: float
-    witness: int
+    witness_m: int
     family_inf: float
 
     @property
@@ -173,21 +168,18 @@ class LambdaSearchResult:
         return min(self.inf_found, self.family_inf)
 
 
-def _odd_bit_sums(max_bits: int, term):
-    """Odd M < 2**max_bits and, for each, the sum of term(2**j/M) over its set bits j.
+def _odd_bit_sums(m, term):
+    """For each odd M in the ascending array m, the sum of term(2**j/M) over its set bits j.
 
     One array pass per bit position; the sums are within rounding of the
     fsum values of ``g_value``/``lambda_value`` and serve only as a screen.
     """
-    if max_bits < 1:
-        raise ValueError(f"need max_bits >= 1, got {max_bits}")
-    m = np.arange(1, 1 << max_bits, 2, dtype=np.int64)
     mf = m.astype(np.float64)
     total = np.zeros(m.size)
-    for j in range(max_bits):
+    for j in range(int(m[-1]).bit_length()):
         bit = ((m >> j) & 1) == 1
         total[bit] += term(math.ldexp(1.0, j) / mf[bit])
-    return m, total
+    return total
 
 
 def _first_extreme(m, screen, exact, sign):
@@ -215,13 +207,14 @@ def search_g_extremes(s: float, max_bits: int) -> GSearchResult:
     Scans every vector with odd M < 2**max_bits (as ``enumerate_theta(max_bits,
     max_bits)`` lists them); the structured family M = 2**t - 1, t <= 60, is
     evaluated separately and reported in the ``family_*`` fields.  At s = 1
-    the function is identically 1 and the result is flagged degenerate.
+    the function is identically 1, and every field is 1.
     """
     if not s > 0:
         raise ValueError(f"need s > 0, got {s}")
+    m = _odd_m(max_bits)
     if s == 1.0:
-        return GSearchResult(1.0, 1.0, 1, 1, 1.0, 1.0, degenerate=True)
-    m, screen = _odd_bit_sums(max_bits, lambda theta: theta ** s)
+        return GSearchResult(1.0, 1.0, 1, 1, 1.0, 1.0)
+    screen = _odd_bit_sums(m, lambda theta: theta ** s)
     sup_v, sup_m = _first_extreme(m, screen, lambda mm: g_value(mm, s), 1)
     inf_v, inf_m = _first_extreme(m, screen, lambda mm: g_value(mm, s), -1)
     family = [g_value((1 << t) - 1, s) for t in range(1, _FAMILY_MAX_T + 1)]
@@ -235,7 +228,8 @@ def search_lambda(max_bits: int) -> LambdaSearchResult:
     the family M = 2**t - 1, t <= 60, which approaches the landmark -2*log 2
     from above, is evaluated separately.
     """
-    m, screen = _odd_bit_sums(max_bits, lambda theta: theta * np.log(theta))
+    m = _odd_m(max_bits)
+    screen = _odd_bit_sums(m, lambda theta: theta * np.log(theta))
     best_v, best_m = _first_extreme(m, screen, lambda_value, -1)
     family_inf = min(lambda_value((1 << t) - 1) for t in range(1, _FAMILY_MAX_T + 1))
     return LambdaSearchResult(best_v, best_m, family_inf)

@@ -17,6 +17,7 @@ exceeded.
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -91,6 +92,9 @@ def cmd_sequence(args) -> int:
         return 2
     if args.numerical:
         initial = _parse_initial("0" if args.initial is None else args.initial)
+        if args.n < len(initial):
+            print(f"error: --n {args.n} is below the {len(initial)} initial points", file=sys.stderr)
+            return 2
         run = greedy_numerical(initial, args.s, args.n)
         angles, values = run.points.angles(), run.extremal_values
     else:
@@ -103,7 +107,7 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    catalog = special.limit_catalog(args.s, max_bits=args.max_bits)
+    catalog = special.limit_catalog(args.s)
     _write_text(json.dumps(catalog.to_dict(), indent=2) + "\n", args.out)
     return 0
 
@@ -124,25 +128,12 @@ def cmd_theta(args) -> int:
         "p": args.p,
         "max_bits": args.max_bits,
         "s": args.s,
-        "count": binary.count_theta(args.p, args.max_bits),
+        "count": len(binary.enumerate_theta(args.p, args.max_bits)),
+        "lambda_search": dataclasses.asdict(binary.search_lambda(args.max_bits)),
+        "g_search": None,
     }
-    lam = binary.search_lambda(args.max_bits)
-    payload["lambda_search"] = {
-        "inf_found": lam.inf_found,
-        "witness_m": lam.witness,
-        "family_inf": lam.family_inf,
-    }
-    payload["g_search"] = None
     if args.s != 1:
-        g = binary.search_g_extremes(args.s, args.max_bits)
-        payload["g_search"] = {
-            "sup_found": g.sup_found,
-            "inf_found": g.inf_found,
-            "sup_witness_m": g.sup_witness,
-            "inf_witness_m": g.inf_witness,
-            "family_sup": g.family_sup,
-            "family_inf": g.family_inf,
-        }
+        payload["g_search"] = dataclasses.asdict(binary.search_g_extremes(args.s, args.max_bits))
     _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -203,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("constants", help="limit-constant catalog as JSON")
     p_const.add_argument("--s", type=float, required=True)
-    p_const.add_argument("--max-bits", type=int, default=16,
-                         help="search frontier for liminf brackets")
     p_const.add_argument("--out", type=str, default=None)
     p_const.set_defaults(func=cmd_constants)
 

@@ -56,6 +56,8 @@ CRITICAL_LEVEL = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
 
 # Terms of the accelerated alternating series; error ~ (3+sqrt(8))**(-n).
 _ZETA_TERMS = 50
+# Depth of the bounded G/Lambda searches behind the liminf brackets: odd M < 2**16.
+_CATALOG_MAX_BITS = 16
 
 
 def classify_regime(s: float) -> str:
@@ -204,17 +206,17 @@ def second_order_scale(s: float) -> float:
     return (2.0 ** s - 1.0) * 2.0 * zeta(s) / (2.0 * math.pi) ** s
 
 
-def limit_catalog(s: float, *, max_bits: int = 12) -> ConstantsCatalog:
+def limit_catalog(s: float) -> ConstantsCatalog:
     """Assemble the limit constants for exponent s >= 0.
 
-    ``max_bits`` controls the bounded searches used for the liminf brackets.
+    The liminf brackets use the bounded searches over odd M < 2**16.
     """
     regime = classify_regime(s)
     if regime == REGIME_LOG:
         return ConstantsCatalog(s=s, regime=regime, i_sigma=0.0)
     if regime == REGIME_SUBCRITICAL:
         c = second_order_scale(s)  # negative here
-        search = binary.search_g_extremes(s, max_bits)
+        search = binary.search_g_extremes(s, _CATALOG_MAX_BITS)
         g_sup_lb = max(search.best_sup_bound, 1.0 / (2.0 ** s - 1.0))
         g_sup_ub = 2.0 ** s / (2.0 ** s - 1.0)
         return ConstantsCatalog(
@@ -228,7 +230,7 @@ def limit_catalog(s: float, *, max_bits: int = 12) -> ConstantsCatalog:
             liminf_upper=g_sup_lb * c,
         )
     if regime == REGIME_CRITICAL:
-        search = binary.search_lambda(max_bits)
+        search = binary.search_lambda(_CATALOG_MAX_BITS)
         lam_ub = min(search.best_inf_bound, -2.0 * math.log(2.0))
         # Constructive lower bound for Lambda: -M/e - 2*log 2 with 2**(-M) < 1/e,
         # hence M = 2.
@@ -242,7 +244,7 @@ def limit_catalog(s: float, *, max_bits: int = 12) -> ConstantsCatalog:
             liminf_upper=CRITICAL_LEVEL + lam_ub / math.pi,
         )
     c = second_order_scale(s)  # positive here
-    search = binary.search_g_extremes(s, max_bits)
+    search = binary.search_g_extremes(s, _CATALOG_MAX_BITS)
     g_inf_ub = min(search.best_inf_bound, 1.0 / (2.0 ** s - 1.0))
     return ConstantsCatalog(
         s=s,

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lejacircle.binary import (
-    count_theta,
     decompose,
     enumerate_theta,
     g_value,
@@ -20,6 +19,7 @@ from lejacircle.binary import (
     theta_components,
 )
 from lejacircle.binary import _first_extreme
+from lejacircle.circle import BudgetExceededError
 
 
 class TestTauB:
@@ -123,6 +123,17 @@ class TestEnumerate:
             expected = [m for m in range(1, 1 << bits, 2) if tau_b(m) <= p]
             assert enumerate_theta(p, bits) == expected
 
+    def test_domain(self):
+        for p, bits in ((0, 4), (4, 0)):
+            with pytest.raises(ValueError):
+                enumerate_theta(p, bits)
+
+    def test_budget_boundary(self):
+        # 2**20 odd M below 2**21 fit MAX_POINTS; 2**21 below 2**22 do not
+        assert enumerate_theta(1, 21) == [1]
+        with pytest.raises(BudgetExceededError):
+            enumerate_theta(1, 22)
+
 
 class TestGValue:
     def test_trivial_one(self):
@@ -187,7 +198,7 @@ class TestSearches:
     def test_lambda_trivial_frontier(self):
         result = search_lambda(1)
         assert result.inf_found == 0.0
-        assert result.witness == 1
+        assert result.witness_m == 1
 
     def test_lambda_16_bits(self):
         result = search_lambda(16)
@@ -212,7 +223,6 @@ class TestSearches:
 
     def test_degenerate_s1(self):
         result = search_g_extremes(1.0, 8)
-        assert result.degenerate
         assert result.sup_found == result.inf_found == 1.0
 
     def test_domain(self):
@@ -240,14 +250,14 @@ class TestArraySearchOracle:
     def test_g(self, s, max_bits):
         got = search_g_extremes(s, max_bits)
         sup_v, sup_m, inf_v, inf_m = loop_extremes(max_bits, lambda m: g_value(m, s))
-        assert (got.sup_found, got.sup_witness) == (sup_v, sup_m)
-        assert (got.inf_found, got.inf_witness) == (inf_v, inf_m)
+        assert (got.sup_found, got.sup_witness_m) == (sup_v, sup_m)
+        assert (got.inf_found, got.inf_witness_m) == (inf_v, inf_m)
 
     @pytest.mark.parametrize("max_bits", [1, 2, 3, 8, 12])
     def test_lambda(self, max_bits):
         got = search_lambda(max_bits)
         _, _, inf_v, inf_m = loop_extremes(max_bits, lambda_value)
-        assert (got.inf_found, got.witness) == (inf_v, inf_m)
+        assert (got.inf_found, got.witness_m) == (inf_v, inf_m)
 
     def test_screen_keeps_rounding_ties_and_first_witness(self):
         # The screen puts M = 3 a rounding error below M = 5; exactly they tie,
@@ -261,17 +271,13 @@ class TestArraySearchOracle:
     def test_max_bits_domain(self):
         with pytest.raises(ValueError):
             search_lambda(0)
-        with pytest.raises(ValueError):
-            search_g_extremes(0.5, 0)
-
-
-class TestCountTheta:
-    def test_matches_enumeration(self):
-        for bits in range(1, 9):
-            for p in range(1, 11):
-                assert count_theta(p, bits) == len(enumerate_theta(p, bits)), (p, bits)
-
-    def test_domain(self):
-        for p, bits in ((0, 4), (4, 0)):
+        for s in (0.5, 1.0):
             with pytest.raises(ValueError):
-                count_theta(p, bits)
+                search_g_extremes(s, 0)
+
+    def test_max_bits_budget(self):
+        with pytest.raises(BudgetExceededError):
+            search_lambda(22)
+        for s in (0.5, 1.0):
+            with pytest.raises(BudgetExceededError):
+                search_g_extremes(s, 22)

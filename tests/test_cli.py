@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 
 from lejacircle import analysis
 from lejacircle.analysis import VerificationReport, normalized_series
-from lejacircle.binary import enumerate_theta, tau_b
+from lejacircle.binary import GSearchResult, LambdaSearchResult, enumerate_theta, tau_b
 from lejacircle.circle import Configuration
 from lejacircle.cli import _CSV_CHUNK_ROWS, FIGURE_GRIDS, main
 from lejacircle.sequences import extremal_values_structural, greedy_numerical, structural_angles
@@ -58,6 +59,12 @@ class TestSequence:
 
     def test_rejects_bad_initial(self):
         assert run_cli(["sequence", "--numerical", "--initial", "0,1.5", "--n", "4"]) == 2
+
+    def test_rejects_n_below_initial(self, capsys):
+        assert run_cli(["sequence", "--numerical", "--n", "1", "--initial", "0,0.5,0.25"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "below the 3 initial points" in captured.err
         assert run_cli(["sequence", "--numerical", "--initial", "0.2,0.2", "--n", "4"]) == 2
         assert run_cli(["sequence", "--numerical", "--initial", "nan", "--n", "4"]) == 2
 
@@ -176,6 +183,27 @@ class TestTheta:
         payload = json.loads(capsys.readouterr().out)
         assert payload["g_search"]["inf_found"] <= 0.34
         assert payload["lambda_search"]["inf_found"] <= -1.2
+
+    def test_json_keys_are_record_fields(self, capsys):
+        assert run_cli(["theta", "--max-bits", "8"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["p", "max_bits", "s", "count", "lambda_search", "g_search"]
+        fields = [f.name for f in dataclasses.fields(LambdaSearchResult)]
+        assert list(payload["lambda_search"]) == fields == ["inf_found", "witness_m", "family_inf"]
+        fields = [f.name for f in dataclasses.fields(GSearchResult)]
+        assert list(payload["g_search"]) == fields == [
+            "sup_found", "inf_found", "sup_witness_m", "inf_witness_m", "family_sup", "family_inf",
+        ]
+
+    @pytest.mark.parametrize("args", [["--max-bits", "22"],
+                                      ["--format", "csv", "--p", "1", "--max-bits", "22"]])
+    def test_budget_exit(self, capsys, args):
+        assert run_cli(["theta", *args]) == 3
+        assert "compute budget" in capsys.readouterr().err
+
+    def test_budget_boundary_runs(self, capsys):
+        assert run_cli(["theta", "--format", "csv", "--p", "1", "--max-bits", "21"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["1,1,1,1,1,0"]
 
 
 class TestFigure:
