@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import MAX_POINTS, BudgetExceededError
+from .budget import MAX_POINTS, BudgetExceededError
 
 __all__ = [
     "tau_b",

@@ -52,11 +52,10 @@ import math
 
 import numpy as np
 
+from .budget import MAX_POINTS, BudgetExceededError
 from .special import roots_energy_expansion
 from .summation import pairwise_sum, row_sums, zero_rows
 
-# Library-wide size guard: direct summations refuse N beyond this.
-MAX_POINTS = 1 << 20
 # Chords per row block of prefix_potentials; bounds its temporaries.
 _BLOCK_CELLS = 1 << 14
 # midpoint_potential uses the 13 terms of roots_energy_expansion from N = 8
@@ -74,10 +73,6 @@ _ODD_MARGIN = 0.01
 
 class CoincidentPointsError(ValueError):
     """Raised where coincident circle points would make a kernel infinite."""
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a request exceeds the configured compute budget."""
 
 
 class Configuration:

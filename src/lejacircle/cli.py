@@ -37,7 +37,8 @@ FIGURE_GRIDS = {
 }
 
 
-# Rows formatted per write by _write_csv; bounds its string temporaries.
+# Rows formatted per write by _write_csv and theta's CSV; bounds their string
+# temporaries.
 _CSV_CHUNK_ROWS = 1 << 14
 
 
@@ -114,15 +115,19 @@ def cmd_constants(args) -> int:
 
 def cmd_theta(args) -> int:
     if args.format == "csv":
-        lines = ["M,t,p,components,g_value,lambda_value\n"]
-        for m in binary.enumerate_theta(args.p, args.max_bits):
-            comps = "|".join(str(c) for c in binary.theta_components(m, args.p))
-            g = binary.g_value(m, args.s) if args.s != 1 else 1.0
-            lines.append(
-                "%d,%d,%d,%s,%.17g,%.17g\n"
-                % (m, binary.tau_b(m), args.p, comps, g, binary.lambda_value(m))
-            )
-        _write_text("".join(lines), args.out)
+        ms = binary.enumerate_theta(args.p, args.max_bits)
+        with _open_out(args.out) as out:
+            out.write("M,t,p,components,g_value,lambda_value\n")
+            for start in range(0, len(ms), _CSV_CHUNK_ROWS):
+                lines = []
+                for m in ms[start:start + _CSV_CHUNK_ROWS]:
+                    comps = "|".join(str(c) for c in binary.theta_components(m, args.p))
+                    g = binary.g_value(m, args.s) if args.s != 1 else 1.0
+                    lines.append(
+                        "%d,%d,%d,%s,%.17g,%.17g\n"
+                        % (m, binary.tau_b(m), args.p, comps, g, binary.lambda_value(m))
+                    )
+                out.write("".join(lines))
         return 0
     payload = {
         "p": args.p,

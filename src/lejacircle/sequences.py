@@ -26,7 +26,9 @@ derivative finds it and brackets the gap minimum from both sides, and the
 global minimum is the smallest gap minimum.  A gap is solved once its bracket
 is tight or its Newton step no longer moves the iterate, which takes a handful
 of derivative passes.  After each appended point only the gaps whose bracket
-can still reach the best value are solved again.
+can still reach the best value are solved again; the two halves of the split
+gap inherit its certified lower bound and wait like any other gap, so a step
+grown from one start point mostly costs a single derivative pass.
 """
 
 from dataclasses import dataclass, field
@@ -199,10 +201,12 @@ def _grow(initial: np.ndarray, sv: float, n_points: int) -> np.ndarray:
     one-candidate-per-gap scheme of Baglama, Calvetti and Reichel, "Fast Leja
     points" (ETNA 7, 1998).  Appending a charge a adds k(x[i] - a) to upper[i]
     and the least value of k(. - a) on the gap, taken at its point farthest
-    from a, to lower[i].  The two halves of the split gap start with bounds
-    (-inf, inf).  Each step solves every gap whose lower bound reaches the
-    best upper bound, so every gap that can hold or tie the global minimum is
-    solved for the current potential, and leaves the others alone.
+    from a, to lower[i].  The two halves of the split gap keep the bound just
+    certified for the whole gap, plus that far-end term, and stay unsolved
+    (upper = inf, x at the midpoint) until their bound reaches the best upper
+    bound, like any other gap.  Each step solves every gap whose lower bound
+    reaches the best upper bound, so every gap that can hold or tie the global
+    minimum is solved for the current potential, and leaves the others alone.
     """
     pts = np.empty(n_points)
     m = initial.size
@@ -217,15 +221,17 @@ def _grow(initial: np.ndarray, sv: float, n_points: int) -> np.ndarray:
         ties = np.nonzero(upper[:m] <= upper[:m].min() + _TIE)[0]
         j = ties[np.argmin(x[ties] % 1.0)]
         a = pts[m] = x[j] % 1.0
+        lo[m], hi[m], hi[j] = x[j], hi[j], x[j]
+        # the halves keep the parent's certified bound and wait unsolved; x must
+        # stay inside each, since the upper update below reads it
+        lower[m], upper[[j, m]] = lower[j], np.inf
+        x[[j, m]] = 0.5 * (lo[[j, m]] + hi[[j, m]])
+        m += 1
         near = chord_lengths(x[:m], a)
-        near[j] = 2.0  # gap j is split below
         far = np.maximum(chord_lengths(lo[:m], a), chord_lengths(hi[:m], a))
         far[(a + 0.5 - lo[:m]) % 1.0 < hi[:m] - lo[:m]] = 2.0
         upper[:m] += chord_kernel(near, sv)
         lower[:m] += chord_kernel(far, sv)
-        lo[m], hi[m], hi[j] = x[j], hi[j], x[j]
-        upper[[j, m]], lower[[j, m]] = np.inf, -np.inf
-        m += 1
     return pts
 
 

@@ -8,9 +8,17 @@ import math
 
 import pytest
 
-from lejacircle import analysis
+from lejacircle import analysis, cli
 from lejacircle.analysis import VerificationReport, normalized_series
-from lejacircle.binary import GSearchResult, LambdaSearchResult, enumerate_theta, tau_b
+from lejacircle.binary import (
+    GSearchResult,
+    LambdaSearchResult,
+    enumerate_theta,
+    g_value,
+    lambda_value,
+    tau_b,
+    theta_components,
+)
 from lejacircle.circle import Configuration
 from lejacircle.cli import _CSV_CHUNK_ROWS, FIGURE_GRIDS, main
 from lejacircle.sequences import extremal_values_structural, greedy_numerical, structural_angles
@@ -125,6 +133,17 @@ class TestCsvGolden:
         values = [""] + run.extremal_values
         rows = [list(r) for r in zip(range(40), run.points.angles().tolist(), values)]
         assert out.read_text() == per_line_csv(["n", "angle_turns", "extremal_value"], rows)
+
+    def test_theta_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 5)
+        out = tmp_path / "theta.csv"
+        assert run_cli(["theta", "--p", "3", "--max-bits", "6", "--format", "csv",
+                        "--s", "2", "--out", str(out)]) == 0
+        rows = [[m, tau_b(m), 3, "|".join(str(c) for c in theta_components(m, 3)),
+                 g_value(m, 2.0), lambda_value(m)] for m in enumerate_theta(3, 6)]
+        assert len(rows) == 16
+        assert out.read_text() == per_line_csv(
+            ["M", "t", "p", "components", "g_value", "lambda_value"], rows)
 
     def test_series_stdout(self, capsys):
         assert run_cli(["series", "--kind", "W_subcritical", "--s", "0.5", "--n-max", "300"]) == 0

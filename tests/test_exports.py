@@ -1,5 +1,7 @@
 """Every name a module lists in ``__all__`` exists, so a star import works."""
 
+import ast
+import graphlib
 import importlib
 import os
 import subprocess
@@ -29,11 +31,28 @@ def test_theta_components_exported():
     assert lejacircle.theta_components is binary.theta_components
 
 
+def test_package_imports_form_no_cycle():
+    # each module's relative imports, read from its source; a cycle
+    # would make some import order fail on a partially initialized module
+    package = Path(lejacircle.__file__).parent
+    graph = {}
+    for path in package.glob("*.py"):
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    deps.update(alias.name for alias in node.names)
+                else:
+                    deps.add(node.module.split(".")[0])
+    assert {"binary", "budget", "circle", "special"} <= set(graph)
+    assert graph["budget"] == set()
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+
+
 @pytest.mark.parametrize(
-    "module", ["binary", "circle", "special", "sequences", "analysis", "cli", "summation"]
+    "module", ["binary", "budget", "circle", "special", "sequences", "analysis", "cli", "summation"]
 )
 def test_submodule_imports_in_fresh_interpreter(module):
-    # binary -> circle -> special -> binary is a cycle; each entry point must still import.
     src = str(Path(lejacircle.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(

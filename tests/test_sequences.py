@@ -199,7 +199,7 @@ class TestGreedyNumerical:
         # all of which lie at or above the true minimum
         n = 64
         frac = (np.arange(64) + 0.5) / 64
-        for initial, s in (([0.3137], 2.0), ([0.0, 0.1, 0.37], 0.0), ([0.0], 3.5)):
+        for initial, s in (([0.3137], 2.0), ([0.3137], 0.5), ([0.0, 0.1, 0.37], 0.0), ([0.0], 3.5)):
             run = greedy_numerical(Configuration.from_turns(initial), s, n)
             angles = np.asarray(run.points.angles())
             for k in range(len(initial), n):
@@ -236,6 +236,28 @@ class TestGreedyNumerical:
         greedy_numerical(Configuration.from_turns(initial), s, n)
         assert len(iterations) >= n - len(initial)
         assert max(iterations) <= 6
+
+    @pytest.mark.parametrize("initial", [[0.0], [0.3137]])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
+    def test_split_gaps_wait_for_their_bound(self, monkeypatch, initial, s):
+        # the halves of a split gap inherit its certified lower bound and are
+        # solved only once it reaches the best value, so from one start point
+        # most steps cost a single derivative pass
+        n, passes = 256, [0]
+        derivatives = sequences._derivatives
+
+        def counting_derivatives(*args):
+            passes[0] += 1
+            return derivatives(*args)
+
+        monkeypatch.setattr(sequences, "_derivatives", counting_derivatives)
+        greedy_numerical(Configuration.from_turns(initial), s, n)
+        assert passes[0] / (n - len(initial)) <= 2.0
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 1.5])
+    def test_from_zero_follows_the_structural_track(self, s):
+        run = greedy_numerical(Configuration.from_turns([0.0]), s, 512)
+        assert run.points.angles().tobytes() == structural_angles(512).tobytes()
 
     def test_n_not_larger_than_initial(self):
         init = Configuration.from_turns([0.0, 0.3, 0.6])
