@@ -594,7 +594,7 @@ def check_cross_construction(s: float, n: int, start: float) -> CheckResult:
     """The numerical greedy from one start point reproduces the structural values, N < n."""
     run = greedy_numerical(Configuration.from_turns([start]), s, n)
     ref = extremal_values_structural(n - 1, s)
-    worst = float(np.max(np.abs(np.array(run.extremal_values) - ref)))
+    worst = float(np.max(np.abs(run.extremal_values - ref)))
     return _max_le(f"cross-construction[s={s:g}]", worst, 1e-6, f"N<={n}")
 
 
@@ -603,7 +603,7 @@ def check_generalized_greedy_trend(s: float, n: int) -> CheckResult:
     angles = run.points.angles()
     discs = [star_discrepancy(angles[:k]) for k in (n // 4, n // 2, n)]
     trend_ok = all(b <= 1.1 * a for a, b in zip(discs, discs[1:]))
-    ext = np.array(run.extremal_values)
+    ext = run.extremal_values
     mono_ok = bool(np.all(np.diff(ext[run.p:]) >= -1e-9 * float(np.max(np.abs(ext)))))
     nn = np.arange(run.p + 1, n)
     bound_ok = bool(np.all(ext[run.p:] <= nn * continuous_energy(s)))

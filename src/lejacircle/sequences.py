@@ -29,9 +29,15 @@ of derivative passes.  After each appended point only the gaps whose bracket
 can still reach the best value are solved again; the two halves of the split
 gap inherit its certified lower bound and wait like any other gap, so a step
 grown from one start point mostly costs a single derivative pass.
+
+A step's cost is its derivative passes.  Each iteration of the gap solver is
+one vectorized pass over the active gaps and all charges; the brackets are
+Python floats, since at a handful of gaps a float update is cheaper than the
+numpy calls it replaces.  One chord pass and one kernel pass update both
+bounds of every gap for the appended charge.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,28 +120,28 @@ def _doubling(terms: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def energy_series_from_extremal(extremal_values) -> list[float]:
+def energy_series_from_extremal(extremal_values) -> np.ndarray:
     """Energies E(alpha_N) for N = 1..len+1 from the running potential minima.
 
     E(alpha_N) = 2 * sum_{j=1}^{N-1} U_j(a_j); the N = 1 entry is 0.
     """
-    return [0.0] + (2.0 * np.cumsum(extremal_values)).tolist()
+    return np.concatenate(([0.0], 2.0 * np.cumsum(extremal_values)))
 
 
 @dataclass
 class GreedyRun:
     """A grown greedy configuration together with its running potential values.
 
-    ``extremal_values[n-1]`` is U_n(a_n), the potential of the first n points
-    at the (n+1)-th; for n > p (the number of given initial points minus one)
-    that value is the minimum of the running potential, certified by a
-    per-gap bracket.
+    ``extremal_values`` is a float64 array whose entry n-1 is U_n(a_n), the
+    potential of the first n points at the (n+1)-th; for n > p (the number
+    of given initial points minus one) that value is the minimum of the
+    running potential, certified by a per-gap bracket.
     """
 
     s: float
     initial: Configuration
     points: Configuration
-    extremal_values: list[float] = field(default_factory=list)
+    extremal_values: np.ndarray
 
     @property
     def p(self) -> int:
@@ -144,20 +150,33 @@ class GreedyRun:
 
 
 def _derivatives(x: np.ndarray, charges: np.ndarray, sv: float):
-    """U, U' and U'' in the turn angle at each point of x, strictly inside its gap."""
-    t = x[:, None] - charges[None, :]
-    t -= np.round(t)
-    sn = np.sin(np.pi * t)
-    cot = np.cos(np.pi * t) / sn
-    csc2 = 1.0 / (sn * sn)
-    g = chord_kernel(2.0 * np.abs(sn), sv)
+    """U, U' and U'' in the turn angle at each point of x, strictly inside its gap.
+
+    One outer difference, one pi*t for both sin and cos, and every later
+    elementwise step in place.
+    """
+    t = np.subtract.outer(x, charges)
+    t -= np.rint(t)
+    t *= np.pi
+    sn = np.sin(t)
+    cot = np.cos(t, out=t)
+    cot /= sn
+    csc2 = np.multiply(sn, sn)
+    np.reciprocal(csc2, out=csc2)
+    g = chord_kernel(np.multiply(np.abs(sn, out=sn), 2.0, out=sn), sv, out=sn)
+    u = np.add.reduce(g, axis=1)
     if sv == 0.0:
-        return g.sum(axis=1), -np.pi * cot.sum(axis=1), np.pi ** 2 * csc2.sum(axis=1)
-    return (g.sum(axis=1), -sv * np.pi * (g * cot).sum(axis=1),
-            sv * np.pi ** 2 * (g * (sv * cot * cot + csc2)).sum(axis=1))
+        return u, -np.pi * np.add.reduce(cot, axis=1), np.pi ** 2 * np.add.reduce(csc2, axis=1)
+    curv = np.multiply(cot, sv)
+    curv *= cot
+    curv += csc2
+    curv *= g
+    cot *= g
+    return (u, -sv * np.pi * np.add.reduce(cot, axis=1),
+            sv * np.pi ** 2 * np.add.reduce(curv, axis=1))
 
 
-def _solve_gaps(charges: np.ndarray, lo: np.ndarray, hi: np.ndarray, sv: float):
+def _solve_gaps(charges: np.ndarray, lo: list, hi: list, sv: float):
     """Minimize the running potential on each open gap (lo[i], hi[i]).
 
     Every kernel term is strictly convex between adjacent charges, so U' rises
@@ -167,30 +186,40 @@ def _solve_gaps(charges: np.ndarray, lo: np.ndarray, hi: np.ndarray, sv: float):
     midpoints.  A gap stops once |U'| * (hi - lo) <= _SOLVED * max(|U|, 1),
     or once its Newton step rounds to the iterate itself: x is then the root
     to working precision, even where U' cannot meet that budget in double
-    precision.  Returns (x, upper, lower) with upper = U(x) and, by
-    convexity, lower = U(x) - |U'(x)| * (hi - lo) <= the gap minimum <= upper.
+    precision.  Each iteration takes one ``_derivatives`` pass over the
+    active gaps; the brackets are Python floats, updated gap by gap.  Returns
+    lists (x, upper, lower) with upper = U(x) and, by convexity,
+    lower = U(x) - |U'(x)| * (hi - lo) <= the gap minimum <= upper.
     """
-    length = hi - lo
-    xl, xh = lo.copy(), hi.copy()
-    x = 0.5 * (lo + hi)
-    u, du = np.empty_like(x), np.empty_like(x)
-    active = np.arange(x.size)
+    length = [h - l for l, h in zip(lo, hi)]
+    xl, xh = list(lo), list(hi)
+    x = [0.5 * (l + h) for l, h in zip(lo, hi)]
+    u, du = [0.0] * len(x), [0.0] * len(x)
+    active = list(range(len(x)))
     for it in range(_MAX_ITERS):
-        xi = x[active]
-        ui, dui, ddui = _derivatives(xi, charges, sv)
-        u[active], du[active] = ui, dui
-        right = dui < 0.0  # the minimizer lies right of xi
-        bl = xl[active] = np.where(right, xi, xl[active])
-        bh = xh[active] = np.where(right, xh[active], xi)
-        step = xi - dui / ddui
-        nxt = np.where((step > bl) & (step < bh), step, 0.5 * (bl + bh))
-        done = np.abs(dui) * length[active] <= _SOLVED * np.maximum(np.abs(ui), 1.0)
-        done |= (step == xi) | (nxt == xi) | (it == _MAX_ITERS - 1)
-        x[active] = np.where(done, xi, nxt)
-        active = active[~done]
-        if active.size == 0:
+        xa = np.array([x[i] for i in active])
+        ua, dua, dda = _derivatives(xa, charges, sv)
+        steps = (xa - dua / dda).tolist()  # numpy division: inf or nan, never an exception
+        last = it == _MAX_ITERS - 1
+        still = []
+        for i, ui, dui, step in zip(active, ua.tolist(), dua.tolist(), steps):
+            xi = x[i]
+            u[i], du[i] = ui, dui
+            if dui < 0.0:  # the minimizer lies right of xi
+                xl[i] = xi
+            else:
+                xh[i] = xi
+            bl, bh = xl[i], xh[i]
+            nxt = step if bl < step < bh else 0.5 * (bl + bh)
+            if (abs(dui) * length[i] <= _SOLVED * max(abs(ui), 1.0)
+                    or step == xi or nxt == xi or last):
+                continue
+            x[i] = nxt
+            still.append(i)
+        active = still
+        if not active:
             break
-    return x, u, u - np.abs(du) * length
+    return x, u, [ui - abs(dui) * li for ui, dui, li in zip(u, du, length)]
 
 
 def _grow(initial: np.ndarray, sv: float, n_points: int) -> np.ndarray:
@@ -207,31 +236,37 @@ def _grow(initial: np.ndarray, sv: float, n_points: int) -> np.ndarray:
     bound, like any other gap.  Each step solves every gap whose lower bound
     reaches the best upper bound, so every gap that can hold or tie the global
     minimum is solved for the current potential, and leaves the others alone.
+    x, lo and hi are the rows of one array and upper, lower of another, so a
+    step's update of both bounds is one chord pass and one kernel pass.
     """
     pts = np.empty(n_points)
     m = initial.size
     pts[:m] = initial
-    lo, hi, x = (np.empty(n_points) for _ in range(3))
-    upper, lower = np.full(n_points, np.inf), np.full(n_points, -np.inf)
+    gaps = np.empty((3, n_points))
+    x, lo, hi = gaps
+    bounds = np.empty((2, n_points))
+    upper, lower = bounds
+    upper[:], lower[:] = np.inf, -np.inf
     order = np.sort(initial)
     lo[:m], hi[:m] = order, np.append(order[1:], order[0] + 1.0)
     while m < n_points:
-        redo = np.nonzero(lower[:m] <= upper[:m].min() + _TIE)[0]
-        x[redo], upper[redo], lower[redo] = _solve_gaps(pts[:m], lo[redo], hi[redo], sv)
-        ties = np.nonzero(upper[:m] <= upper[:m].min() + _TIE)[0]
-        j = ties[np.argmin(x[ties] % 1.0)]
-        a = pts[m] = x[j] % 1.0
-        lo[m], hi[m], hi[j] = x[j], hi[j], x[j]
+        redo = np.flatnonzero(lower[:m] <= upper[:m].min() + _TIE)
+        x[redo], upper[redo], lower[redo] = _solve_gaps(
+            pts[:m], lo[redo].tolist(), hi[redo].tolist(), sv)
+        ties = np.flatnonzero(upper[:m] <= upper[:m].min() + _TIE)
+        j = int(ties[np.argmin(x[ties] % 1.0)])
+        xj, hj = float(x[j]), float(hi[j])
+        a = pts[m] = xj % 1.0
+        lo[m], hi[m], hi[j] = xj, hj, xj
         # the halves keep the parent's certified bound and wait unsolved; x must
         # stay inside each, since the upper update below reads it
-        lower[m], upper[[j, m]] = lower[j], np.inf
-        x[[j, m]] = 0.5 * (lo[[j, m]] + hi[[j, m]])
+        lower[m], upper[j], upper[m] = lower[j], np.inf, np.inf
+        x[j], x[m] = 0.5 * (float(lo[j]) + xj), 0.5 * (xj + hj)
         m += 1
-        near = chord_lengths(x[:m], a)
-        far = np.maximum(chord_lengths(lo[:m], a), chord_lengths(hi[:m], a))
-        far[(a + 0.5 - lo[:m]) % 1.0 < hi[:m] - lo[:m]] = 2.0
-        upper[:m] += chord_kernel(near, sv)
-        lower[:m] += chord_kernel(far, sv)
+        d = chord_lengths(gaps[:, :m], a)  # rows from x, lo, hi; row 1 becomes the far end
+        np.maximum(d[1], d[2], out=d[1])
+        d[1, (a + 0.5 - lo[:m]) % 1.0 < hi[:m] - lo[:m]] = 2.0
+        bounds[:, :m] += chord_kernel(d[:2], sv, out=d[:2])
     return pts
 
 
@@ -257,5 +292,5 @@ def greedy_numerical(initial: Configuration, s: float, n_points: int) -> GreedyR
     if n_points > len(work):
         work = _grow(work, sv, n_points)
     points = Configuration.from_turns(work)
-    extremal = prefix_potentials(points.angles(), sv).tolist()
+    extremal = prefix_potentials(points.angles(), sv)
     return GreedyRun(s=sv, initial=initial, points=points, extremal_values=extremal)

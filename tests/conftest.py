@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lejacircle import sequences
 from lejacircle.sequences import structural_angles
 
 
@@ -40,3 +41,22 @@ def potential_oracle(angles, x: float, s: float) -> float:
 @pytest.fixture(scope="session")
 def canonical_angles_5001():
     return structural_angles(5001)
+
+
+@pytest.fixture
+def gap_passes(monkeypatch):
+    """Derivative passes of the greedy's gap solves, one entry per ``_solve_gaps`` call."""
+    passes = []
+    derivatives, solve_gaps = sequences._derivatives, sequences._solve_gaps
+
+    def counting_derivatives(*args):
+        passes[-1] += 1
+        return derivatives(*args)
+
+    def counting_solve_gaps(*args):
+        passes.append(0)
+        return solve_gaps(*args)
+
+    monkeypatch.setattr(sequences, "_derivatives", counting_derivatives)
+    monkeypatch.setattr(sequences, "_solve_gaps", counting_solve_gaps)
+    return passes

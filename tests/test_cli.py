@@ -130,7 +130,7 @@ class TestCsvGolden:
         assert run_cli(["sequence", "--numerical", "--s", "0.5", "--initial", "0,0.1,0.37",
                         "--n", "40", "--out", str(out)]) == 0
         run = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 40)
-        values = [""] + run.extremal_values
+        values = [""] + run.extremal_values.tolist()
         rows = [list(r) for r in zip(range(40), run.points.angles().tolist(), values)]
         assert out.read_text() == per_line_csv(["n", "angle_turns", "extremal_value"], rows)
 
