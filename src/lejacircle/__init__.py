@@ -23,10 +23,7 @@ from .circle import (
     Configuration,
     chord_lengths,
     energy,
-    kernel_values,
-    leja_sup_norm_log,
     midpoint_potential,
-    potential,
     prefix_potentials,
     roots_energy,
 )

@@ -138,19 +138,6 @@ def chord_kernel(d: np.ndarray, s: float, out=None, where=True) -> np.ndarray:
     return np.power(d, -s, out=out, where=where)
 
 
-def kernel_values(angles: np.ndarray, x, s: float) -> np.ndarray:
-    """Kernel values from turn angle x to each angle (x and angles broadcast)."""
-    d = chord_lengths(angles, x)
-    if np.any(d == 0.0):
-        raise CoincidentPointsError("kernel is infinite at coincident points")
-    return chord_kernel(d, s)
-
-
-def potential(config: Configuration, x: float, s: float) -> float:
-    """Potential of a configuration at turn angle x: the sum of its kernel values."""
-    return pairwise_sum(kernel_values(config.angles(), x, s))
-
-
 def _exponents(s) -> tuple[list, bool]:
     """The exponents of ``s`` (a float or a 1-d array) as a list, and whether s was a float."""
     scalar = not hasattr(s, "__len__") or np.ndim(s) == 0  # np.ndim alone costs 2 us
@@ -280,10 +267,3 @@ def midpoint_potential(n, s: float):
         out[fast] = v * nf + nf ** s * poly
     return float(out[0]) if np.ndim(n) == 0 else out
 
-
-def leja_sup_norm_log(config: Configuration, x: float) -> float:
-    """log of the product of distances from turn angle x to the configuration points.
-
-    Computed as sum_k log|z - a_k| = -potential(config, x, 0), which cannot overflow.
-    """
-    return -potential(config, x, 0.0)

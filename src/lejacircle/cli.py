@@ -10,15 +10,20 @@ Subcommands:
     series     emit one normalized series as CSV
 
 Angles in all input and output are turns in [0, 1).  Floats are printed with
-17 significant digits so the values round-trip.  Exit codes: 0 success,
-1 verification failures, 2 usage/validation errors, 3 compute budget
-exceeded.
+17 significant digits (%.17g) so the values round-trip.  CSV rows are
+rendered with numpy a chunk at a time, byte-equal to a %-format per row: an
+exact fast path finds the 17 digits of each float in double-double
+arithmetic, and the few cells it cannot decide (undecided ties, zeros,
+non-finite and extreme values) are formatted by %.17g itself.  Exit codes:
+0 success, 1 verification failures, 2 usage/validation errors, 3 compute
+budget exceeded.
 """
 
 import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,9 +42,23 @@ FIGURE_GRIDS = {
 }
 
 
-# Rows formatted per write by _write_csv and theta's CSV; bounds their string
-# temporaries.
-_CSV_CHUNK_ROWS = 1 << 14
+# Rows rendered per write by _write_csv and theta's CSV; bounds their temporaries.
+# With two float columns a chunk's float64 temporaries are 64 KiB, under glibc's
+# 128 KiB mmap threshold: at 2**13 rows and more the render ran slower and the
+# 2**20-row sequence peaked 2 MB higher.
+_CSV_CHUNK_ROWS = 1 << 12
+
+# The fast path of _float_cells covers |x| in [1e-200, 1e200], where 10**(16 - d)
+# and its double-double stay normal.
+_FAST_MIN, _FAST_MAX = 1e-200, 1e200
+# Veltkamp's splitter 2**27 + 1 cuts a double into two halves of 26 bits.
+_SPLITTER = 134217729.0
+_SLOTS = np.arange(18.0)[:, None]  # positions of the digit and point slots
+_DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
+_PLACES = 10.0 ** np.arange(9, -1, -1)[:, None]  # a digit row is a leading zero below its place
+# The "0.000" before the digits at exponents -1..-4: slot i shows when d <= _PREFIX_MOST[i].
+_PREFIX_TEXT = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+_PREFIX_MOST = np.array([-1.0, -1.0, -2.0, -3.0, -4.0])[:, None]
 
 
 def _open_out(out_path):
@@ -54,25 +73,185 @@ def _write_text(text, out_path):
         out.write(text)
 
 
-def _write_csv(out_path, head, index, *columns):
+def _write_csv(out_path, head, *columns):
     """Write ``head`` (the header and any irregular first rows), then the rows
-    (index[i], columns[0][i], ...) in chunks of _CSV_CHUNK_ROWS rows.
-
-    Index entries print with %d and column entries with %.17g, so floats
-    round-trip; each chunk is one %-format of a repeated row template.
-    """
-    index = np.asarray(index)
+    (columns[0][i], columns[1][i], ...) in chunks of _CSV_CHUNK_ROWS rows,
+    each rendered by ``_csv_rows``."""
     columns = [np.asarray(c) for c in columns]
-    width = 1 + len(columns)
-    template = "%d" + ",%.17g" * len(columns) + "\n"
     with _open_out(out_path) as out:
         out.write(head)
-        for start in range(0, index.size, _CSV_CHUNK_ROWS):
-            stop = min(start + _CSV_CHUNK_ROWS, index.size)
-            flat = [None] * (width * (stop - start))
-            for k, col in enumerate([index] + columns):
-                flat[k::width] = col[start:stop].tolist()
-            out.write(template * (stop - start) % tuple(flat))
+        for start in range(0, columns[0].size, _CSV_CHUNK_ROWS):
+            out.write(_csv_rows([c[start:start + _CSV_CHUNK_ROWS] for c in columns]))
+
+
+def _csv_rows(columns) -> str:
+    """The CSV lines of the rows (columns[0][i], columns[1][i], ...).
+
+    Integer columns print as %d and float columns as %.17g (so floats
+    round-trip): the bytes of one %-format per row.
+    The text is built as one (slots, rows) matrix of ASCII bytes, column-major
+    so that every step runs along all rows at once, with NUL in each slot a
+    cell leaves empty; the transpose to rows drops the NULs.  The digits are
+    worked out in float64, exact for integers below 2**53.
+    """
+    floats = [c for c in columns if c.dtype.kind == "f"]
+    # one pass for all float columns, side by side
+    float_cells = iter(np.hsplit(_float_cells(np.concatenate(floats)), len(floats)) if floats else [])
+    sep = np.full((1, columns[0].size), ord(","), dtype=np.uint8)
+    parts = []
+    for c in columns:
+        parts += [next(float_cells) if c.dtype.kind == "f" else _int_cells(c), sep]
+    parts[-1] = np.full_like(sep, ord("\n"))
+    return np.concatenate(parts).T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _digits(v, rows):
+    """Write the decimal digits of the integer-valued floats 0 <= v < 10**len(rows),
+    zero-padded, as ASCII into rows, most significant first."""
+    for row in rows[:0:-1]:
+        q = np.floor(v * 0.1)  # exact: v * fl(0.1) never rounds across an integer here
+        row[:] = v - 10.0 * q + ord("0")
+        v = q
+    rows[0] = v + ord("0")
+
+
+def _int_cells(c):
+    """%d of each integer of c (|c| < 2**31), one row per slot, NUL before the leading digit."""
+    if max(-int(c.min()), int(c.max())) >= 2 ** 31:
+        raise ValueError("CSV integers must lie within +-2**31")
+    # by way of int32: numpy's int64 -> float64 cast would page in 128 KB more code
+    v = c.astype(np.int32).astype(np.float64)
+    a = np.abs(v)
+    n = len(str(int(a.max())))
+    cells = np.empty((n, c.size), dtype=np.uint8)
+    _digits(a, cells)
+    cells[:-1] *= (a >= _PLACES[-n:-1]).view(np.uint8)  # leading zeros
+    if (v < 0.0).any():
+        cells = np.concatenate([np.where(v < 0.0, float(ord("-")), 0.0).astype(np.uint8)[None], cells])
+    return cells
+
+
+def _split(a):
+    """Veltkamp split: a == hi + lo with both halves of at most 26 significant bits."""
+    c = a * _SPLITTER
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _carry(high, low):
+    """(high, low) with high * 10**8 + low unchanged and 0 <= low < 10**8,
+    for integer-valued floats with |low| < 2 * 10**8."""
+    carry = np.floor(low * 1e-8)  # exact: fl(1e-8) > 1e-8 keeps multiples of 10**8 whole
+    return high + carry, low - carry * 1e8
+
+
+def _powers_of_ten(k):
+    """Rows (hi, lo, hi's two Veltkamp halves) for each of the integer-valued
+    floats k, where the double-double hi + lo is 10**k to 106 bits.
+
+    Each distinct k is worked out once, from 10**k as an exact ratio n/d of
+    integers: Python rounds int / int correctly, so hi = n/d and lo is the
+    exact remainder n/d - hi rounded.
+    """
+    kmin = k.min()
+    index = (k - kmin).astype(np.intp)
+    table = np.zeros((4, int(index.max()) + 1))
+    for i in np.flatnonzero(np.bincount(index)).tolist():
+        e = i + int(kmin)
+        n, d = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+        hi = n / d
+        hn, hd = hi.as_integer_ratio()
+        table[:, i] = hi, (n * hd - hn * d) / (d * hd), *_split(hi)
+    return np.take(table, index, axis=1)
+
+
+def _float_cells(x):
+    """%.17g of each float of x, one row per slot, NUL in the slots a cell leaves empty.
+
+    The slots are: sign | "0.000" prefix | 17 digits and a point | "e+123"
+    tail; a chunk with no sign, prefix, point or tail leaves out those slots.
+    For |x| in [1e-200, 1e200] with d = floor(log10|x|), y = |x| * 10**(16-d)
+    is taken as p + t: p = fl(|x| * hi) is an integer (it exceeds 2**53),
+    and t, Dekker's exact rounding error of that product plus |x| * lo, is off
+    from y - p by less than 1e-14.  So D = round(y) is the 17 digits unless t
+    lies within 1e-9 of a half-integer; there y is an exact tie, rounded
+    half-even, iff 2*|x|*10**(16-d) is an integer, and otherwise undecided.
+    Undecided, non-finite, zero and out-of-range cells, and those where d
+    misses (floor(y) or D outside [10**16, 10**17), which also catches a
+    rounding carry into the next decade), are written by %.17g itself.
+    """
+    a = np.abs(x, dtype=np.float64)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~fast] = 1.0
+    # within 1e-12 the estimate is at least an exact power's exponent; misses fall back
+    d = np.floor(np.log(a) * (1.0 / math.log(10.0)) + 1e-12)
+    k = 16.0 - d
+    hi, lo, bh, bl = _powers_of_ten(k)
+    p = a * hi
+    ah, al = _split(a)
+    t = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + a * lo
+    whole = np.floor(t)
+    t -= whole
+    # floor(y) = high * 10**8 + low with 0 <= low < 10**8, both exact in float64
+    high = np.floor(p * 1e-8)
+    high, low = _carry(high, p - high * 1e8 + whole)
+    fast &= high >= 1e8
+    up = np.floor(t + 0.5)
+    near = np.abs(t - 0.5) < 1e-9
+    if near.any():
+        i = np.flatnonzero(near)
+        # for k >= 0, 2*|x|*10**k is an integer iff |x|*2**(k+1) is: 5**k is odd
+        tie = (k[i] >= 0.0) & (np.ldexp(a[i], (k[i] + 1.0).astype(np.intp)) % 1.0 == 0.0)
+        up[i] = np.fmod(low[i], 2.0)  # half-even
+        fast[i[~tie]] = False
+    high, low = _carry(high, low + up)
+    fast &= high < 1e9
+    slow = ~fast
+    any_slow = slow.any()
+    high[slow] = 1e8
+    low[slow] = 0.0
+    d[slow] = 0.0
+
+    fixed = (d >= -4.0) & (d < 17.0)
+    f = np.where(fixed, np.maximum(d + 1.0, 0.0), 1.0)  # digits before the point
+    g = np.empty((17, x.size), dtype=np.uint8)
+    _digits(high, g[:9])
+    _digits(low, g[9:])
+    # bool masks act on the ASCII bytes as uint8 0/1, which keeps to one uint8 multiply loop
+    last = ((g != ord("0")).view(np.uint8) * _DIGIT_INDEX).max(axis=0)  # the last nonzero digit
+    g *= (_SLOTS[:17] < np.maximum(f, last + 1.0)).view(np.uint8)  # trailing zeros after the point
+    point = (f >= 1.0) & (last >= f)
+    parts = [g]
+    if point.any():
+        at = np.where(point, f, 18.0)  # the point's slot
+        slots = np.zeros((18, x.size), dtype=np.uint8)
+        before = _SLOTS[:17] < at
+        np.multiply(g, before.view(np.uint8), out=slots[:17])
+        slots[1:] += g * (~before).view(np.uint8)
+        slots += (_SLOTS == at).view(np.uint8) * np.uint8(ord("."))
+        parts = [slots]
+    sign = np.signbit(x)
+    if any_slow or sign.any():
+        parts.insert(0, np.where(sign, float(ord("-")), 0.0).astype(np.uint8)[None])
+    prefix = fixed & (d < 0.0)
+    if any_slow or prefix.any():
+        parts.insert(-1, (prefix & (d <= _PREFIX_MOST)).view(np.uint8) * _PREFIX_TEXT)
+    tail = ~fixed
+    if any_slow or tail.any():
+        i = np.flatnonzero(tail)
+        text = np.zeros((5, i.size), dtype=np.uint8)  # e+123, on the few cells that take it
+        text[0] = ord("e")
+        text[1] = np.where(d[i] < 0.0, float(ord("-")), float(ord("+")))
+        _digits(np.abs(d[i]), text[2:])
+        text[2] *= (np.abs(d[i]) >= 100.0).view(np.uint8)
+        parts.append(np.zeros((5, x.size), dtype=np.uint8))
+        parts[-1][:, i] = text
+    cells = np.concatenate(parts)
+    for i in np.flatnonzero(slow).tolist():
+        text = ("%.17g" % x[i]).encode("ascii")
+        cells[:, i] = 0
+        cells[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
+    return cells
 
 
 def _parse_initial(text: str) -> Configuration:
@@ -102,7 +281,7 @@ def cmd_sequence(args) -> int:
         angles = structural_angles(args.n)
         values = extremal_values_structural(args.n - 1, args.s) if args.n > 1 else []
     # Row 0 has no value: U_n(a_n) is defined from n = 1 on.
-    head = "n,angle_turns,extremal_value\n0,%.17g,\n" % angles[0]
+    head = "n,angle_turns,extremal_value\n" + _csv_rows([np.zeros(1, int), angles[:1]])[:-1] + ",\n"
     _write_csv(args.out, head, np.arange(1, len(angles)), angles[1:], values)
     return 0
 
@@ -119,15 +298,14 @@ def cmd_theta(args) -> int:
         with _open_out(args.out) as out:
             out.write("M,t,p,components,g_value,lambda_value\n")
             for start in range(0, len(ms), _CSV_CHUNK_ROWS):
-                lines = []
-                for m in ms[start:start + _CSV_CHUNK_ROWS]:
-                    comps = "|".join(str(c) for c in binary.theta_components(m, args.p))
-                    g = binary.g_value(m, args.s) if args.s != 1 else 1.0
-                    lines.append(
-                        "%d,%d,%d,%s,%.17g,%.17g\n"
-                        % (m, binary.tau_b(m), args.p, comps, g, binary.lambda_value(m))
-                    )
-                out.write("".join(lines))
+                chunk = ms[start:start + _CSV_CHUNK_ROWS]
+                g = [binary.g_value(m, args.s) if args.s != 1 else 1.0 for m in chunk]
+                floats = _csv_rows([np.array(g), np.array([binary.lambda_value(m) for m in chunk])])
+                out.write("".join(
+                    f"{m},{binary.tau_b(m)},{args.p},"
+                    f"{'|'.join(str(c) for c in binary.theta_components(m, args.p))},{tail}"
+                    for m, tail in zip(chunk, floats.splitlines(keepends=True))
+                ))
         return 0
     payload = {
         "p": args.p,

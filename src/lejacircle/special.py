@@ -113,22 +113,17 @@ _ZETA_EVEN = tuple(zeta(2.0 * j) for j in range(1, _EXPANSION_TERMS))
 
 
 def continuous_energy(s: float) -> float:
-    """Continuous s-energy of normalized arc length, for 0 <= s < 1.
+    """Continuous s-energy of normalized arc length, for 0 <= s < 1:
+    2**(-s)/sqrt(pi) * Gamma((1-s)/2) / Gamma(1-s/2).
 
-    Evaluates 2**(-s)/sqrt(pi) * Gamma((1-s)/2) / Gamma(1-s/2) and checks it
-    against the equivalent form Gamma(1-s)/Gamma(1-s/2)**2 to 1e-12 relative.
+    ``analysis.check_continuous_energy_forms`` checks it against the
+    equivalent form Gamma(1-s)/Gamma(1-s/2)**2.
     """
     if not 0 <= s < 1:
         raise ValueError(f"continuous energy is finite only for 0 <= s < 1, got {s}")
     if s == 0:
         return 0.0
-    first = 2.0 ** (-s) / math.sqrt(math.pi) * gamma_fn((1.0 - s) / 2.0) / gamma_fn(1.0 - s / 2.0)
-    second = gamma_fn(1.0 - s) / gamma_fn(1.0 - s / 2.0) ** 2
-    if abs(first - second) > 1e-12 * abs(first):
-        raise ArithmeticError(
-            f"closed forms for the continuous energy disagree at s={s}: {first} vs {second}"
-        )
-    return first
+    return 2.0 ** (-s) / math.sqrt(math.pi) * gamma_fn((1.0 - s) / 2.0) / gamma_fn(1.0 - s / 2.0)
 
 
 def _zeta_continued(x: float) -> float:

@@ -18,12 +18,10 @@ from lejacircle.circle import (
     BudgetExceededError,
     CoincidentPointsError,
     Configuration,
+    chord_kernel,
     chord_lengths,
     energy,
-    kernel_values,
-    leja_sup_norm_log,
     midpoint_potential,
-    potential,
     prefix_potentials,
     roots_energy,
 )
@@ -38,7 +36,12 @@ def chord(x, y):
 
 
 def kernel(s, x, y):
-    return float(kernel_values(np.array([y]), x, s)[0])
+    return float(chord_kernel(chord_lengths(np.array([y]), x), s)[0])
+
+
+def potential(angles, x, s):
+    """The potential of the points at turn angle x: the last entry of prefix_potentials."""
+    return float(prefix_potentials(np.array([*angles, x]), s)[-1])
 
 
 class TestConfiguration:
@@ -109,7 +112,7 @@ class TestKernel:
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentPointsError):
-            kernel(1.0, 0.0, 0.0)
+            potential([0.0], 0.0, 1.0)
 
     def test_symmetry_exact(self):
         for s in (0.0, 0.5, 1.0, 2.7):
@@ -118,22 +121,21 @@ class TestKernel:
 
 class TestPotential:
     def test_single_point_antipodal(self):
-        assert potential(Configuration.from_turns([0.0]), 0.5, 1.0) == 0.5
+        assert potential([0.0], 0.5, 1.0) == 0.5
 
     def test_three_points(self):
-        config = Configuration.from_turns([0.0, 0.5, 0.25])  # 1, -1, i
-        # chords to -i: sqrt2, sqrt2, 2 -> sqrt2 + 1/2 (oracle-checked)
+        # 1, -1, i; chords to -i: sqrt2, sqrt2, 2 -> sqrt2 + 1/2 (oracle-checked)
         oracle = potential_oracle([0.0, 0.5, 0.25], 0.75, 1.0)
         assert oracle == pytest.approx(math.sqrt(2.0) + 0.5, rel=1e-14)
-        assert potential(config, 0.75, 1.0) == pytest.approx(1.9142135623730951, rel=1e-14)
+        assert potential([0.0, 0.5, 0.25], 0.75, 1.0) == pytest.approx(1.9142135623730951, rel=1e-14)
 
     def test_log_case(self):
-        value = potential(Configuration.from_turns([0.0]), 0.5, 0.0)
+        value = potential([0.0], 0.5, 0.0)
         assert value == pytest.approx(-math.log(2.0), rel=1e-15)
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentPointsError):
-            potential(Configuration.from_turns([0.0, 0.5]), 0.5, 1.0)
+            potential([0.0, 0.5], 0.5, 1.0)
 
 
 class TestEnergy:
@@ -202,7 +204,8 @@ class TestPrefixPotentials:
             a = self.ANGLES[:n]
             rows = prefix_potentials(a, s_grid)
             for s, row in zip(s_grid, rows):
-                want = [row_sums(kernel_values(a[:i], a[i], s)[None])[0] for i in range(1, n)]
+                want = [row_sums(chord_kernel(chord_lengths(a[:i], a[i]), s)[None])[0]
+                        for i in range(1, n)]
                 assert row.tobytes() == np.array(want).tobytes(), (n, s)
                 assert prefix_potentials(a, s).tobytes() == row.tobytes(), (n, s)
 
@@ -517,21 +520,23 @@ class TestMidpointExpansion:
 
 
 class TestLejaSupNormLog:
+    """log of the product of distances from x to the points, -U_0 at x."""
+
     def test_single_point(self):
-        value = leja_sup_norm_log(Configuration.from_turns([0.0]), 0.5)
+        value = -potential([0.0], 0.5, 0.0)
         assert value == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_first_three_canonical(self):
         # product of distances from the 4th point to the first 3 is 4 (two binary ones in 3)
         x = structural_angles(4)
-        val = leja_sup_norm_log(Configuration.from_turns(x[:3]), x[3])
+        val = -potential(x[:3], x[3], 0.0)
         assert val == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_first_five_canonical(self):
         x = structural_angles(6)
-        val = leja_sup_norm_log(Configuration.from_turns(x[:5]), x[5])
+        val = -potential(x[:5], x[5], 0.0)
         assert val == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentPointsError):
-            leja_sup_norm_log(Configuration.from_turns([0.0]), 0.0)
+            potential([0.0], 0.0, 0.0)

@@ -1,12 +1,19 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import inspect
+import io
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lejacircle import analysis, cli
 from lejacircle.analysis import VerificationReport, normalized_series
@@ -150,6 +157,93 @@ class TestCsvGolden:
         series = normalized_series("W_subcritical", 0.5, 300)
         rows = [[int(n), float(v)] for n, v in zip(series.n, series.values)]
         assert capsys.readouterr().out == per_line_csv(["N", "value"], rows)
+
+
+def written(chunk_rows, *columns):
+    """What _write_csv prints to stdout for the columns under header "h", at chunk_rows rows a chunk."""
+    buf = io.StringIO()
+    with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows), contextlib.redirect_stdout(buf):
+        cli._write_csv(None, "h\n", *columns)
+    return buf.getvalue()
+
+
+def hard_floats():
+    """Seeded floats where a 17-digit rendering is hardest to get right."""
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 1 << 63, 1500, dtype=np.uint64)
+    bits[::2] |= np.uint64(1 << 63)  # both signs
+    random_bits = bits.view(np.float64)
+    m = rng.integers(1, 61, 1500)
+    dyadic = rng.integers(1, 1 << 53, 1500) / 2.0 ** m  # exact k / 2**m, many 17-digit ties
+    neighbours = []
+    for c in (1e-5, 1e-4, 1e16, 1e17, 1e-200, 1e200):
+        up = down = c
+        for _ in range(20):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            neighbours += [up, down, -up, -down]
+    # doubles just below 10**k whose 17-digit rounding is 10**k itself
+    carries = [float(f"1e{k}") for k in range(-307, 309)]
+    carries = [v for k, v in zip(range(-307, 309), carries)
+               if Fraction(v) < Fraction(10) ** k and f"{v:.17g}" == f"1e{k:+03d}"]
+    assert len(carries) >= 10
+    powers = [float(f"1e{k}") for k in range(-20, 24)]
+    return np.concatenate([random_bits, dyadic, neighbours, carries, powers, np.negative(carries)])
+
+
+class TestCsvWriter:
+    """_write_csv prints exactly the bytes of %d / %.17g per cell, at any chunk size."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, cli._CSV_CHUNK_ROWS])
+    def test_hard_floats(self, chunk_rows):
+        x = hard_floats()
+        if chunk_rows == 1:
+            x = x[::8]  # one numpy pass per row: a sample keeps the test fast
+        index = np.arange(x.size)
+        rows = [[i, v, -v] for i, v in zip(index.tolist(), x.tolist())]
+        assert written(chunk_rows, index, x, -x) == per_line_csv(["h"], rows)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40), st.sampled_from([1, 5, cli._CSV_CHUNK_ROWS]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats(self, values, chunk_rows):
+        x = np.array(values)
+        rows = [[i, v] for i, v in enumerate(values)]
+        assert written(chunk_rows, np.arange(x.size), x) == per_line_csv(["h"], rows)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, cli._CSV_CHUNK_ROWS])
+    def test_int_columns(self, chunk_rows):
+        ints = [0, 7, -5, 10, -10, 10**9, -(2**31 - 1), 2**31 - 1]
+        rows = [list(r) for r in zip(ints, [-i for i in ints], [0.5] * 8)]
+        got = written(chunk_rows, np.array(ints), -np.array(ints, dtype=np.int32), np.full(8, 0.5))
+        assert got == per_line_csv(["h"], rows)
+        with pytest.raises(ValueError):
+            written(chunk_rows, np.array([2**31]), np.ones(1))
+
+
+class TestCsvEdgeRows:
+    def test_structural_one_point(self, capsys):
+        assert run_cli(["sequence", "--structural", "--n", "1"]) == 0
+        assert capsys.readouterr().out == "n,angle_turns,extremal_value\n0,0,\n"
+
+    def test_series_n_max_one_is_refused(self, capsys):
+        assert run_cli(["series", "--kind", "W_subcritical", "--s", "0.5", "--n-max", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need n_max >= 2" in captured.err
+
+    def test_series_one_row(self, capsys):
+        # W1_critical starts at N = 2, so --n-max 2 gives one row
+        assert run_cli(["series", "--kind", "W1_critical", "--s", "1", "--n-max", "2"]) == 0
+        series = normalized_series("W1_critical", 1.0, 2)
+        assert series.n.tolist() == [2]
+        assert capsys.readouterr().out == per_line_csv(["N", "value"], [[2, float(series.values[0])]])
+
+    def test_numerical_stdout_equals_file(self, tmp_path):
+        args = ["sequence", "--numerical", "--s", "0.5", "--initial", "0,0.1,0.37", "--n", "40"]
+        out = tmp_path / "run.csv"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run_cli(args) == 0
+        assert buf.getvalue() == out.read_text()
 
 
 class TestConstants:

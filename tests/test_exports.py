@@ -31,6 +31,15 @@ def test_theta_components_exported():
     assert lejacircle.theta_components is binary.theta_components
 
 
+@pytest.mark.parametrize("name", ["kernel_values", "potential", "leja_sup_norm_log"])
+def test_deleted_circle_helpers_are_gone(name):
+    # prefix_potentials and chord_kernel(chord_lengths(...)) serve their callers
+    from lejacircle import circle
+
+    assert not hasattr(circle, name)
+    assert not hasattr(lejacircle, name)
+
+
 def test_package_imports_form_no_cycle():
     # each module's relative imports, read from its source; a cycle
     # would make some import order fail on a partially initialized module
