@@ -51,7 +51,6 @@ from .special import (
     ConstantsCatalog,
     classify_regime,
     continuous_energy,
-    gamma_fn,
     limit_catalog,
     zeta,
 )

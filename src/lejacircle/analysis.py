@@ -9,16 +9,15 @@ finite limit behaviour:
     W1(N) = midpoint_potential(N) / (N*log N)                s = 1, N >= 2
     T(N)  = (midpoint_potential(N) - N*log(N)/pi) / N        s = 1
     W(N)  = midpoint_potential(N) / N**s                     s > 1
-    log_ratio(N)     = log(product of distances) / log(N+1)  s = 0
-    second_order_1(N) = (U_N(a_N) - N*log(N)/pi) / N         s = 1, extremal
 
-The last two are ``extremal_series`` at s = 0 and s = 1: the regime
-normalization of the structural extremal value U_N(a_N) for every s >= 0,
-(U_N(a_N) - N*I_s)/N**s for 0 < s < 1 and U_N(a_N)/N**s for s > 1.  At s = 0
-it is evaluated through the exact identity: the product of distances from
-point N to its predecessors is 2**tau_b(N), so log_ratio(N) =
-tau_b(N)/log2(N+1) (exactly 1.0 in floating point whenever N + 1 is a power
-of two).
+The kind ``extremal`` is ``extremal_series``, the regime normalization of
+the structural extremal value U_N(a_N) for every s >= 0:
+(U_N(a_N) - N*I_s)/N**s for 0 < s < 1, (U_N(a_N) - N*log(N)/pi)/N at s = 1
+and U_N(a_N)/N**s for s > 1.  At s = 0 it is the ratio
+log(product of distances)/log(N+1), evaluated through the exact identity:
+the product of distances from point N to its predecessors is 2**tau_b(N), so
+the ratio is tau_b(N)/log2(N+1) (exactly 1.0 in floating point whenever
+N + 1 is a power of two).
 
 ``limit_point_check`` realizes a digit-direction vector theta by the witness
 subsequence N(n) = 2**n * M (+ low bits for trailing zeros) and compares the
@@ -38,9 +37,8 @@ import numpy as np
 
 from . import binary
 from .binary import decompose
+from .budget import require
 from .circle import (
-    MAX_POINTS,
-    BudgetExceededError,
     Configuration,
     energy,
     midpoint_potential,
@@ -62,7 +60,6 @@ from .special import (
     REGIME_SUPERCRITICAL,
     classify_regime,
     continuous_energy,
-    gamma_fn,
     second_order_scale,
     zeta,
 )
@@ -89,8 +86,7 @@ _KIND_REGIMES = {
     "W1_critical": REGIME_CRITICAL,
     "T_critical": REGIME_CRITICAL,
     "W_supercritical": REGIME_SUPERCRITICAL,
-    "log_ratio": REGIME_LOG,
-    "second_order_1": REGIME_CRITICAL,
+    "extremal": None,  # every s >= 0
 }
 SERIES_KINDS = tuple(_KIND_REGIMES)
 
@@ -114,8 +110,7 @@ class LimitPointCheck:
 def _check_n_max(n_max: int, low: int = 1) -> None:
     if n_max < low:
         raise ValueError(f"need n_max >= {low}, got {n_max}")
-    if n_max > MAX_POINTS:
-        raise BudgetExceededError(f"n_max={n_max} exceeds the compute budget {MAX_POINTS}")
+    require(n_max, f"n_max={n_max}")
 
 
 def _normalize(u, n, s: float):
@@ -156,9 +151,11 @@ def normalized_series(kind: str, s: float, n_max: int) -> NormalizedSeries:
     """Evaluate one of the named normalized series for N up to n_max."""
     if kind not in _KIND_REGIMES:
         raise ValueError(f"unknown series kind {kind!r}")
-    if classify_regime(s) != _KIND_REGIMES[kind]:
+    if _KIND_REGIMES[kind] not in (None, classify_regime(s)):
         raise ValueError(f"{kind} needs a {_KIND_REGIMES[kind]} exponent, got s={s}")
     _check_n_max(n_max, low=2)
+    if kind == "extremal":
+        return extremal_series(s, n_max)
 
     n = np.arange(1, n_max + 1, dtype=np.int64)
     nf = n.astype(np.float64)
@@ -167,8 +164,6 @@ def normalized_series(kind: str, s: float, n_max: int) -> NormalizedSeries:
     elif kind == "W1_critical":
         n, nf = n[1:], nf[1:]
         values = midpoint_potential(n, 1.0) / (nf * np.log(nf))
-    elif kind in ("log_ratio", "second_order_1"):
-        values = extremal_series(s, n_max).values
     else:  # W_subcritical, T_critical, W_supercritical: the midpoint transform
         values = _normalize(midpoint_potential(n, s), nf, s)
     return NormalizedSeries(kind, s, n, values)
@@ -197,10 +192,7 @@ def limit_point_check(m: int, p: int, s: float, depth: int) -> LimitPointCheck:
     if depth <= z - 1:
         raise ValueError(f"depth {depth} too small for {z} trailing zeros")
     n_witness = (m << depth) + ((1 << z) - 1)
-    if n_witness > MAX_POINTS:
-        raise BudgetExceededError(
-            f"witness index {n_witness} exceeds the compute budget {MAX_POINTS}"
-        )
+    require(n_witness, f"witness index {n_witness}")
     blocks = np.array([1 << e for e in decompose(n_witness)])
     u = math.fsum(midpoint_potential(blocks, s).tolist())
     observed = float(_normalize(u, float(n_witness), s))
@@ -420,8 +412,8 @@ def check_divergence_witnesses(s: float, n: int) -> CheckResult:
 
 def check_critical_t_limit(n: int) -> CheckResult:
     """T(n) is within 1e-3 of the critical level (gamma + log(8/pi))/pi."""
-    t = normalized_series("T_critical", 1.0, n).values
-    return _max_le("critical-t-limit", abs(t[-1] - CRITICAL_LEVEL), 1e-3)
+    t = _normalize(midpoint_potential(n, 1.0), float(n), 1.0)
+    return _max_le("critical-t-limit", abs(t - CRITICAL_LEVEL), 1e-3)
 
 
 def check_critical_first_order_corrected(n: int, budget: float) -> CheckResult:
@@ -514,8 +506,8 @@ def check_continuous_energy_forms() -> CheckResult:
     worst = 0.0
     for s100 in range(5, 100, 5):
         s = s100 / 100.0
-        first = 2.0 ** (-s) / math.sqrt(math.pi) * gamma_fn((1 - s) / 2) / gamma_fn(1 - s / 2)
-        second = gamma_fn(1.0 - s) / gamma_fn(1.0 - s / 2.0) ** 2
+        first = 2.0 ** (-s) / math.sqrt(math.pi) * math.gamma((1 - s) / 2) / math.gamma(1 - s / 2)
+        second = math.gamma(1.0 - s) / math.gamma(1.0 - s / 2.0) ** 2
         worst = max(worst, abs(first - second) / abs(first))
     return _max_le("continuous-energy-forms", worst, 1e-12)
 

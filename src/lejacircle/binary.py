@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import MAX_POINTS, BudgetExceededError
+from .budget import MAX_POINTS, require
 
 __all__ = [
     "tau_b",
@@ -91,8 +91,8 @@ def _odd_m(max_bits: int) -> np.ndarray:
     """The odd M < 2**max_bits, ascending, as int64; their 2**(max_bits - 1) must fit MAX_POINTS."""
     if max_bits < 1:
         raise ValueError(f"need max_bits >= 1, got {max_bits}")
-    if max_bits > MAX_POINTS.bit_length():  # 2**(max_bits - 1) > MAX_POINTS
-        raise BudgetExceededError(f"2**{max_bits - 1} odd M exceed the compute budget {MAX_POINTS}")
+    # the count 2**(max_bits - 1), capped one bit past the budget so no huge int is built
+    require(1 << min(max_bits - 1, MAX_POINTS.bit_length()), f"odd M count 2**{max_bits - 1}")
     return np.arange(1, 1 << max_bits, 2, dtype=np.int64)
 
 

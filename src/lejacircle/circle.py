@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .budget import MAX_POINTS, BudgetExceededError
+from .budget import MAX_POINTS, BudgetExceededError, require  # the first two re-exported
 from .special import roots_energy_expansion
 from .summation import pairwise_sum, row_sums, zero_rows
 
@@ -200,8 +200,7 @@ def _roots_n(n, exponents) -> np.ndarray:
     lo, hi = (ns.min(), ns.max()) if ns.size else (1, 1)
     if lo < 1:
         raise ValueError(f"need N >= 1, got {lo}")
-    if hi > MAX_POINTS:
-        raise BudgetExceededError(f"N={hi} exceeds the compute budget {MAX_POINTS}")
+    require(hi)
     for s in exponents:
         if not s > 0:
             raise ValueError(f"need s > 0, got {s}")

@@ -281,14 +281,14 @@ def cmd_sequence(args) -> int:
         angles = structural_angles(args.n)
         values = extremal_values_structural(args.n - 1, args.s) if args.n > 1 else []
     # Row 0 has no value: U_n(a_n) is defined from n = 1 on.
-    head = "n,angle_turns,extremal_value\n" + _csv_rows([np.zeros(1, int), angles[:1]])[:-1] + ",\n"
+    head = "n,angle_turns,extremal_value\n0,%.17g,\n" % angles[0]
     _write_csv(args.out, head, np.arange(1, len(angles)), angles[1:], values)
     return 0
 
 
 def cmd_constants(args) -> int:
     catalog = special.limit_catalog(args.s)
-    _write_text(json.dumps(catalog.to_dict(), indent=2) + "\n", args.out)
+    _write_text(json.dumps(dataclasses.asdict(catalog), indent=2) + "\n", args.out)
     return 0
 
 

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import require
 from .circle import (
-    MAX_POINTS,
-    BudgetExceededError,
     Configuration,
     chord_kernel,
     chord_lengths,
@@ -79,8 +78,7 @@ def structural_angles(n_points: int) -> np.ndarray:
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
-    if n_points > MAX_POINTS:
-        raise BudgetExceededError(f"N={n_points} exceeds the compute budget {MAX_POINTS}")
+    require(n_points)
     bits = max(n_points - 1, 0).bit_length()
     return _doubling(0.5 ** np.arange(1, bits + 1), n_points)
 
@@ -95,8 +93,7 @@ def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    if n_max > MAX_POINTS:
-        raise BudgetExceededError(f"N={n_max} exceeds the compute budget {MAX_POINTS}")
+    require(n_max)
     bits = int(n_max).bit_length()
     if classify_regime(s) == REGIME_LOG:  # also validates s >= 0
         table = np.full(bits, -np.log(2.0))
@@ -285,8 +282,7 @@ def greedy_numerical(initial: Configuration, s: float, n_points: int) -> GreedyR
     classify_regime(sv)  # validates s >= 0
     if len(initial) < 1:
         raise ValueError("initial configuration must contain at least one point")
-    if n_points > MAX_POINTS:
-        raise BudgetExceededError(f"N={n_points} exceeds the compute budget {MAX_POINTS}")
+    require(n_points)
 
     work = initial.angles()
     if n_points > len(work):

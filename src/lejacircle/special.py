@@ -3,9 +3,9 @@
 Provides the regime classification of the Riesz exponent, the Riemann zeta
 function on s > 0 (s != 1) via the alternating (eta) series accelerated with
 Chebyshev-polynomial weights (Cohen / Rodriguez Villegas / Zagier), the
-Gamma function (``math.gamma``), the Euler-Mascheroni constant, the critical
-second-order level (gamma + log(8/pi))/pi, and the continuous s-energy of
-normalized arc length on the circle
+Euler-Mascheroni constant, the critical second-order level
+(gamma + log(8/pi))/pi, and the continuous s-energy of normalized arc length
+on the circle (Gamma is ``math.gamma``)
 
     I_s = 2**(-s)/sqrt(pi) * Gamma((1-s)/2) / Gamma(1-s/2)
         = Gamma(1-s) / Gamma(1-s/2)**2,        0 < s < 1,  I_0 = 0.
@@ -28,7 +28,7 @@ reports certified brackets combining the bounded searches of
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import binary
 
@@ -36,7 +36,6 @@ __all__ = [
     "EULER_GAMMA",
     "CRITICAL_LEVEL",
     "classify_regime",
-    "gamma_fn",
     "zeta",
     "continuous_energy",
     "ConstantsCatalog",
@@ -71,13 +70,6 @@ def classify_regime(s: float) -> str:
     if s == 1:
         return REGIME_CRITICAL
     return REGIME_SUPERCRITICAL
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0, by ``math.gamma``."""
-    if not x > 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def zeta(s: float) -> float:
@@ -123,7 +115,7 @@ def continuous_energy(s: float) -> float:
         raise ValueError(f"continuous energy is finite only for 0 <= s < 1, got {s}")
     if s == 0:
         return 0.0
-    return 2.0 ** (-s) / math.sqrt(math.pi) * gamma_fn((1.0 - s) / 2.0) / gamma_fn(1.0 - s / 2.0)
+    return 2.0 ** (-s) / math.sqrt(math.pi) * math.gamma((1.0 - s) / 2.0) / math.gamma(1.0 - s / 2.0)
 
 
 def _zeta_continued(x: float) -> float:
@@ -139,7 +131,7 @@ def _zeta_continued(x: float) -> float:
     if x % 2.0 == 0.0:
         return 0.0  # the trivial zeros
     sin_half = math.sin(math.pi * math.fmod(0.5 * x, 2.0))  # the reduction mod 2 is exact
-    return 2.0 ** x * math.pi ** (x - 1.0) * sin_half * gamma_fn(1.0 - x) * zeta(1.0 - x)
+    return 2.0 ** x * math.pi ** (x - 1.0) * sin_half * math.gamma(1.0 - x) * zeta(1.0 - x)
 
 
 def roots_energy_expansion(s: float) -> tuple[float, list[float]]:
@@ -170,7 +162,7 @@ def roots_energy_expansion(s: float) -> tuple[float, list[float]]:
         # tan(pi*s/2) = -1/tan(pi*(h - 1/2)) with h = s/2 mod 1; h - 1/2 is exact, so
         # the pole at odd s costs no precision
         h = math.fmod(0.5 * s, 1.0)
-        v = -(2.0 ** (-s) / math.sqrt(math.pi) * gamma_fn(0.5 * s) / gamma_fn(0.5 + 0.5 * s)
+        v = -(2.0 ** (-s) / math.sqrt(math.pi) * math.gamma(0.5 * s) / math.gamma(0.5 + 0.5 * s)
               / math.tan(math.pi * (h - 0.5)))
     return v, coefs
 
@@ -191,9 +183,6 @@ class ConstantsCatalog:
     limsup: float | None = None
     liminf_lower: float | None = None
     liminf_upper: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def second_order_scale(s: float) -> float:

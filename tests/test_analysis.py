@@ -114,13 +114,13 @@ class TestNormalizedSeries:
         ser = normalized_series("W_supercritical", 2.0, 64)
         np.testing.assert_allclose(ser.values, 0.25, rtol=1e-10)
 
-    def test_log_ratio_exact_ones(self):
-        ser = normalized_series("log_ratio", 0.0, 4096)
+    def test_extremal_s0_exact_ones(self):
+        ser = normalized_series("extremal", 0.0, 4096)
         for m in range(1, 12):
             assert ser.values[(1 << m) - 2] == 1.0
 
-    def test_log_ratio_bounds(self):
-        ser = normalized_series("log_ratio", 0.0, 4096)
+    def test_extremal_s0_bounds(self):
+        ser = normalized_series("extremal", 0.0, 4096)
         assert np.all(ser.values > 0.0)
         assert np.all(ser.values <= 1.0)
 
@@ -147,9 +147,16 @@ class TestNormalizedSeries:
         with pytest.raises(ValueError):
             normalized_series("T_critical", 0.5, 64)
         with pytest.raises(ValueError):
-            normalized_series("log_ratio", 0.5, 64)
-        with pytest.raises(ValueError):
-            normalized_series("nope", 0.5, 64)
+            normalized_series("extremal", -0.5, 64)
+        for kind in ("nope", "log_ratio", "second_order_1"):
+            with pytest.raises(ValueError):
+                normalized_series(kind, 0.5, 64)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0, 1.5, 3.5])
+    def test_extremal_kind_is_extremal_series(self, s):
+        ser, ref = normalized_series("extremal", s, 300), extremal_series(s, 300)
+        assert ser.kind == ref.kind == "extremal" and ser.s == s
+        assert np.array_equal(ser.n, ref.n) and np.array_equal(ser.values, ref.values)
 
 
 class TestExtremalSeries:

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -309,10 +310,15 @@ class TestTheta:
         ]
 
     @pytest.mark.parametrize("args", [["--max-bits", "22"],
-                                      ["--format", "csv", "--p", "1", "--max-bits", "22"]])
+                                      ["--format", "csv", "--p", "1", "--max-bits", "22"],
+                                      ["--max-bits", "1000000000000"],
+                                      ["--format", "csv", "--p", "1", "--max-bits", "1000000000000"]])
     def test_budget_exit(self, capsys, args):
+        # at once: the budget is checked without building the 2**(max_bits - 1) count
+        start = time.perf_counter()
         assert run_cli(["theta", *args]) == 3
-        assert "compute budget" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0
+        assert f"odd M count 2**{int(args[-1]) - 1} exceeds the compute budget" in capsys.readouterr().err
 
     def test_budget_boundary_runs(self, capsys):
         assert run_cli(["theta", "--format", "csv", "--p", "1", "--max-bits", "21"]) == 0
@@ -372,6 +378,23 @@ class TestSeries:
 
     def test_regime_mismatch(self):
         assert run_cli(["series", "--kind", "W_subcritical", "--s", "2", "--n-max", "64"]) == 2
+
+    @pytest.mark.parametrize("fig_id, s", [(1, 0.0), (2, 0.3), (3, 1.0), (4, 3.5)])
+    def test_extremal_equals_figure_file(self, tmp_path, capsys, fig_id, s):
+        s_values, n_max = FIGURE_GRIDS[fig_id]
+        assert run_cli(["figure", "--id", str(fig_id), "--out-dir", str(tmp_path)]) == 0
+        name = f"fig{fig_id}.csv" if len(s_values) == 1 else f"fig{fig_id}_s{s:g}.csv"
+        out = tmp_path / "series.csv"
+        assert run_cli(["series", "--kind", "extremal", "--s", repr(s), "--n-max", str(n_max),
+                        "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["log_ratio", "second_order_1"])
+    def test_old_extremal_kinds_are_rejected(self, capsys, kind):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["series", "--kind", kind, "--s", "1", "--n-max", "64"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -40,6 +40,38 @@ def test_deleted_circle_helpers_are_gone(name):
     assert not hasattr(lejacircle, name)
 
 
+def test_gamma_fn_is_gone():
+    # the closed forms call math.gamma
+    from lejacircle import special
+
+    assert not hasattr(special, "gamma_fn") and "gamma_fn" not in special.__all__
+    assert not hasattr(lejacircle, "gamma_fn")
+
+
+def test_catalog_to_dict_is_gone():
+    # lejacircle constants writes dataclasses.asdict(catalog)
+    assert not hasattr(lejacircle.ConstantsCatalog, "to_dict")
+
+
+def test_only_budget_module_guards_the_budget():
+    # every size guard is a call to budget.require: no other module compares
+    # with MAX_POINTS or raises BudgetExceededError itself
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+    package = Path(lejacircle.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "budget":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and "MAX_POINTS" in names(node):
+                offenders.append(f"{path.stem}:{node.lineno} compares with MAX_POINTS")
+            if isinstance(node, ast.Raise) and node.exc and "BudgetExceededError" in names(node.exc):
+                offenders.append(f"{path.stem}:{node.lineno} raises BudgetExceededError")
+    assert offenders == []
+
+
 def test_package_imports_form_no_cycle():
     # each module's relative imports, read from its source; a cycle
     # would make some import order fail on a partially initialized module

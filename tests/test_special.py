@@ -1,9 +1,10 @@
-"""Gamma, zeta, the Euler-Mascheroni constant, continuous energy, catalog.
+"""Gamma (``math.gamma``), zeta, the Euler-Mascheroni constant, continuous energy, catalog.
 
 mpmath (50 digits) serves as the independent high-precision oracle; the
 classical closed-form values are asserted directly.
 """
 
+import dataclasses
 import json
 import math
 
@@ -14,7 +15,6 @@ import pytest
 from lejacircle.special import (
     EULER_GAMMA,
     continuous_energy,
-    gamma_fn,
     limit_catalog,
     second_order_scale,
     zeta,
@@ -24,31 +24,28 @@ mp.mp.dps = 50
 
 
 class TestGamma:
+    """``math.gamma``, the Gamma of every closed form in the library."""
+
     def test_integers(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
+        assert math.gamma(1.0) == pytest.approx(1.0, rel=1e-14)
+        assert math.gamma(5.0) == pytest.approx(24.0, rel=1e-13)
 
     def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert math.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
     def test_three_quarters_duplication_oracle(self):
         # duplication formula: Gamma(x) Gamma(x + 1/2) = sqrt(pi) 2^(1-2x) Gamma(2x)
         x = 0.75
-        lhs = gamma_fn(x) * gamma_fn(x + 0.5)
-        rhs = math.sqrt(math.pi) * 2.0 ** (1.0 - 2.0 * x) * gamma_fn(2.0 * x)
+        lhs = math.gamma(x) * math.gamma(x + 0.5)
+        rhs = math.sqrt(math.pi) * 2.0 ** (1.0 - 2.0 * x) * math.gamma(2.0 * x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-        assert gamma_fn(0.75) == pytest.approx(float(mp.gamma("0.75")), rel=1e-13)
-        assert gamma_fn(0.75) == pytest.approx(1.225416702465178, rel=1e-12)
+        assert math.gamma(0.75) == pytest.approx(float(mp.gamma("0.75")), rel=1e-13)
+        assert math.gamma(0.75) == pytest.approx(1.225416702465178, rel=1e-12)
 
     def test_against_stdlib_grid(self):
+        # the stdlib Gamma against the mpmath oracle over the arguments the closed forms use
         for x in np.linspace(0.02, 12.0, 160):
-            assert gamma_fn(float(x)) == pytest.approx(math.gamma(float(x)), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-1.5)
+            assert math.gamma(float(x)) == pytest.approx(float(mp.gamma(float(x))), rel=1e-12)
 
 
 class TestZeta:
@@ -115,8 +112,14 @@ class TestContinuousEnergy:
         for s in np.arange(0.05, 1.0, 0.05):
             s = float(s)
             first = continuous_energy(s)
-            second = gamma_fn(1.0 - s) / gamma_fn(1.0 - s / 2.0) ** 2
+            second = math.gamma(1.0 - s) / math.gamma(1.0 - s / 2.0) ** 2
             assert first == pytest.approx(second, rel=1e-12)
+
+    def test_against_mpmath_grid(self):
+        for s in np.linspace(0.01, 0.99, 50):
+            z = mp.mpf(float(s))
+            want = 2 ** (-z) / mp.sqrt(mp.pi) * mp.gamma((1 - z) / 2) / mp.gamma(1 - z / 2)
+            assert continuous_energy(float(s)) == pytest.approx(float(want), rel=1e-13)
 
     def test_continuity_at_zero(self):
         assert continuous_energy(1e-6) == pytest.approx(1.0, abs=1e-4)
@@ -169,7 +172,7 @@ class TestLimitCatalog:
 
     def test_serialization_keys(self):
         cat = limit_catalog(1.5)
-        payload = json.loads(json.dumps(cat.to_dict()))
+        payload = json.loads(json.dumps(dataclasses.asdict(cat)))
         assert list(payload.keys()) == [
             "s", "regime", "i_sigma", "zeta", "first_order",
             "limsup", "liminf_lower", "liminf_upper",
