@@ -15,7 +15,6 @@ from .binary import (
     search_g_extremes,
     search_lambda,
     tau_b,
-    theta_components,
 )
 from .circle import (
     BudgetExceededError,

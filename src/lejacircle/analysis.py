@@ -186,7 +186,11 @@ def limit_point_check(m: int, p: int, s: float, depth: int) -> LimitPointCheck:
     zeros realized by appending the lowest z bits (adding 2**z - 1), which
     vanish in the limit while preserving the digit ratios exactly.
     """
-    z = binary.theta_components(m, p).count(0)  # raises for an even M or p < tau_b(M)
+    if m < 1 or m % 2 == 0:
+        raise ValueError(f"M must be odd and positive, got {m}")
+    z = p - binary.tau_b(m)  # the trailing zeros of theta
+    if z < 0:
+        raise ValueError(f"need p >= tau_b(M) = {p - z}, got p = {p}")
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
     if depth <= z - 1:
@@ -517,7 +521,8 @@ def check_zeta_sign_and_euler_gamma() -> CheckResult:
         zeta(1.0 + s / 4.0) > 1.0 for s in range(1, 17)
     )
     nh = 1_000_000
-    harmonic = float(np.sum(1.0 / np.arange(1, nh + 1, dtype=np.float64)))
+    h = np.arange(1, nh + 1, dtype=np.float64)
+    harmonic = float(np.sum(np.reciprocal(h, out=h)))
     gamma_resid = abs(harmonic - math.log(nh) - EULER_GAMMA)
     return CheckResult(
         "zeta-sign-and-euler-gamma",
@@ -556,10 +561,10 @@ def check_g_strictly_decreasing_in_s(s_values) -> CheckResult:
 
 
 def check_tau_binary_properties() -> CheckResult:
-    n_arr = np.arange(1, 1_000_001, dtype=np.int64)
-    taus = np.bitwise_count(n_arr).astype(np.int64)
+    n_arr = np.arange(1, 1_000_001, dtype=np.int32)
+    taus = np.bitwise_count(n_arr)  # uint8
     tau2 = np.bitwise_count(n_arr << 1)
-    tau_ok = bool(np.all(n_arr >= (1 << taus) - 1)) and bool(np.all(tau2 == taus))
+    tau_ok = bool(np.all(n_arr >= (np.int32(1) << taus) - 1)) and bool(np.all(tau2 == taus))
     recon_ok = all(sum(1 << e for e in decompose(k)) == k for k in range(1, 2048))
     return CheckResult(
         "tau-binary-properties",

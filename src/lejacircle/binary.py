@@ -7,9 +7,9 @@ family of vectors
 
     theta = (2**n_1/M, ..., 2**n_t/M, 0, ..., 0),   M = sum of the powers odd,
 
-so a vector is its odd M and a length p, with exact rationals given by
-:func:`theta_components`.  Two functionals of M control the second-order
-limit points of the extremal potentials:
+so a vector is its odd M and a length p: the components 2**e/M over the set
+bits e of M, then p - tau_b(M) zeros.  Two functionals of M control the
+second-order limit points of the extremal potentials:
 
     G(theta; s)  = sum_k theta_k**s
     Lambda(theta) = sum_k theta_k*log(theta_k)      (0*log 0 := 0)
@@ -25,7 +25,6 @@ again exactly, by the fsum of ``g_value``/``lambda_value``.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .budget import MAX_POINTS, require
 __all__ = [
     "tau_b",
     "decompose",
-    "theta_components",
     "enumerate_theta",
     "g_value",
     "lambda_value",
@@ -74,19 +72,6 @@ def _check_odd(m: int) -> None:
         raise ValueError(f"M must be odd and positive, got {m}")
 
 
-def theta_components(m: int, p: int) -> tuple[Fraction, ...]:
-    """The vector (2**n_1/M, ..., 2**n_t/M, 0, ..., 0) of odd M, padded to length p.
-
-    The components are exact rationals; they sum to exactly 1 and satisfy
-    theta_k <= 2**(1-k).
-    """
-    _check_odd(m)
-    exps = decompose(m)
-    if p < len(exps):
-        raise ValueError(f"need p >= tau_b(M) = {len(exps)}, got p = {p}")
-    return tuple(Fraction(1 << e, m) for e in exps) + (Fraction(0),) * (p - len(exps))
-
-
 def _odd_m(max_bits: int) -> np.ndarray:
     """The odd M < 2**max_bits, ascending, as int64; their 2**(max_bits - 1) must fit MAX_POINTS."""
     if max_bits < 1:
@@ -99,7 +84,7 @@ def _odd_m(max_bits: int) -> np.ndarray:
 def enumerate_theta(p: int, max_bits: int) -> list[int]:
     """The odd M < 2**max_bits with at most p set bits, in ascending order.
 
-    Each is the theta vector of length p given by ``theta_components(M, p)``;
+    Each is the theta vector (2**n_1/M, ..., 2**n_t/M, 0, ..., 0) of length p;
     distinct M give distinct vectors, so no deduplication is needed.
     """
     if p < 1:
@@ -143,16 +128,6 @@ class GSearchResult:
     family_sup: float
     family_inf: float
 
-    @property
-    def best_sup_bound(self) -> float:
-        """Largest certified lower bound for sup G."""
-        return max(self.sup_found, self.family_sup)
-
-    @property
-    def best_inf_bound(self) -> float:
-        """Smallest certified upper bound for inf G."""
-        return min(self.inf_found, self.family_inf)
-
 
 @dataclass(frozen=True)
 class LambdaSearchResult:
@@ -161,11 +136,6 @@ class LambdaSearchResult:
     inf_found: float
     witness_m: int
     family_inf: float
-
-    @property
-    def best_inf_bound(self) -> float:
-        """Smallest certified upper bound for inf Lambda."""
-        return min(self.inf_found, self.family_inf)
 
 
 def _odd_bit_sums(m, term):

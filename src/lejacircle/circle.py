@@ -204,6 +204,8 @@ def _roots_n(n, exponents) -> np.ndarray:
     for s in exponents:
         if not s > 0:
             raise ValueError(f"need s > 0, got {s}")
+        if s == math.inf:
+            raise ValueError("need a finite s, got inf")
     return ns
 
 

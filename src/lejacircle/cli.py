@@ -10,8 +10,8 @@ Subcommands:
     series     emit one normalized series as CSV
 
 Angles in all input and output are turns in [0, 1).  Floats are printed with
-17 significant digits (%.17g) so the values round-trip.  CSV rows are
-rendered with numpy a chunk at a time, byte-equal to a %-format per row: an
+17 significant digits (%.17g) so the values round-trip.  The numeric CSV rows
+(all but theta's) are rendered with numpy, byte-equal to a %-format per row: an
 exact fast path finds the 17 digits of each float in double-double
 arithmetic, and the few cells it cannot decide (undecided ties, zeros,
 non-finite and extreme values) are formatted by %.17g itself.  Exit codes:
@@ -75,34 +75,29 @@ def _write_text(text, out_path):
 
 def _write_csv(out_path, head, *columns):
     """Write ``head`` (the header and any irregular first rows), then the rows
-    (columns[0][i], columns[1][i], ...) in chunks of _CSV_CHUNK_ROWS rows,
-    each rendered by ``_csv_rows``."""
+    (columns[0][i], columns[1][i], ...) in chunks of _CSV_CHUNK_ROWS rows.
+
+    Integer columns print as %d and float columns as %.17g (so floats
+    round-trip): the bytes of one %-format per row.
+    A chunk's text is built as one (slots, rows) matrix of ASCII bytes,
+    column-major so that every step runs along all rows at once, with NUL in
+    each slot a cell leaves empty; the transpose to rows drops the NULs.  The
+    digits are worked out in float64, exact for integers below 2**53.
+    """
     columns = [np.asarray(c) for c in columns]
     with _open_out(out_path) as out:
         out.write(head)
         for start in range(0, columns[0].size, _CSV_CHUNK_ROWS):
-            out.write(_csv_rows([c[start:start + _CSV_CHUNK_ROWS] for c in columns]))
-
-
-def _csv_rows(columns) -> str:
-    """The CSV lines of the rows (columns[0][i], columns[1][i], ...).
-
-    Integer columns print as %d and float columns as %.17g (so floats
-    round-trip): the bytes of one %-format per row.
-    The text is built as one (slots, rows) matrix of ASCII bytes, column-major
-    so that every step runs along all rows at once, with NUL in each slot a
-    cell leaves empty; the transpose to rows drops the NULs.  The digits are
-    worked out in float64, exact for integers below 2**53.
-    """
-    floats = [c for c in columns if c.dtype.kind == "f"]
-    # one pass for all float columns, side by side
-    float_cells = iter(np.hsplit(_float_cells(np.concatenate(floats)), len(floats)) if floats else [])
-    sep = np.full((1, columns[0].size), ord(","), dtype=np.uint8)
-    parts = []
-    for c in columns:
-        parts += [next(float_cells) if c.dtype.kind == "f" else _int_cells(c), sep]
-    parts[-1] = np.full_like(sep, ord("\n"))
-    return np.concatenate(parts).T.tobytes().translate(None, b"\0").decode("ascii")
+            chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
+            floats = [c for c in chunk if c.dtype.kind == "f"]
+            # one pass for all float columns, side by side
+            float_cells = iter(np.hsplit(_float_cells(np.concatenate(floats)), len(floats)) if floats else [])
+            sep = np.full((1, chunk[0].size), ord(","), dtype=np.uint8)
+            parts = []
+            for c in chunk:
+                parts += [next(float_cells) if c.dtype.kind == "f" else _int_cells(c), sep]
+            parts[-1] = np.full_like(sep, ord("\n"))
+            out.write(np.concatenate(parts).T.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _digits(v, rows):
@@ -298,14 +293,16 @@ def cmd_theta(args) -> int:
         with _open_out(args.out) as out:
             out.write("M,t,p,components,g_value,lambda_value\n")
             for start in range(0, len(ms), _CSV_CHUNK_ROWS):
-                chunk = ms[start:start + _CSV_CHUNK_ROWS]
-                g = [binary.g_value(m, args.s) if args.s != 1 else 1.0 for m in chunk]
-                floats = _csv_rows([np.array(g), np.array([binary.lambda_value(m) for m in chunk])])
-                out.write("".join(
-                    f"{m},{binary.tau_b(m)},{args.p},"
-                    f"{'|'.join(str(c) for c in binary.theta_components(m, args.p))},{tail}"
-                    for m, tail in zip(chunk, floats.splitlines(keepends=True))
-                ))
+                rows = []
+                for m in ms[start:start + _CSV_CHUNK_ROWS]:
+                    exps = binary.decompose(m)
+                    # M is odd, so 2**e/M is in lowest terms; the vector of M = 1 is (1)
+                    comps = "|".join(f"{1 << e}/{m}" for e in exps) if m > 1 else "1"
+                    comps += "|0" * (args.p - len(exps))
+                    g = binary.g_value(m, args.s) if args.s != 1 else 1.0
+                    rows.append("%d,%d,%d,%s,%.17g,%.17g\n"
+                                % (m, len(exps), args.p, comps, g, binary.lambda_value(m)))
+                out.write("".join(rows))
         return 0
     payload = {
         "p": args.p,

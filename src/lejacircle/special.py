@@ -60,9 +60,9 @@ _CATALOG_MAX_BITS = 16
 
 
 def classify_regime(s: float) -> str:
-    """Classify the Riesz exponent: log (s=0), subcritical, critical, supercritical."""
-    if not s >= 0:
-        raise ValueError(f"Riesz exponent must be >= 0, got {s}")
+    """Classify the finite Riesz exponent: log (s=0), subcritical, critical, supercritical."""
+    if not 0 <= s < math.inf:
+        raise ValueError(f"Riesz exponent must be finite and >= 0, got {s}")
     if s == 0:
         return REGIME_LOG
     if s < 1:
@@ -198,24 +198,9 @@ def limit_catalog(s: float) -> ConstantsCatalog:
     regime = classify_regime(s)
     if regime == REGIME_LOG:
         return ConstantsCatalog(s=s, regime=regime, i_sigma=0.0)
-    if regime == REGIME_SUBCRITICAL:
-        c = second_order_scale(s)  # negative here
-        search = binary.search_g_extremes(s, _CATALOG_MAX_BITS)
-        g_sup_lb = max(search.best_sup_bound, 1.0 / (2.0 ** s - 1.0))
-        g_sup_ub = 2.0 ** s / (2.0 ** s - 1.0)
-        return ConstantsCatalog(
-            s=s,
-            regime=regime,
-            i_sigma=continuous_energy(s),
-            zeta=zeta(s),
-            first_order=continuous_energy(s),
-            limsup=c,
-            liminf_lower=g_sup_ub * c,
-            liminf_upper=g_sup_lb * c,
-        )
     if regime == REGIME_CRITICAL:
         search = binary.search_lambda(_CATALOG_MAX_BITS)
-        lam_ub = min(search.best_inf_bound, -2.0 * math.log(2.0))
+        lam_ub = min(search.inf_found, search.family_inf, -2.0 * math.log(2.0))
         # Constructive lower bound for Lambda: -M/e - 2*log 2 with 2**(-M) < 1/e,
         # hence M = 2.
         lam_lb = -2.0 / math.e - 2.0 * math.log(2.0)
@@ -227,9 +212,23 @@ def limit_catalog(s: float) -> ConstantsCatalog:
             liminf_lower=CRITICAL_LEVEL + lam_lb / math.pi,
             liminf_upper=CRITICAL_LEVEL + lam_ub / math.pi,
         )
-    c = second_order_scale(s)  # positive here
+    c = second_order_scale(s)  # negative for s < 1, positive for s > 1
     search = binary.search_g_extremes(s, _CATALOG_MAX_BITS)
-    g_inf_ub = min(search.best_inf_bound, 1.0 / (2.0 ** s - 1.0))
+    landmark = 1.0 / (2.0 ** s - 1.0)
+    if regime == REGIME_SUBCRITICAL:
+        g_sup_lb = max(search.sup_found, search.family_sup, landmark)
+        g_sup_ub = 2.0 ** s / (2.0 ** s - 1.0)
+        return ConstantsCatalog(
+            s=s,
+            regime=regime,
+            i_sigma=continuous_energy(s),
+            zeta=zeta(s),
+            first_order=continuous_energy(s),
+            limsup=c,
+            liminf_lower=g_sup_ub * c,
+            liminf_upper=g_sup_lb * c,
+        )
+    g_inf_ub = min(search.inf_found, search.family_inf, landmark)
     return ConstantsCatalog(
         s=s,
         regime=regime,

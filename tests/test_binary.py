@@ -1,5 +1,8 @@
 """Binary digit machinery: expansions, theta vectors of odd M, G and Lambda searches."""
 
+import contextlib
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -16,10 +19,11 @@ from lejacircle.binary import (
     search_g_extremes,
     search_lambda,
     tau_b,
-    theta_components,
 )
+from lejacircle.analysis import limit_point_check
 from lejacircle.binary import _first_extreme
 from lejacircle.circle import BudgetExceededError
+from lejacircle.cli import main
 
 
 class TestTauB:
@@ -63,43 +67,45 @@ class TestDecompose:
         assert list(exps) == sorted(exps, reverse=True)
 
 
+def components(p, max_bits):
+    """M -> the components text of its vector in ``theta --format csv --p p --max-bits max_bits``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["theta", "--format", "csv", "--p", str(p), "--max-bits", str(max_bits)]) == 0
+    return {int(r["M"]): r["components"] for r in csv.DictReader(io.StringIO(buf.getvalue()))}
+
+
 class TestThetaVector:
-    """theta_components(M, p): the exact vector of odd M, padded to length p."""
+    """The vector of odd M, padded to length p, as ``theta --format csv`` lists it."""
 
     def test_example_m13(self):
-        assert theta_components(13, 4) == (
-            Fraction(8, 13),
-            Fraction(4, 13),
-            Fraction(1, 13),
-            Fraction(0),
-        )
+        assert components(4, 4)[13] == "8/13|4/13|1/13|0"
 
     def test_single_component(self):
-        assert theta_components(1, 1) == (Fraction(1),)
+        assert components(1, 1) == {1: "1"}
 
     def test_m3(self):
-        assert theta_components(3, 2) == (Fraction(2, 3), Fraction(1, 3))
+        assert components(2, 2)[3] == "2/3|1/3"
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            theta_components(4, 3)
-        with pytest.raises(ValueError):
-            theta_components(-3, 3)
-        with pytest.raises(ValueError):
-            theta_components(13, 2)  # p < tau_b(13)
+        # limit_point_check refuses these before it sizes the witness (depth 40 is over budget)
+        for m, p in ((4, 3), (-3, 3), (0, 3)):
+            with pytest.raises(ValueError, match="M must be odd and positive"):
+                limit_point_check(m, p, 0.5, 40)
+        with pytest.raises(ValueError, match=r"need p >= tau_b\(M\) = 3, got p = 2"):
+            limit_point_check(13, 2, 0.5, 40)
 
     def test_padding(self):
-        assert theta_components(3, 9) == (Fraction(2, 3), Fraction(1, 3)) + (Fraction(0),) * 7
+        assert components(9, 2)[3] == "2/3|1/3" + "|0" * 7
 
     @given(st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=200, deadline=None)
     def test_invariants(self, k):
+        # theta_k = 2**e_k/M: the components sum to 1 and theta_k <= 2**(1-k), in integers
         m = 2 * k + 1
-        comps = theta_components(m, tau_b(m) + 2)
-        assert len(comps) == tau_b(m) + 2
-        assert sum(comps) == 1
-        for idx, c in enumerate(comps, start=1):
-            assert c <= Fraction(1, 1 << (idx - 1))
+        exps = decompose(m)
+        assert sum(1 << e for e in exps) == m
+        assert all(1 << (e + idx - 1) <= m for idx, e in enumerate(exps, start=1))
 
 
 class TestEnumerate:
@@ -107,12 +113,7 @@ class TestEnumerate:
         assert enumerate_theta(1, 4) == [1]
 
     def test_p2_bits3(self):
-        got = [theta_components(m, 2) for m in enumerate_theta(2, 3)]
-        assert got == [
-            (Fraction(1), Fraction(0)),
-            (Fraction(2, 3), Fraction(1, 3)),
-            (Fraction(4, 5), Fraction(1, 5)),
-        ]
+        assert components(2, 3) == {1: "1|0", 3: "2/3|1/3", 5: "4/5|1/5"}
 
     def test_p2_bits2(self):
         assert enumerate_theta(2, 2) == [1, 3]
@@ -150,7 +151,7 @@ class TestGValue:
 
     def test_zero_components_ignored(self):
         # G of the padded vector is G of M: the zero components add nothing
-        padded = theta_components(3, 9)
+        padded = [Fraction(2, 3), Fraction(1, 3)] + [Fraction(0)] * 7
         assert g_value(3, 0.5) == math.fsum(float(c) ** 0.5 for c in padded)
 
     def test_domain(self):
@@ -205,7 +206,6 @@ class TestSearches:
         assert result.inf_found <= -1.35
         # family M = 2^t - 1 approaches -2 log 2 from above (to rounding)
         assert -2.0 * math.log(2.0) - 1e-12 < result.family_inf <= -1.35
-        assert result.best_inf_bound <= result.inf_found
 
     def test_g_subcritical(self):
         result = search_g_extremes(0.5, 16)
@@ -219,7 +219,7 @@ class TestSearches:
         result = search_g_extremes(2.0, 16)
         assert result.inf_found <= 0.3334
         assert result.family_inf >= 1.0 / 3.0
-        assert 0.0 < result.best_inf_bound <= result.inf_found
+        assert 0.0 < result.inf_found
 
     def test_degenerate_s1(self):
         result = search_g_extremes(1.0, 8)

@@ -55,8 +55,9 @@ class TestConfiguration:
         assert classify_regime(0.5) == "subcritical"
         assert classify_regime(1.0) == "critical"
         assert classify_regime(3.0) == "supercritical"
-        with pytest.raises(ValueError):
-            classify_regime(-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="Riesz exponent must be finite and >= 0"):
+                classify_regime(bad)
 
     def test_rejects_invalid_angles(self):
         for bad in ([math.nan], [math.inf], [-math.inf], [-1e-20], [0.1, math.nan]):
@@ -364,6 +365,13 @@ class TestRootsEnergy:
                 roots_energy(4, s)
         with pytest.raises(ValueError):
             roots_energy(4, [[0.5, 1.0]])
+
+    def test_infinite_exponent_is_refused(self):
+        # the closed forms would take floor(inf) or return inf
+        for call in (lambda: roots_energy(4, math.inf), lambda: roots_energy(4, [1.0, math.inf]),
+                     lambda: midpoint_potential(4, math.inf)):
+            with pytest.raises(ValueError, match=r"^need a finite s, got inf$"):
+                call()
 
 
 class TestMidpointPotential:

@@ -25,7 +25,6 @@ from lejacircle.binary import (
     g_value,
     lambda_value,
     tau_b,
-    theta_components,
 )
 from lejacircle.circle import Configuration
 from lejacircle.cli import _CSV_CHUNK_ROWS, FIGURE_GRIDS, main
@@ -147,8 +146,12 @@ class TestCsvGolden:
         out = tmp_path / "theta.csv"
         assert run_cli(["theta", "--p", "3", "--max-bits", "6", "--format", "csv",
                         "--s", "2", "--out", str(out)]) == 0
-        rows = [[m, tau_b(m), 3, "|".join(str(c) for c in theta_components(m, 3)),
-                 g_value(m, 2.0), lambda_value(m)] for m in enumerate_theta(3, 6)]
+        def vector(m):  # the exact vector of odd M, padded to length 3: a Fraction oracle
+            ones = [e for e in range(m.bit_length() - 1, -1, -1) if m >> e & 1]
+            return [Fraction(1 << e, m) for e in ones] + [Fraction(0)] * (3 - len(ones))
+
+        rows = [[m, tau_b(m), 3, "|".join(str(c) for c in vector(m)), g_value(m, 2.0), lambda_value(m)]
+                for m in enumerate_theta(3, 6)]
         assert len(rows) == 16
         assert out.read_text() == per_line_csv(
             ["M", "t", "p", "components", "g_value", "lambda_value"], rows)
@@ -323,6 +326,20 @@ class TestTheta:
     def test_budget_boundary_runs(self, capsys):
         assert run_cli(["theta", "--format", "csv", "--p", "1", "--max-bits", "21"]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == ["1,1,1,1,1,0"]
+
+
+@pytest.mark.parametrize("args", [
+    ["sequence", "--structural"],
+    ["sequence", "--numerical"],
+    ["series", "--kind", "W_supercritical"],
+    ["constants"],
+    ["verify"],
+])
+def test_infinite_exponent_exits_2(capsys, args):
+    assert run_cli([*args, "--s", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Riesz exponent must be finite and >= 0, got inf\n"
 
 
 class TestFigure:

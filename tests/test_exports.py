@@ -23,12 +23,24 @@ def test_all_names_resolve(module):
     assert set(mod.__all__) <= set(namespace)
 
 
-def test_theta_components_exported():
-    import lejacircle
+def test_theta_components_is_gone():
+    # a vector is its odd M; theta --format csv writes the components from decompose(M)
     from lejacircle import binary
 
-    assert "theta_components" in binary.__all__
-    assert lejacircle.theta_components is binary.theta_components
+    assert not hasattr(binary, "theta_components") and "theta_components" not in binary.__all__
+    assert not hasattr(lejacircle, "theta_components")
+
+
+@pytest.mark.parametrize("record, name", [
+    ("GSearchResult", "best_sup_bound"),
+    ("GSearchResult", "best_inf_bound"),
+    ("LambdaSearchResult", "best_inf_bound"),
+])
+def test_search_bound_wrappers_are_gone(record, name):
+    # limit_catalog takes the max/min of the record fields and the landmark itself
+    from lejacircle import binary
+
+    assert not hasattr(getattr(binary, record), name)
 
 
 @pytest.mark.parametrize("name", ["kernel_values", "potential", "leja_sup_norm_log"])
