@@ -40,12 +40,15 @@ from .binary import decompose
 from .budget import require
 from .circle import (
     Configuration,
+    _midpoint_map,
     energy,
     midpoint_potential,
     prefix_potentials,
     roots_energy,
 )
 from .sequences import (
+    _doubling,
+    _value_terms,
     energy_series_from_extremal,
     extremal_values_structural,
     greedy_numerical,
@@ -125,10 +128,27 @@ def _normalize(u, n, s: float):
     raise ValueError("no regime normalization in the log case")
 
 
-def _r_series(e: np.ndarray, s: float) -> np.ndarray:
-    """R(N) = (E_s(N) - N**2*I_s)/N**(1+s) for N = 1..e.size, where e[N-1] = E_s(N)."""
-    nf = np.arange(1, e.size + 1, dtype=np.float64)
+def _nf(a: int, b: int) -> np.ndarray:
+    """N = a..b-1 as floats."""
+    return np.arange(a, b, dtype=np.float64)
+
+
+def _r_series(e: np.ndarray, first: int, s: float) -> np.ndarray:
+    """R(N) = (E_s(N) - N**2*I_s)/N**(1+s) for N = first, first + 1, ..., where e[N-first] = E_s(N)."""
+    nf = _nf(first, first + e.size)
     return (e - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
+
+
+def _extremal_values(s: float, n_max: int):
+    """values(a, b): the ``extremal_series`` values at N = a..b-1, for
+    1 <= a <= b <= n_max + 1; validates s and n_max and sets up the doubling
+    terms once."""
+    regime = classify_regime(s)
+    _check_n_max(n_max)
+    if regime == REGIME_LOG:
+        return lambda a, b: np.bitwise_count(np.arange(a, b)) / np.log2(_nf(a, b) + 1.0)
+    terms = _value_terms(n_max + 1, s)
+    return lambda a, b: _normalize(_doubling(terms, a, b), _nf(a, b), s)
 
 
 def extremal_series(s: float, n_max: int) -> NormalizedSeries:
@@ -137,36 +157,41 @@ def extremal_series(s: float, n_max: int) -> NormalizedSeries:
     tau_b(N)/log2(N+1) at s = 0, exactly 1.0 at N = 2**m - 1, and the
     normalization of ``_normalize`` above 0.
     """
-    regime = classify_regime(s)
-    _check_n_max(n_max)
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    if regime == REGIME_LOG:
-        values = np.bitwise_count(n).astype(np.float64) / np.log2(n + 1.0)
-    else:
-        values = _normalize(extremal_values_structural(n_max, s), n.astype(np.float64), s)
-    return NormalizedSeries("extremal", s, n, values)
+    values = _extremal_values(s, n_max)
+    return NormalizedSeries("extremal", s, np.arange(1, n_max + 1), values(1, n_max + 1))
 
 
-def normalized_series(kind: str, s: float, n_max: int) -> NormalizedSeries:
-    """Evaluate one of the named normalized series for N up to n_max."""
+def _series_values(kind: str, s: float, n_max: int):
+    """Validate a series request; return its first N and values(a, b), the
+    series at N = a..b-1 for first <= a <= b <= n_max + 1.
+
+    What does not depend on N, the midpoint expansion's coefficients or the
+    doubling terms, is set up here once, so the series can be evaluated one
+    block of N at a time; every value is bitwise that of the whole array.
+    """
     if kind not in _KIND_REGIMES:
         raise ValueError(f"unknown series kind {kind!r}")
     if _KIND_REGIMES[kind] not in (None, classify_regime(s)):
         raise ValueError(f"{kind} needs a {_KIND_REGIMES[kind]} exponent, got s={s}")
     _check_n_max(n_max, low=2)
     if kind == "extremal":
-        return extremal_series(s, n_max)
-
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    nf = n.astype(np.float64)
+        return 1, _extremal_values(s, n_max)
     if kind == "R_subcritical":
-        values = _r_series(roots_energy(n, s), s)
-    elif kind == "W1_critical":
-        n, nf = n[1:], nf[1:]
-        values = midpoint_potential(n, 1.0) / (nf * np.log(nf))
-    else:  # W_subcritical, T_critical, W_supercritical: the midpoint transform
-        values = _normalize(midpoint_potential(n, s), nf, s)
-    return NormalizedSeries(kind, s, n, values)
+        return 1, lambda a, b: _r_series(roots_energy(np.arange(a, b), s), a, s)
+    midpoint = _midpoint_map(s, n_max)
+    if kind == "W1_critical":
+        def w1(a, b):
+            nf = _nf(a, b)
+            return midpoint(np.arange(a, b)) / (nf * np.log(nf))
+        return 2, w1
+    # W_subcritical, T_critical, W_supercritical: the midpoint transform
+    return 1, lambda a, b: _normalize(midpoint(np.arange(a, b)), _nf(a, b), s)
+
+
+def normalized_series(kind: str, s: float, n_max: int) -> NormalizedSeries:
+    """Evaluate one of the named normalized series for N up to n_max."""
+    first, values = _series_values(kind, s, n_max)
+    return NormalizedSeries(kind, s, np.arange(first, n_max + 1), values(first, n_max + 1))
 
 
 def theta_limit_prediction(m: int, s: float) -> float:
@@ -653,7 +678,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     checks += [check_binary_decomposition_potential(s, u_s) for s, u_s in zip(pos, u[1:])]
     for s in sub:
         w = normalized_series("W_subcritical", s, n_roots).values
-        r = _r_series(e[s], s)
+        r = _r_series(e[s], 1, s)
         checks.append(check_subcritical_w_r_relation(s, w, r[: 2 * n_roots]))
         checks.append(check_subcritical_r_limit(s, r[:n_max]))
         checks.append(check_subcritical_negative(s, n_max))

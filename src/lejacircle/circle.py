@@ -251,20 +251,36 @@ def midpoint_potential(n, s: float):
     calls), for which the coefficients are computed once.
     """
     ns = _roots_n(n, [s])
-    out = np.empty(ns.size)
-    nearest_odd = 2.0 * math.floor(0.5 * s) + 1.0
-    expansion = s <= _EXPANSION_MAX_S and abs(s - nearest_odd) >= _ODD_MARGIN
-    fast = (ns >= _EXPANSION_MIN_N) & expansion
-    for i in np.flatnonzero(~fast):
-        out[i] = _midpoint_sum(int(ns[i]), s)
-    if fast.any():
-        v, a = roots_energy_expansion(s)
-        c = [ak * math.expm1((s - 2.0 * k) * math.log(2.0)) for k, ak in enumerate(a)]
-        nf = ns[fast].astype(np.float64)
-        q = 1.0 / (nf * nf)
-        poly = np.full(nf.size, c[-1])
-        for ck in reversed(c[:-1]):  # Horner in 1/n**2
-            poly = poly * q + ck
-        out[fast] = v * nf + nf ** s * poly
+    out = _midpoint_map(s, int(ns.max()) if ns.size else 0)(ns)
     return float(out[0]) if np.ndim(n) == 0 else out
 
+
+def _midpoint_map(s: float, n_max: int):
+    """The map from a 1-d integer array of N in 1..n_max to midpoint_potential(N, s).
+
+    The expansion's coefficients are set up here, once, if some N >= 8 can
+    take them, so a caller that evaluates many blocks of N pays for them once.
+    s is not validated.
+    """
+    nearest_odd = 2.0 * math.floor(0.5 * s) + 1.0
+    expansion = (n_max >= _EXPANSION_MIN_N and s <= _EXPANSION_MAX_S
+                 and abs(s - nearest_odd) >= _ODD_MARGIN)
+    if expansion:
+        v, a = roots_energy_expansion(s)
+        c = [ak * math.expm1((s - 2.0 * k) * math.log(2.0)) for k, ak in enumerate(a)]
+
+    def values(ns: np.ndarray) -> np.ndarray:
+        out = np.empty(ns.size)
+        fast = (ns >= _EXPANSION_MIN_N) & expansion
+        for i in np.flatnonzero(~fast):
+            out[i] = _midpoint_sum(int(ns[i]), s)
+        if fast.any():
+            nf = ns[fast].astype(np.float64)
+            q = 1.0 / (nf * nf)
+            poly = np.full(nf.size, c[-1])
+            for ck in reversed(c[:-1]):  # Horner in 1/n**2
+                poly = poly * q + ck
+            out[fast] = v * nf + nf ** s * poly
+        return out
+
+    return values

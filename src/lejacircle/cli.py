@@ -14,7 +14,12 @@ Angles in all input and output are turns in [0, 1).  Floats are printed with
 (all but theta's) are rendered with numpy, byte-equal to a %-format per row: an
 exact fast path finds the 17 digits of each float in double-double
 arithmetic, and the few cells it cannot decide (undecided ties, zeros,
-non-finite and extreme values) are formatted by %.17g itself.  Exit codes:
+non-finite and extreme values) are formatted by %.17g itself.  The writer
+takes its rows as blocks of at most _CSV_CHUNK_ROWS rows.  ``sequence
+--structural`` and ``series`` compute each block from closed forms set up
+once per command (the doubling terms, the midpoint expansion's
+coefficients), so they hold one block of rows, never whole columns; the
+greedy sequence and the figures pass slices of their arrays.  Exit codes:
 0 success, 1 verification failures, 2 usage/validation errors, 3 compute
 budget exceeded.
 """
@@ -30,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, binary, special
+from .budget import require
 from .circle import BudgetExceededError, Configuration
-from .sequences import extremal_values_structural, greedy_numerical, structural_angles
+from .sequences import _angle_terms, _doubling, _value_terms, greedy_numerical
 
 # figure id -> (s values, n_max); each file is analysis.extremal_series(s, n_max)
 FIGURE_GRIDS = {
@@ -73,22 +79,34 @@ def _write_text(text, out_path):
         out.write(text)
 
 
-def _write_csv(out_path, head, *columns):
-    """Write ``head`` (the header and any irregular first rows), then the rows
-    (columns[0][i], columns[1][i], ...) in chunks of _CSV_CHUNK_ROWS rows.
+def _row_ranges(start, stop):
+    """(a, b) row ranges that cover start..stop-1, cut at the multiples of _CSV_CHUNK_ROWS."""
+    while start < stop:
+        end = min(start - start % _CSV_CHUNK_ROWS + _CSV_CHUNK_ROWS, stop)
+        yield start, end
+        start = end
 
-    Integer columns print as %d and float columns as %.17g (so floats
-    round-trip): the bytes of one %-format per row.
-    A chunk's text is built as one (slots, rows) matrix of ASCII bytes,
+
+def _chunks(*columns):
+    """The rows of whole columns as _write_csv's blocks of at most _CSV_CHUNK_ROWS rows."""
+    return ([c[a:b] for c in columns] for a, b in _row_ranges(0, len(columns[0])))
+
+
+def _write_csv(out_path, head, blocks):
+    """Write ``head`` (the header and any irregular first rows), then the rows
+    (block[0][i], block[1][i], ...) of each block of columns, in turn.
+
+    A block holds at most _CSV_CHUNK_ROWS rows, so the columns need never be
+    whole in memory.  Integer columns print as %d and float columns as %.17g
+    (so floats round-trip): the bytes of one %-format per row.
+    A block's text is built as one (slots, rows) matrix of ASCII bytes,
     column-major so that every step runs along all rows at once, with NUL in
     each slot a cell leaves empty; the transpose to rows drops the NULs.  The
     digits are worked out in float64, exact for integers below 2**53.
     """
-    columns = [np.asarray(c) for c in columns]
     with _open_out(out_path) as out:
         out.write(head)
-        for start in range(0, columns[0].size, _CSV_CHUNK_ROWS):
-            chunk = [c[start:start + _CSV_CHUNK_ROWS] for c in columns]
+        for chunk in blocks:
             floats = [c for c in chunk if c.dtype.kind == "f"]
             # one pass for all float columns, side by side
             float_cells = iter(np.hsplit(_float_cells(np.concatenate(floats)), len(floats)) if floats else [])
@@ -271,23 +289,31 @@ def cmd_sequence(args) -> int:
             print(f"error: --n {args.n} is below the {len(initial)} initial points", file=sys.stderr)
             return 2
         run = greedy_numerical(initial, args.s, args.n)
-        angles, values = run.points.angles(), run.extremal_values
+        angles = run.points.angles()
+        first = angles[0]
+        blocks = _chunks(np.arange(1, len(angles)), angles[1:], run.extremal_values)
     else:
-        angles = structural_angles(args.n)
-        values = extremal_values_structural(args.n - 1, args.s) if args.n > 1 else []
+        # Row n is (n, x_n, U_n(a_n)): both columns come from the doubling
+        # recursion over the bits of n, so a block of rows needs only its terms.
+        require(args.n)
+        value_terms = _value_terms(args.n, args.s)  # validates s at every n
+        angle_terms = _angle_terms(args.n)
+        first = 0.0
+        blocks = ((np.arange(a, b), _doubling(angle_terms, a, b), _doubling(value_terms, a, b))
+                  for a, b in _row_ranges(1, args.n))
     # Row 0 has no value: U_n(a_n) is defined from n = 1 on.
-    head = "n,angle_turns,extremal_value\n0,%.17g,\n" % angles[0]
-    _write_csv(args.out, head, np.arange(1, len(angles)), angles[1:], values)
+    _write_csv(args.out, "n,angle_turns,extremal_value\n0,%.17g,\n" % first, blocks)
     return 0
 
 
 def cmd_constants(args) -> int:
     catalog = special.limit_catalog(args.s)
-    _write_text(json.dumps(dataclasses.asdict(catalog), indent=2) + "\n", args.out)
+    _write_text(json.dumps(dataclasses.asdict(catalog), indent=2, allow_nan=False) + "\n", args.out)
     return 0
 
 
 def cmd_theta(args) -> int:
+    binary._check_s(args.s)  # before anything is written, in both formats
     if args.format == "csv":
         ms = binary.enumerate_theta(args.p, args.max_bits)
         with _open_out(args.out) as out:
@@ -314,7 +340,7 @@ def cmd_theta(args) -> int:
     }
     if args.s != 1:
         payload["g_search"] = dataclasses.asdict(binary.search_g_extremes(args.s, args.max_bits))
-    _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return 0
 
 
@@ -328,14 +354,15 @@ def cmd_figure(args) -> int:
     for s in s_values:
         series = analysis.extremal_series(s, n_max)
         name = f"fig{args.id}.csv" if len(s_values) == 1 else f"fig{args.id}_s{s:g}.csv"
-        _write_csv(out_dir / name, "N,value\n", series.n, series.values)
+        _write_csv(out_dir / name, "N,value\n", _chunks(series.n, series.values))
         print(out_dir / name)
     return 0
 
 
 def cmd_series(args) -> int:
-    series = analysis.normalized_series(args.kind, args.s, args.n_max)
-    _write_csv(args.out, "N,value\n", series.n, series.values)
+    first, values = analysis._series_values(args.kind, args.s, args.n_max)
+    _write_csv(args.out, "N,value\n",
+               ((np.arange(a, b), values(a, b)) for a, b in _row_ranges(first, args.n_max + 1)))
     return 0
 
 

@@ -16,7 +16,12 @@ after N points decomposes over the binary expansion of N:
 of dyadic midpoint potentials by the same doubling recursion,
 U_(2**k + l) = midpoint_potential(2**k) + U_l, so the whole series for
 N <= N_max costs N_max additions, each in a fixed order, and is
-bit-reproducible.
+bit-reproducible.  The recursion also runs on any block of indices
+start..stop-1 alone: entry n adds the terms of the set bits of n from the
+lowest up, so a block aligned to 2**b is the table of the low b bits plus
+the terms of the higher bits of start, and equals the same slice of the
+whole table bitwise.  The CLI writes both columns of the structural
+sequence one such block at a time, in memory bounded by the block.
 
 ``greedy_numerical`` grows an arbitrary initial configuration by appending
 the global minimizer of the running potential (s > 0) or of -sum log distance
@@ -79,8 +84,7 @@ def structural_angles(n_points: int) -> np.ndarray:
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
     require(n_points)
-    bits = max(n_points - 1, 0).bit_length()
-    return _doubling(0.5 ** np.arange(1, bits + 1), n_points)
+    return _doubling(_angle_terms(n_points), 0, n_points)
 
 
 def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
@@ -88,32 +92,56 @@ def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
 
     Entry N-1 is the sum of midpoint potentials of the dyadic blocks of N,
     added from the lowest bit up: U_(2**k + l) = U_l + midpoint_potential(2**k).
-    At s = 0 every block's midpoint potential is -log 2: the product of the
-    distances from an arc midpoint to the 2**k-th roots is |(-1) - 1| = 2.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     require(n_max)
-    bits = int(n_max).bit_length()
-    if classify_regime(s) == REGIME_LOG:  # also validates s >= 0
-        table = np.full(bits, -np.log(2.0))
-    else:
-        table = midpoint_potential(1 << np.arange(bits), s)
-    return _doubling(table, n_max + 1)[1:]
+    return _doubling(_value_terms(n_max + 1, s), 0, n_max + 1)[1:]
 
 
-def _doubling(terms: np.ndarray, size: int) -> np.ndarray:
-    """v[0..size-1] with v[0] = 0 and v[2**j + l] = v[l] + terms[j] for l < 2**j.
+def _angle_terms(size: int) -> np.ndarray:
+    """The terms 2**(-j-1) of the doubling recursion for the angles x_0..x_(size-1)."""
+    return 0.5 ** np.arange(1, max(size - 1, 0).bit_length() + 1)
+
+
+def _value_terms(size: int, s: float) -> np.ndarray:
+    """The terms midpoint_potential(2**j, s) of the doubling recursion for
+    U_0..U_(size-1), where U_0 = 0; validates s >= 0.
+
+    At s = 0 every block's midpoint potential is -log 2: the product of the
+    distances from an arc midpoint to the 2**k-th roots is |(-1) - 1| = 2.
+    """
+    bits = max(size - 1, 0).bit_length()
+    if classify_regime(s) == REGIME_LOG:
+        return np.full(bits, -np.log(2.0))
+    return midpoint_potential(1 << np.arange(bits), s)
+
+
+def _doubling(terms: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """v[start:stop] of v[0] = 0 and v[2**j + l] = v[l] + terms[j] for l < 2**j.
 
     Entry n is the sum of terms[j] over the set bits j of n, added from the
-    lowest bit up, so it equals a pass-per-bit sum bitwise; N additions in all.
+    lowest bit up, so it equals a pass-per-bit sum bitwise, whatever the
+    range.  The range is cut into dyadic pieces [a, a + 2**b) with a a
+    multiple of 2**b; each piece is the table of the low b bits, built by the
+    recursion, plus the terms of the set bits of a, added lowest first.  A
+    range of r entries from 0 costs r additions.
     """
-    out = np.empty(size)
-    out[:1] = 0.0
-    for j, t in enumerate(terms):
-        start = 1 << j
-        stop = min(2 * start, size)
-        np.add(out[:stop - start], t, out=out[start:stop])
+    out = np.empty(stop - start)
+    at = start
+    while at < stop:
+        size = min(at & -at or stop, stop - at)  # at's lowest set bit bounds the piece; 0 has none
+        piece = out[at - start:at - start + size]
+        piece[:1] = 0.0
+        low = 1
+        for t in terms[:(size - 1).bit_length()]:
+            np.add(piece[:min(low, size - low)], t, out=piece[low:2 * low])
+            low *= 2
+        high = at
+        while high:
+            piece += terms[(high & -high).bit_length() - 1]
+            high &= high - 1
+        at += size
     return out
 
 

@@ -161,6 +161,9 @@ class TestGValue:
             g_value(0, 0.5)
         with pytest.raises(ValueError):
             g_value(3, 0.0)
+        for s in (math.inf, math.nan):  # G would read 0 for every M > 1 at s = inf
+            with pytest.raises(ValueError):
+                g_value(3, s)
 
     def test_monotone_decreasing_in_s(self):
         for m in (3, 5, 11, 29, 61):
@@ -228,6 +231,8 @@ class TestSearches:
     def test_domain(self):
         with pytest.raises(ValueError):
             search_g_extremes(0.0, 8)
+        with pytest.raises(ValueError, match="^need a finite s, got inf$"):
+            search_g_extremes(math.inf, 8)
 
 
 def loop_extremes(max_bits, value):

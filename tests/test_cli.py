@@ -8,6 +8,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -104,6 +105,28 @@ class TestSequence:
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n", ["1", "2", "4097"])
+    @pytest.mark.parametrize("s", ["-3", "inf", "nan"])
+    def test_structural_refuses_bad_s_at_every_n(self, capsys, n, s):
+        assert run_cli(["sequence", "--structural", "--n", n, "--s", s]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+    def test_structural_bounded_memory(self, tmp_path):
+        # rows are computed and written one chunk at a time: whole columns of
+        # 2**18 floats would take 2 MB each
+        out = tmp_path / "seq.csv"
+        tracemalloc.start()
+        try:
+            assert run_cli(["sequence", "--structural", "--n", str(1 << 18), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        with out.open() as f:
+            assert sum(1 for _ in f) == (1 << 18) + 1
+
     def test_floats_round_trip(self, tmp_path):
         out = tmp_path / "seq.csv"
         run_cli(["sequence", "--structural", "--n", "32", "--s", "1.5", "--out", str(out)])
@@ -156,6 +179,40 @@ class TestCsvGolden:
         assert out.read_text() == per_line_csv(
             ["M", "t", "p", "components", "g_value", "lambda_value"], rows)
 
+    @pytest.mark.parametrize("chunk_rows", [1, 5])
+    @pytest.mark.parametrize("s", ["0", "1.5"])
+    def test_structural_any_chunk(self, tmp_path, monkeypatch, chunk_rows, s):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+        out = tmp_path / "seq.csv"
+        assert run_cli(["sequence", "--structural", "--n", "37", "--s", s, "--out", str(out)]) == 0
+        values = [""] + extremal_values_structural(36, float(s)).tolist()
+        rows = [list(r) for r in zip(range(37), structural_angles(37).tolist(), values)]
+        assert out.read_text() == per_line_csv(["n", "angle_turns", "extremal_value"], rows)
+
+    @pytest.mark.parametrize("kind, s", [
+        ("R_subcritical", 0.5), ("W_subcritical", 0.5), ("W1_critical", 1.0),
+        ("T_critical", 1.0), ("W_supercritical", 3.0), ("W_supercritical", 1.5),
+        ("extremal", 0.0), ("extremal", 0.5), ("extremal", 1.0), ("extremal", 3.0),
+    ])
+    def test_series_past_one_and_two_chunks(self, tmp_path, kind, s):
+        # one N block at a time gives the bytes of the whole-array series
+        series = normalized_series(kind, s, 2 * _CSV_CHUNK_ROWS + 1)
+        rows = [[int(n), float(v)] for n, v in zip(series.n, series.values)]
+        for n_max in (_CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 1):
+            out = tmp_path / f"{n_max}.csv"
+            assert run_cli(["series", "--kind", kind, "--s", str(s), "--n-max", str(n_max),
+                            "--out", str(out)]) == 0
+            want = [r for r in rows if r[0] <= n_max]
+            assert out.read_text() == per_line_csv(["N", "value"], want)
+
+    @pytest.mark.parametrize("kind, s", [("W1_critical", "1"), ("R_subcritical", "0.5"), ("extremal", "0")])
+    def test_series_any_chunk(self, capsys, monkeypatch, kind, s):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 5)
+        assert run_cli(["series", "--kind", kind, "--s", s, "--n-max", "23"]) == 0
+        series = normalized_series(kind, float(s), 23)
+        rows = [[int(n), float(v)] for n, v in zip(series.n, series.values)]
+        assert capsys.readouterr().out == per_line_csv(["N", "value"], rows)
+
     def test_series_stdout(self, capsys):
         assert run_cli(["series", "--kind", "W_subcritical", "--s", "0.5", "--n-max", "300"]) == 0
         series = normalized_series("W_subcritical", 0.5, 300)
@@ -167,7 +224,7 @@ def written(chunk_rows, *columns):
     """What _write_csv prints to stdout for the columns under header "h", at chunk_rows rows a chunk."""
     buf = io.StringIO()
     with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows), contextlib.redirect_stdout(buf):
-        cli._write_csv(None, "h\n", *columns)
+        cli._write_csv(None, "h\n", cli._chunks(*columns))
     return buf.getvalue()
 
 
@@ -340,6 +397,15 @@ def test_infinite_exponent_exits_2(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Riesz exponent must be finite and >= 0, got inf\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("s", ["inf", "nan", "0", "-1"])
+def test_theta_refuses_bad_exponent(capsys, fmt, s):
+    assert run_cli(["theta", "--s", s, "--max-bits", "4", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: need")
 
 
 class TestFigure:

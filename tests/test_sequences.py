@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import potential_oracle
 from lejacircle import sequences
@@ -90,6 +92,27 @@ class TestDoublingRecursion:
             table = midpoint_potential(1 << np.arange(n.bit_length()), s)
             want = _bit_loop(table, n + 1)[1:]
             assert extremal_values_structural(n, s).tobytes() == want.tobytes()
+
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_block_is_the_prefix_slice(self, data):
+        # the block form is the slice of the whole table, bitwise, for any range
+        stop = data.draw(st.integers(0, 1 << 14))
+        start = data.draw(st.integers(0, stop))
+        bits = max(stop - 1, 0).bit_length()
+        terms = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), min_size=bits, max_size=bits)))
+        whole = sequences._doubling(terms, 0, stop)
+        assert sequences._doubling(terms, start, stop).tobytes() == whole[start:].tobytes()
+
+    @pytest.mark.parametrize("step", [1, 5, 4096])
+    def test_blocks_cover_the_bit_loop(self, step):
+        terms = np.random.default_rng(7).standard_normal(13)
+        n = 5000 if step > 1 else 600
+        want = _bit_loop(terms, n)
+        got = np.concatenate([sequences._doubling(terms, a, min(a + step, n)) for a in range(0, n, step)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExtremalValuesStructural:
