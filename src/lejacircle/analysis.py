@@ -37,7 +37,7 @@ import numpy as np
 
 from . import binary
 from .binary import decompose
-from .budget import require
+from .budget import exponent, require
 from .circle import (
     Configuration,
     _midpoint_map,
@@ -649,8 +649,8 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     potentials at s = 0 and all positive s in one pass; and the W series.
     """
     _check_n_max(n_max, low=8)
-    s_grid = tuple(dict.fromkeys(float(s) for s in s_grid))
-    pos = [s for s in s_grid if classify_regime(s) != REGIME_LOG]  # also validates s >= 0
+    s_grid = tuple(dict.fromkeys(exponent(s) for s in s_grid))
+    pos = [s for s in s_grid if s > 0]
     sub = [s for s in pos if s < 1]
     sup = [s for s in pos if s > 1]
     n_roots = min(n_max, 1024)

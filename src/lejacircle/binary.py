@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import MAX_POINTS, require
+from .budget import MAX_POINTS, exponent, require
 
 __all__ = [
     "tau_b",
@@ -72,13 +72,6 @@ def _check_odd(m: int) -> None:
         raise ValueError(f"M must be odd and positive, got {m}")
 
 
-def _check_s(s: float) -> None:
-    if not s > 0:
-        raise ValueError(f"need s > 0, got {s}")
-    if s == math.inf:
-        raise ValueError("need a finite s, got inf")
-
-
 def _odd_m(max_bits: int) -> np.ndarray:
     """The odd M < 2**max_bits, ascending, as int64; their 2**(max_bits - 1) must fit MAX_POINTS."""
     if max_bits < 1:
@@ -103,7 +96,7 @@ def enumerate_theta(p: int, max_bits: int) -> list[int]:
 def g_value(m: int, s: float) -> float:
     """G(theta; s) = sum_k theta_k**s for the theta of odd M (zero components add 0), finite s > 0."""
     _check_odd(m)
-    _check_s(s)
+    s = exponent(s, positive=True)
     return math.fsum(((1 << e) / m) ** s for e in decompose(m))
 
 
@@ -185,7 +178,7 @@ def search_g_extremes(s: float, max_bits: int) -> GSearchResult:
     evaluated separately and reported in the ``family_*`` fields.  At s = 1
     the function is identically 1, and every field is 1.
     """
-    _check_s(s)
+    s = exponent(s, positive=True)
     m = _odd_m(max_bits)
     if s == 1.0:
         return GSearchResult(1.0, 1.0, 1, 1, 1.0, 1.0)

@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .budget import MAX_POINTS, BudgetExceededError, require  # the first two re-exported
+from .budget import MAX_POINTS, BudgetExceededError, exponent, require  # the first two re-exported
 from .special import roots_energy_expansion
 from .summation import pairwise_sum, row_sums, zero_rows
 
@@ -138,12 +138,13 @@ def chord_kernel(d: np.ndarray, s: float, out=None, where=True) -> np.ndarray:
     return np.power(d, -s, out=out, where=where)
 
 
-def _exponents(s) -> tuple[list, bool]:
-    """The exponents of ``s`` (a float or a 1-d array) as a list, and whether s was a float."""
+def _exponents(s, positive: bool = False) -> tuple[list, bool]:
+    """The exponents of ``s`` (a float or a 1-d array) as checked floats, and whether s was a float."""
     scalar = not hasattr(s, "__len__") or np.ndim(s) == 0  # np.ndim alone costs 2 us
     if not scalar and np.ndim(s) > 1:
         raise ValueError("s must be a float or a 1-d array of floats")
-    return ([s] if scalar else np.asarray(s, dtype=np.float64).tolist()), scalar
+    values = [s] if scalar else np.asarray(s, dtype=np.float64).tolist()
+    return [exponent(e, positive) for e in values], scalar
 
 
 def prefix_potentials(angles, s) -> np.ndarray:
@@ -189,11 +190,8 @@ def energy(config: Configuration, s):
     return np.array([2.0 * pairwise_sum(row) for row in u])
 
 
-def _roots_n(n, exponents) -> np.ndarray:
-    """Validate N (an int or a 1-d integer array) and every exponent for the roots-of-unity forms.
-
-    Returns N as a 1-d array.
-    """
+def _roots_n(n) -> np.ndarray:
+    """Validate N (an int or a 1-d integer array) for the roots-of-unity forms; return it as a 1-d array."""
     ns = np.atleast_1d(np.asarray(n))
     if ns.ndim != 1 or not (ns.size == 0 or np.issubdtype(ns.dtype, np.integer)):
         raise ValueError("N must be an int or a 1-d integer array")
@@ -201,11 +199,6 @@ def _roots_n(n, exponents) -> np.ndarray:
     if lo < 1:
         raise ValueError(f"need N >= 1, got {lo}")
     require(hi)
-    for s in exponents:
-        if not s > 0:
-            raise ValueError(f"need s > 0, got {s}")
-        if s == math.inf:
-            raise ValueError("need a finite s, got inf")
     return ns
 
 
@@ -217,8 +210,8 @@ def roots_energy(n, s):
     array (array result, equal bitwise to the int calls).  A 1-d array of
     exponents adds a leading axis, row i equal bitwise to the call at s[i].
     """
-    exponents, scalar = _exponents(s)
-    ns = _roots_n(n, exponents)
+    ns = _roots_n(n)
+    exponents, scalar = _exponents(s, positive=True)
     out = np.empty((len(exponents), ns.size))
     for j, m in enumerate(ns.tolist()):
         k = np.arange(1, m, dtype=np.float64)
@@ -250,7 +243,8 @@ def midpoint_potential(n, s: float):
     result) or a 1-d integer array (array result, equal bitwise to the scalar
     calls), for which the coefficients are computed once.
     """
-    ns = _roots_n(n, [s])
+    ns = _roots_n(n)
+    s = exponent(s, positive=True)
     out = _midpoint_map(s, int(ns.max()) if ns.size else 0)(ns)
     return float(out[0]) if np.ndim(n) == 0 else out
 

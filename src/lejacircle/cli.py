@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, binary, special
-from .budget import require
+from .budget import exponent, require
 from .circle import BudgetExceededError, Configuration
 from .sequences import _angle_terms, _doubling, _value_terms, greedy_numerical
 
@@ -278,16 +278,13 @@ def _parse_initial(text: str) -> Configuration:
 
 def cmd_sequence(args) -> int:
     if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--n must be >= 1")
     if args.initial is not None and not args.numerical:
-        print("error: --initial applies only with --numerical", file=sys.stderr)
-        return 2
+        raise ValueError("--initial applies only with --numerical")
     if args.numerical:
         initial = _parse_initial("0" if args.initial is None else args.initial)
         if args.n < len(initial):
-            print(f"error: --n {args.n} is below the {len(initial)} initial points", file=sys.stderr)
-            return 2
+            raise ValueError(f"--n {args.n} is below the {len(initial)} initial points")
         run = greedy_numerical(initial, args.s, args.n)
         angles = run.points.angles()
         first = angles[0]
@@ -313,7 +310,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    binary._check_s(args.s)  # before anything is written, in both formats
+    exponent(args.s, positive=True)  # before anything is written, in both formats
     if args.format == "csv":
         ms = binary.enumerate_theta(args.p, args.max_bits)
         with _open_out(args.out) as out:
@@ -346,8 +343,7 @@ def cmd_theta(args) -> int:
 
 def cmd_figure(args) -> int:
     if args.id not in FIGURE_GRIDS:
-        print(f"error: unknown figure id {args.id}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown figure id {args.id}")
     s_values, n_max = FIGURE_GRIDS[args.id]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import require
+from .budget import exponent, require
 from .circle import (
     Configuration,
     chord_kernel,
@@ -304,17 +304,20 @@ def greedy_numerical(initial: Configuration, s: float, n_points: int) -> GreedyR
     within 1e-12 of each other are ties, resolved to the smallest angle in
     [0, 1).  Requires a nonempty initial configuration of distinct points.  If
     n_points does not exceed the initial size, the configuration is returned
-    unchanged (running potential values are still recorded).
+    unchanged (running potential values are still recorded).  A recorded value
+    that overflows float64 raises ValueError: ties among inf would pick the points.
     """
-    sv = float(s)
-    classify_regime(sv)  # validates s >= 0
+    sv = exponent(s)
     if len(initial) < 1:
         raise ValueError("initial configuration must contain at least one point")
     require(n_points)
 
     work = initial.angles()
-    if n_points > len(work):
-        work = _grow(work, sv, n_points)
-    points = Configuration.from_turns(work)
-    extremal = prefix_potentials(points.angles(), sv)
+    with np.errstate(all="ignore"):  # a potential that overflows is refused below
+        if n_points > len(work):
+            work = _grow(work, sv, n_points)
+        points = Configuration.from_turns(work)
+        extremal = prefix_potentials(points.angles(), sv)
+    if not np.isfinite(extremal).all():
+        raise ValueError(f"the running potential overflows float64 at s={sv}, N={n_points}")
     return GreedyRun(s=sv, initial=initial, points=points, extremal_values=extremal)

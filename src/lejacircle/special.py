@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import binary
+from .budget import exponent
 
 __all__ = [
     "EULER_GAMMA",
@@ -61,8 +62,7 @@ _CATALOG_MAX_BITS = 16
 
 def classify_regime(s: float) -> str:
     """Classify the finite Riesz exponent: log (s=0), subcritical, critical, supercritical."""
-    if not 0 <= s < math.inf:
-        raise ValueError(f"Riesz exponent must be finite and >= 0, got {s}")
+    s = exponent(s)
     if s == 0:
         return REGIME_LOG
     if s < 1:
@@ -186,8 +186,9 @@ class ConstantsCatalog:
 
 
 def second_order_scale(s: float) -> float:
-    """(2**s - 1) * 2*zeta(s) / (2*pi)**s, the dyadic-subsequence limit."""
-    return (2.0 ** s - 1.0) * 2.0 * zeta(s) / (2.0 * math.pi) ** s
+    """(2**s - 1) * 2*zeta(s) / (2*pi)**s, the dyadic-subsequence limit, as
+    (1 - 2**(-s)) * 2*zeta(s) * pi**(-s): finite for every s > 0, near 0 too."""
+    return -math.expm1(-s * math.log(2.0)) * 2.0 * zeta(s) * math.pi ** -s
 
 
 def limit_catalog(s: float) -> ConstantsCatalog:
@@ -214,10 +215,11 @@ def limit_catalog(s: float) -> ConstantsCatalog:
         )
     c = second_order_scale(s)  # negative for s < 1, positive for s > 1
     search = binary.search_g_extremes(s, _CATALOG_MAX_BITS)
-    landmark = 1.0 / (2.0 ** s - 1.0)
+    # h = 1 - 2**(-s): 2**s - 1 would cancel to 0 next to s = 0 and overflow from s = 1024 on
+    h = -math.expm1(-s * math.log(2.0))
+    landmark = 0.5 ** s / h  # 1/(2**s - 1)
     if regime == REGIME_SUBCRITICAL:
         g_sup_lb = max(search.sup_found, search.family_sup, landmark)
-        g_sup_ub = 2.0 ** s / (2.0 ** s - 1.0)
         return ConstantsCatalog(
             s=s,
             regime=regime,
@@ -225,7 +227,7 @@ def limit_catalog(s: float) -> ConstantsCatalog:
             zeta=zeta(s),
             first_order=continuous_energy(s),
             limsup=c,
-            liminf_lower=g_sup_ub * c,
+            liminf_lower=c / h,  # sup G <= 2**s/(2**s - 1)
             liminf_upper=g_sup_lb * c,
         )
     g_inf_ub = min(search.inf_found, search.family_inf, landmark)

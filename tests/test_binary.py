@@ -231,7 +231,7 @@ class TestSearches:
     def test_domain(self):
         with pytest.raises(ValueError):
             search_g_extremes(0.0, 8)
-        with pytest.raises(ValueError, match="^need a finite s, got inf$"):
+        with pytest.raises(ValueError, match=r"^Riesz exponent must be finite and > 0, got inf$"):
             search_g_extremes(math.inf, 8)
 
 

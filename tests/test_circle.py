@@ -359,9 +359,9 @@ class TestRootsEnergy:
 
     def test_exponent_axis_validates_every_s(self):
         for s in ([0.5, 0.0], [-1.0, 2.0], [1.0, 2.0, math.nan]):
-            with pytest.raises(ValueError, match=r"^need s > 0, got "):
+            with pytest.raises(ValueError, match=r"^Riesz exponent must be finite and > 0, got "):
                 roots_energy(np.array([3, 4]), s)
-            with pytest.raises(ValueError, match=r"^need s > 0, got "):
+            with pytest.raises(ValueError, match=r"^Riesz exponent must be finite and > 0, got "):
                 roots_energy(4, s)
         with pytest.raises(ValueError):
             roots_energy(4, [[0.5, 1.0]])
@@ -370,7 +370,7 @@ class TestRootsEnergy:
         # the closed forms would take floor(inf) or return inf
         for call in (lambda: roots_energy(4, math.inf), lambda: roots_energy(4, [1.0, math.inf]),
                      lambda: midpoint_potential(4, math.inf)):
-            with pytest.raises(ValueError, match=r"^need a finite s, got inf$"):
+            with pytest.raises(ValueError, match=r"^Riesz exponent must be finite and > 0, got inf$"):
                 call()
 
 

@@ -385,27 +385,60 @@ class TestTheta:
         assert capsys.readouterr().out.splitlines()[1:] == ["1,1,1,1,1,0"]
 
 
-@pytest.mark.parametrize("args", [
+# Every subcommand that reads --s, both sequence modes also at n = 1 and series
+# for every kind; each is run with every bad exponent below.
+_S_COMMANDS = [
     ["sequence", "--structural"],
     ["sequence", "--numerical"],
     ["series", "--kind", "W_supercritical"],
     ["constants"],
     ["verify"],
-])
-def test_infinite_exponent_exits_2(capsys, args):
-    assert run_cli([*args, "--s", "inf"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: Riesz exponent must be finite and >= 0, got inf\n"
+    ["sequence", "--structural", "--n", "1"],
+    ["sequence", "--numerical", "--n", "1"],
+    *(["series", "--kind", kind] for kind in analysis.SERIES_KINDS if kind != "W_supercritical"),
+]
+
+
+def _refused_without_output(tmp_path, capsys, args, message):
+    """args exits 2 with the one error line, to stdout and with an output path,
+    and writes nothing: no stdout and no output file."""
+    out = tmp_path / "out"
+    for extra in ([], ["--json-out" if args[0] == "verify" else "--out", str(out)]):
+        assert run_cli([*args, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [[*cmd, "--s", s] for s in ("inf", "nan", "-1") for cmd in _S_COMMANDS])
+def test_infinite_exponent_exits_2(tmp_path, capsys, args):
+    # not only inf: every s outside [0, inf) gets the exponent's one message
+    s = float(args[-1])
+    _refused_without_output(tmp_path, capsys, args, f"Riesz exponent must be finite and >= 0, got {s}")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("s", ["inf", "nan", "0", "-1"])
-def test_theta_refuses_bad_exponent(capsys, fmt, s):
-    assert run_cli(["theta", "--s", s, "--max-bits", "4", "--format", fmt]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: need")
+def test_theta_refuses_bad_exponent(tmp_path, capsys, fmt, s):
+    args = ["theta", "--s", s, "--max-bits", "4", "--format", fmt]
+    _refused_without_output(tmp_path, capsys, args, f"Riesz exponent must be finite and > 0, got {float(s)}")
+
+
+@pytest.mark.parametrize("s", ["1e-16", "390", "1e308"])
+def test_constants_finite_at_extreme_exponents(capsys, s):
+    # 2**s - 1 is 0 in floats up to s = 1.6e-16, and (2*pi)**s overflows from s = 387 on
+    assert run_cli(["constants", "--s", s]) == 0
+    catalog = json.loads(capsys.readouterr().out)
+    assert catalog["regime"] == ("subcritical" if float(s) < 1 else "supercritical")
+    assert all(math.isfinite(v) for v in catalog.values() if isinstance(v, float))
+
+
+@pytest.mark.parametrize("s, n", [("400", "64"), ("1e308", "8")])
+def test_numerical_refuses_overflowing_potential(tmp_path, capsys, s, n):
+    # all-inf potentials would tie, and the tie rule would pick the points
+    _refused_without_output(tmp_path, capsys, ["sequence", "--numerical", "--s", s, "--n", n],
+                            f"the running potential overflows float64 at s={float(s)}, N={n}")
 
 
 class TestFigure:

@@ -65,23 +65,49 @@ def test_catalog_to_dict_is_gone():
     assert not hasattr(lejacircle.ConstantsCatalog, "to_dict")
 
 
-def test_only_budget_module_guards_the_budget():
-    # every size guard is a call to budget.require: no other module compares
-    # with MAX_POINTS or raises BudgetExceededError itself
-    def names(node):
-        return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+def _names(node):
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
 
+
+def _outside_budget(flag):
+    """'module:line what' for each node of the package's modules but budget.py that flag(node) names."""
     package = Path(lejacircle.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
         if path.stem == "budget":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Compare) and "MAX_POINTS" in names(node):
-                offenders.append(f"{path.stem}:{node.lineno} compares with MAX_POINTS")
-            if isinstance(node, ast.Raise) and node.exc and "BudgetExceededError" in names(node.exc):
-                offenders.append(f"{path.stem}:{node.lineno} raises BudgetExceededError")
-    assert offenders == []
+            what = flag(node)
+            if what:
+                offenders.append(f"{path.stem}:{node.lineno} {what}")
+    return offenders
+
+
+def test_only_budget_module_guards_the_budget():
+    # every size guard is a call to budget.require: no other module compares
+    # with MAX_POINTS or raises BudgetExceededError itself
+    def flag(node):
+        if isinstance(node, ast.Compare) and "MAX_POINTS" in _names(node):
+            return "compares with MAX_POINTS"
+        if isinstance(node, ast.Raise) and node.exc and "BudgetExceededError" in _names(node.exc):
+            return "raises BudgetExceededError"
+        return None
+
+    assert _outside_budget(flag) == []
+
+
+def test_only_budget_module_guards_the_exponent():
+    # every check that s is a finite Riesz exponent is a call to budget.exponent:
+    # no other module compares with inf or raises the exponent's ValueError itself
+    def flag(node):
+        if isinstance(node, ast.Compare) and "inf" in _names(node):
+            return "compares with inf"
+        if isinstance(node, ast.Raise) and node.exc and any(
+                isinstance(n, ast.Constant) and "Riesz exponent" in str(n.value) for n in ast.walk(node.exc)):
+            return "raises the exponent's ValueError"
+        return None
+
+    assert _outside_budget(flag) == []
 
 
 def test_package_imports_form_no_cycle():

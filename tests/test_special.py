@@ -178,6 +178,17 @@ class TestLimitCatalog:
             "limsup", "liminf_lower", "liminf_upper",
         ]
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-12, 1e-6, 0.5, 1.5, 3.0, 390.0])
+    def test_second_order_scale_against_mpmath(self, s):
+        # 2**s - 1 cancels next to s = 0, and (2*pi)**s overflows from s = 387 on
+        x = mp.mpf(s)
+        two_s_minus_1 = mp.expm1(x * mp.log(2))
+        expected = two_s_minus_1 * 2 * mp.zeta(x) / (2 * mp.pi) ** x
+        assert second_order_scale(s) == pytest.approx(float(expected), rel=1e-14 + s * 1e-16)
+        if s < 1:  # the lower end of the liminf bracket, 2**s/(2**s - 1) times the limsup
+            lower = expected * mp.power(2, x) / two_s_minus_1
+            assert limit_catalog(s).liminf_lower == pytest.approx(float(lower), rel=1e-14)
+
     def test_second_order_scale_signs(self):
         assert second_order_scale(0.5) < 0.0
         assert second_order_scale(1.5) > 0.0
