@@ -30,7 +30,6 @@ from .analysis import (
     LimitPointCheck,
     NormalizedSeries,
     VerificationReport,
-    extremal_series,
     limit_point_check,
     normalized_series,
     star_discrepancy,

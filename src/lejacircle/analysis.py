@@ -10,8 +10,8 @@ finite limit behaviour:
     T(N)  = (midpoint_potential(N) - N*log(N)/pi) / N        s = 1
     W(N)  = midpoint_potential(N) / N**s                     s > 1
 
-The kind ``extremal`` is ``extremal_series``, the regime normalization of
-the structural extremal value U_N(a_N) for every s >= 0:
+The kind ``extremal`` is the regime normalization of the structural
+extremal value U_N(a_N), the series of the figures, for every s >= 0:
 (U_N(a_N) - N*I_s)/N**s for 0 < s < 1, (U_N(a_N) - N*log(N)/pi)/N at s = 1
 and U_N(a_N)/N**s for s > 1.  At s = 0 it is the ratio
 log(product of distances)/log(N+1), evaluated through the exact identity:
@@ -47,6 +47,7 @@ from .circle import (
     roots_energy,
 )
 from .sequences import (
+    _OVERFLOW,
     _doubling,
     _value_terms,
     energy_series_from_extremal,
@@ -75,7 +76,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "normalized_series",
-    "extremal_series",
     "theta_limit_prediction",
     "limit_point_check",
     "star_discrepancy",
@@ -110,7 +110,7 @@ class LimitPointCheck:
     gap: float
 
 
-def _check_n_max(n_max: int, low: int = 1) -> None:
+def _check_n_max(n_max: int, low: int) -> None:
     if n_max < low:
         raise ValueError(f"need n_max >= {low}, got {n_max}")
     require(n_max, f"n_max={n_max}")
@@ -139,28 +139,6 @@ def _r_series(e: np.ndarray, first: int, s: float) -> np.ndarray:
     return (e - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
 
 
-def _extremal_values(s: float, n_max: int):
-    """values(a, b): the ``extremal_series`` values at N = a..b-1, for
-    1 <= a <= b <= n_max + 1; validates s and n_max and sets up the doubling
-    terms once."""
-    regime = classify_regime(s)
-    _check_n_max(n_max)
-    if regime == REGIME_LOG:
-        return lambda a, b: np.bitwise_count(np.arange(a, b)) / np.log2(_nf(a, b) + 1.0)
-    terms = _value_terms(n_max + 1, s)
-    return lambda a, b: _normalize(_doubling(terms, a, b), _nf(a, b), s)
-
-
-def extremal_series(s: float, n_max: int) -> NormalizedSeries:
-    """The regime normalization of the structural U_N(a_N), N = 1..n_max, for s >= 0.
-
-    tau_b(N)/log2(N+1) at s = 0, exactly 1.0 at N = 2**m - 1, and the
-    normalization of ``_normalize`` above 0.
-    """
-    values = _extremal_values(s, n_max)
-    return NormalizedSeries("extremal", s, np.arange(1, n_max + 1), values(1, n_max + 1))
-
-
 def _series_values(kind: str, s: float, n_max: int):
     """Validate a series request; return its first N and values(a, b), the
     series at N = a..b-1 for first <= a <= b <= n_max + 1.
@@ -175,10 +153,16 @@ def _series_values(kind: str, s: float, n_max: int):
         raise ValueError(f"{kind} needs a {_KIND_REGIMES[kind]} exponent, got s={s}")
     _check_n_max(n_max, low=2)
     if kind == "extremal":
-        return 1, _extremal_values(s, n_max)
+        if classify_regime(s) == REGIME_LOG:  # tau_b(N)/log2(N+1), exactly 1.0 at N = 2**m - 1
+            return 1, lambda a, b: np.bitwise_count(np.arange(a, b)) / np.log2(_nf(a, b) + 1.0)
+        terms = _value_terms(n_max + 1, s)  # refuses a U_N that overflows
+        return 1, lambda a, b: _normalize(_doubling(terms, a, b), _nf(a, b), s)
     if kind == "R_subcritical":
         return 1, lambda a, b: _r_series(roots_energy(np.arange(a, b), s), a, s)
     midpoint = _midpoint_map(s, n_max)
+    with np.errstate(over="ignore"):  # refused below; the potential is largest at N = n_max
+        if not math.isfinite(midpoint(np.array([n_max]))[0]):
+            raise ValueError(_OVERFLOW.format("midpoint", s, n_max))
     if kind == "W1_critical":
         def w1(a, b):
             nf = _nf(a, b)
@@ -302,13 +286,13 @@ def check_sup_norm_identity(u0: np.ndarray) -> CheckResult:
 
 def check_sup_norm_ratio_dyadic_ones(n: int) -> CheckResult:
     ones = (1 << np.arange(1, (n + 1).bit_length())) - 1  # every N = 2**m - 1 <= n
-    worst = float(np.max(np.abs(extremal_series(0.0, n).values[ones - 1] - 1.0)))
+    worst = float(np.max(np.abs(normalized_series("extremal", 0.0, n).values[ones - 1] - 1.0)))
     return _max_le("sup-norm-ratio-dyadic-ones", worst, 0.0, "exact 1 at N=2^m-1")
 
 
 def check_sup_norm_ratio_doubling_decreasing(n: int) -> CheckResult:
     """The norm ratio strictly decreases along N, 2N, ..., 64N for every N <= n."""
-    ratio = extremal_series(0.0, n << 6).values
+    ratio = normalized_series("extremal", 0.0, n << 6).values
     chains = ratio[(np.arange(1, n + 1)[:, None] << np.arange(7)) - 1]  # row k-1: k, ..., 64k
     worst = float(np.max(np.diff(chains, axis=1)))
     return CheckResult(
@@ -399,7 +383,7 @@ def check_subcritical_r_limit(s: float, rr: np.ndarray) -> CheckResult:
 
 
 def check_subcritical_negative(s: float, n: int) -> CheckResult:
-    ext = extremal_series(s, n).values
+    ext = normalized_series("extremal", s, n).values
     return CheckResult(
         f"subcritical-negative[s={s:g}]",
         bool(np.all(ext < 0.0)),
@@ -411,7 +395,7 @@ def check_subcritical_negative(s: float, n: int) -> CheckResult:
 
 def check_subcritical_window(s: float, w: np.ndarray, n: int) -> CheckResult:
     """The extremal series stays above -max|W| 2**s/(2**s - 1) for N <= n, w the series W."""
-    ext = extremal_series(s, n).values
+    ext = normalized_series("extremal", s, n).values
     bound = float(np.max(np.abs(w))) * 2.0 ** s / (2.0 ** s - 1.0)
     return CheckResult(
         f"subcritical-window[s={s:g}]",
@@ -428,7 +412,7 @@ def check_divergence_witnesses(s: float, n: int) -> CheckResult:
     The dyadic (N = 2^p) and all-ones (N = 2^p - 1) subsequences must differ by
     more than ten times their own drift over the last doubling.
     """
-    series = extremal_series(s, n).values
+    series = normalized_series("extremal", s, n).values
     top = 1 << (n.bit_length() - 1)  # the largest N = 2^p <= n
     dyadic, ones = series[top - 1], series[top - 2]
     budget = 10.0 * max(abs(dyadic - series[top // 2 - 1]), abs(ones - series[top // 2 - 2]))
@@ -458,7 +442,7 @@ def check_critical_first_order_corrected(n: int, budget: float) -> CheckResult:
 
 
 def check_critical_window(n: int) -> CheckResult:
-    ext1 = extremal_series(1.0, n).values
+    ext1 = normalized_series("extremal", 1.0, n).values
     lo = CRITICAL_LEVEL - (2.0 / math.e + 2.0 * math.log(2.0)) / math.pi
     return CheckResult(
         "critical-window",
@@ -488,7 +472,7 @@ def check_supercritical_w_limit(s: float, w: np.ndarray) -> CheckResult:
 
 def check_supercritical_window(s: float, w: np.ndarray) -> CheckResult:
     """U_N(a_N)/N**s lies in (0, max W 2**s/(2**s - 1)] for N <= w.size, w the series W."""
-    ext = extremal_series(s, w.size).values
+    ext = normalized_series("extremal", s, w.size).values
     bound = float(np.max(w)) * 2.0 ** s / (2.0 ** s - 1.0)
     return CheckResult(
         f"supercritical-window[s={s:g}]",

@@ -10,18 +10,17 @@ Subcommands:
     series     emit one normalized series as CSV
 
 Angles in all input and output are turns in [0, 1).  Floats are printed with
-17 significant digits (%.17g) so the values round-trip.  The numeric CSV rows
-(all but theta's) are rendered with numpy, byte-equal to a %-format per row: an
-exact fast path finds the 17 digits of each float in double-double
-arithmetic, and the few cells it cannot decide (undecided ties, zeros,
-non-finite and extreme values) are formatted by %.17g itself.  The writer
-takes its rows as blocks of at most _CSV_CHUNK_ROWS rows.  ``sequence
---structural`` and ``series`` compute each block from closed forms set up
-once per command (the doubling terms, the midpoint expansion's
-coefficients), so they hold one block of rows, never whole columns; the
-greedy sequence and the figures pass slices of their arrays.  Exit codes:
-0 success, 1 verification failures, 2 usage/validation errors, 3 compute
-budget exceeded.
+17 significant digits (%.17g) so the values round-trip.  Every CSV goes
+through one writer, which renders each block of rows with numpy, byte-equal
+to a %-format per row: an exact fast path finds the 17 digits of each float
+in double-double arithmetic, and the few cells it cannot decide (undecided
+ties, zeros, non-finite and extreme values) are formatted by %.17g itself.
+The writer asks a row source for one block of at most _CSV_CHUNK_ROWS rows
+at a time: ``sequence --structural``, ``series`` and ``figure`` compute it
+from closed forms set up once per command (the doubling terms, the midpoint
+expansion's coefficients), the greedy sequence slices its arrays and
+``theta`` formats the vectors of its odd M.  Exit codes: 0 success, 1
+verification failures, 2 usage/validation errors, 3 compute budget exceeded.
 """
 
 import argparse
@@ -39,7 +38,7 @@ from .budget import exponent, require
 from .circle import BudgetExceededError, Configuration
 from .sequences import _angle_terms, _doubling, _value_terms, greedy_numerical
 
-# figure id -> (s values, n_max); each file is analysis.extremal_series(s, n_max)
+# figure id -> (s values, n_max); each file is the series of kind extremal at s
 FIGURE_GRIDS = {
     1: ([0.0], 5000),
     2: ([0.001, 0.1, 0.3, 0.5, 0.7, 0.99], 2048),
@@ -48,7 +47,7 @@ FIGURE_GRIDS = {
 }
 
 
-# Rows rendered per write by _write_csv and theta's CSV; bounds their temporaries.
+# Rows rendered per write by _write_csv; bounds its temporaries.
 # With two float columns a chunk's float64 temporaries are 64 KiB, under glibc's
 # 128 KiB mmap threshold: at 2**13 rows and more the render ran slower and the
 # 2**20-row sequence peaked 2 MB higher.
@@ -79,41 +78,34 @@ def _write_text(text, out_path):
         out.write(text)
 
 
-def _row_ranges(start, stop):
-    """(a, b) row ranges that cover start..stop-1, cut at the multiples of _CSV_CHUNK_ROWS."""
-    while start < stop:
-        end = min(start - start % _CSV_CHUNK_ROWS + _CSV_CHUNK_ROWS, stop)
-        yield start, end
-        start = end
+def _write_csv(out_path, head, rows, start, stop):
+    """Write ``head`` (the header and any irregular first rows), then rows
+    start..stop-1, one block at a time: the range is cut at the multiples of
+    _CSV_CHUNK_ROWS, and rows(a, b) gives the columns of rows a..b-1.
 
-
-def _chunks(*columns):
-    """The rows of whole columns as _write_csv's blocks of at most _CSV_CHUNK_ROWS rows."""
-    return ([c[a:b] for c in columns] for a, b in _row_ranges(0, len(columns[0])))
-
-
-def _write_csv(out_path, head, blocks):
-    """Write ``head`` (the header and any irregular first rows), then the rows
-    (block[0][i], block[1][i], ...) of each block of columns, in turn.
-
-    A block holds at most _CSV_CHUNK_ROWS rows, so the columns need never be
-    whole in memory.  Integer columns print as %d and float columns as %.17g
-    (so floats round-trip): the bytes of one %-format per row.
-    A block's text is built as one (slots, rows) matrix of ASCII bytes,
+    Integer columns print as %d, float columns as %.17g (so floats
+    round-trip) and bytes columns as their bytes: the bytes of one %-format
+    per row.  A block's text is one (slots, rows) matrix of ASCII bytes,
     column-major so that every step runs along all rows at once, with NUL in
-    each slot a cell leaves empty; the transpose to rows drops the NULs.  The
-    digits are worked out in float64, exact for integers below 2**53.
+    each slot a cell leaves empty (as in the padding of a bytes column); the
+    transpose to rows drops the NULs.  The digits are worked out in float64,
+    exact for integers below 2**53.
     """
     with _open_out(out_path) as out:
         out.write(head)
-        for chunk in blocks:
+        while start < stop:
+            end = min(start - start % _CSV_CHUNK_ROWS + _CSV_CHUNK_ROWS, stop)
+            chunk, start = rows(start, end), end
             floats = [c for c in chunk if c.dtype.kind == "f"]
             # one pass for all float columns, side by side
             float_cells = iter(np.hsplit(_float_cells(np.concatenate(floats)), len(floats)) if floats else [])
             sep = np.full((1, chunk[0].size), ord(","), dtype=np.uint8)
             parts = []
             for c in chunk:
-                parts += [next(float_cells) if c.dtype.kind == "f" else _int_cells(c), sep]
+                cells = (next(float_cells) if c.dtype.kind == "f"
+                         else c.view(np.uint8).reshape(c.size, -1).T if c.dtype.kind == "S"
+                         else _int_cells(c))
+                parts += [cells, sep]
             parts[-1] = np.full_like(sep, ord("\n"))
             out.write(np.concatenate(parts).T.tobytes().translate(None, b"\0").decode("ascii"))
 
@@ -288,18 +280,19 @@ def cmd_sequence(args) -> int:
         run = greedy_numerical(initial, args.s, args.n)
         angles = run.points.angles()
         first = angles[0]
-        blocks = _chunks(np.arange(1, len(angles)), angles[1:], run.extremal_values)
+        def rows(a, b):
+            return np.arange(a, b), angles[a:b], run.extremal_values[a - 1:b - 1]
     else:
         # Row n is (n, x_n, U_n(a_n)): both columns come from the doubling
         # recursion over the bits of n, so a block of rows needs only its terms.
         require(args.n)
-        value_terms = _value_terms(args.n, args.s)  # validates s at every n
+        value_terms = _value_terms(args.n, args.s)  # validates s at every n, refuses overflow
         angle_terms = _angle_terms(args.n)
         first = 0.0
-        blocks = ((np.arange(a, b), _doubling(angle_terms, a, b), _doubling(value_terms, a, b))
-                  for a, b in _row_ranges(1, args.n))
+        def rows(a, b):
+            return np.arange(a, b), _doubling(angle_terms, a, b), _doubling(value_terms, a, b)
     # Row 0 has no value: U_n(a_n) is defined from n = 1 on.
-    _write_csv(args.out, "n,angle_turns,extremal_value\n0,%.17g,\n" % first, blocks)
+    _write_csv(args.out, "n,angle_turns,extremal_value\n0,%.17g,\n" % first, rows, 1, args.n)
     return 0
 
 
@@ -313,19 +306,17 @@ def cmd_theta(args) -> int:
     exponent(args.s, positive=True)  # before anything is written, in both formats
     if args.format == "csv":
         ms = binary.enumerate_theta(args.p, args.max_bits)
-        with _open_out(args.out) as out:
-            out.write("M,t,p,components,g_value,lambda_value\n")
-            for start in range(0, len(ms), _CSV_CHUNK_ROWS):
-                rows = []
-                for m in ms[start:start + _CSV_CHUNK_ROWS]:
-                    exps = binary.decompose(m)
-                    # M is odd, so 2**e/M is in lowest terms; the vector of M = 1 is (1)
-                    comps = "|".join(f"{1 << e}/{m}" for e in exps) if m > 1 else "1"
-                    comps += "|0" * (args.p - len(exps))
-                    g = binary.g_value(m, args.s) if args.s != 1 else 1.0
-                    rows.append("%d,%d,%d,%s,%.17g,%.17g\n"
-                                % (m, len(exps), args.p, comps, g, binary.lambda_value(m)))
-                out.write("".join(rows))
+        def rows(a, b):
+            cells = []
+            for m in ms[a:b]:
+                exps = binary.decompose(m)
+                # M is odd, so 2**e/M is in lowest terms; the vector of M = 1 is (1)
+                comps = "|".join(f"{1 << e}/{m}" for e in exps) if m > 1 else "1"
+                comps += "|0" * (args.p - len(exps))
+                g = binary.g_value(m, args.s) if args.s != 1 else 1.0
+                cells.append((m, len(exps), args.p, comps.encode(), g, binary.lambda_value(m)))
+            return [np.array(column) for column in zip(*cells)]
+        _write_csv(args.out, "M,t,p,components,g_value,lambda_value\n", rows, 0, len(ms))
         return 0
     payload = {
         "p": args.p,
@@ -348,17 +339,19 @@ def cmd_figure(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for s in s_values:
-        series = analysis.extremal_series(s, n_max)
         name = f"fig{args.id}.csv" if len(s_values) == 1 else f"fig{args.id}_s{s:g}.csv"
-        _write_csv(out_dir / name, "N,value\n", _chunks(series.n, series.values))
+        _write_series(out_dir / name, "extremal", s, n_max)
         print(out_dir / name)
     return 0
 
 
+def _write_series(out_path, kind, s, n_max):
+    first, values = analysis._series_values(kind, s, n_max)
+    _write_csv(out_path, "N,value\n", lambda a, b: (np.arange(a, b), values(a, b)), first, n_max + 1)
+
+
 def cmd_series(args) -> int:
-    first, values = analysis._series_values(args.kind, args.s, args.n_max)
-    _write_csv(args.out, "N,value\n",
-               ((np.arange(a, b), values(a, b)) for a, b in _row_ranges(first, args.n_max + 1)))
+    _write_series(args.out, args.kind, args.s, args.n_max)
     return 0
 
 

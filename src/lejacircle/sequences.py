@@ -42,6 +42,7 @@ numpy calls it replaces.  One chord pass and one kernel pass update both
 bounds of every gap for the appended charge.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ _SOLVED = 1e-13
 _MAX_ITERS = 100
 # Minima within this absolute slack count as ties; the smallest angle wins.
 _TIE = 1e-12
+# The ValueError for a potential that overflows float64: which potential, s and N.
+_OVERFLOW = "the {} potential overflows float64 at s={}, N={}"
 
 
 def structural_angles(n_points: int) -> np.ndarray:
@@ -106,7 +109,8 @@ def _angle_terms(size: int) -> np.ndarray:
 
 def _value_terms(size: int, s: float) -> np.ndarray:
     """The terms midpoint_potential(2**j, s) of the doubling recursion for
-    U_0..U_(size-1), where U_0 = 0; validates s >= 0.
+    U_0..U_(size-1), where U_0 = 0; validates s >= 0 and refuses a U_N that
+    overflows float64 (above s = 0 the sum of the terms bounds every U_N).
 
     At s = 0 every block's midpoint potential is -log 2: the product of the
     distances from an arc midpoint to the 2**k-th roots is |(-1) - 1| = 2.
@@ -114,7 +118,11 @@ def _value_terms(size: int, s: float) -> np.ndarray:
     bits = max(size - 1, 0).bit_length()
     if classify_regime(s) == REGIME_LOG:
         return np.full(bits, -np.log(2.0))
-    return midpoint_potential(1 << np.arange(bits), s)
+    with np.errstate(over="ignore"):  # refused below
+        terms = midpoint_potential(1 << np.arange(bits), s)
+    if not math.isfinite(sum(terms.tolist())):
+        raise ValueError(_OVERFLOW.format("running", s, size - 1))
+    return terms
 
 
 def _doubling(terms: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -278,7 +286,10 @@ def _grow(initial: np.ndarray, sv: float, n_points: int) -> np.ndarray:
         redo = np.flatnonzero(lower[:m] <= upper[:m].min() + _TIE)
         x[redo], upper[redo], lower[redo] = _solve_gaps(
             pts[:m], lo[redo].tolist(), hi[redo].tolist(), sv)
-        ties = np.flatnonzero(upper[:m] <= upper[:m].min() + _TIE)
+        best = upper[:m].min()
+        if not math.isfinite(best):  # all-inf potentials would tie, and the tie rule would pick the point
+            raise ValueError(_OVERFLOW.format("running", sv, n_points))
+        ties = np.flatnonzero(upper[:m] <= best + _TIE)
         j = int(ties[np.argmin(x[ties] % 1.0)])
         xj, hj = float(x[j]), float(hi[j])
         a = pts[m] = xj % 1.0
@@ -319,5 +330,5 @@ def greedy_numerical(initial: Configuration, s: float, n_points: int) -> GreedyR
         points = Configuration.from_turns(work)
         extremal = prefix_potentials(points.angles(), sv)
     if not np.isfinite(extremal).all():
-        raise ValueError(f"the running potential overflows float64 at s={sv}, N={n_points}")
+        raise ValueError(_OVERFLOW.format("running", sv, n_points))
     return GreedyRun(s=sv, initial=initial, points=points, extremal_values=extremal)

@@ -217,9 +217,9 @@ def limit_catalog(s: float) -> ConstantsCatalog:
     search = binary.search_g_extremes(s, _CATALOG_MAX_BITS)
     # h = 1 - 2**(-s): 2**s - 1 would cancel to 0 next to s = 0 and overflow from s = 1024 on
     h = -math.expm1(-s * math.log(2.0))
-    landmark = 0.5 ** s / h  # 1/(2**s - 1)
+    landmark = 0.5 ** s / h  # 1/(2**s - 1), inf once h is subnormal
     if regime == REGIME_SUBCRITICAL:
-        g_sup_lb = max(search.sup_found, search.family_sup, landmark)
+        g_sup_lb = max(search.sup_found, search.family_sup)
         return ConstantsCatalog(
             s=s,
             regime=regime,
@@ -228,7 +228,8 @@ def limit_catalog(s: float) -> ConstantsCatalog:
             first_order=continuous_energy(s),
             limsup=c,
             liminf_lower=c / h,  # sup G <= 2**s/(2**s - 1)
-            liminf_upper=g_sup_lb * c,
+            # landmark * c as 0.5**s * (c/h), which stays finite
+            liminf_upper=g_sup_lb * c if g_sup_lb >= landmark else 0.5 ** s * (c / h),
         )
     g_inf_ub = min(search.inf_found, search.family_inf, landmark)
     return ConstantsCatalog(

@@ -42,7 +42,6 @@ from lejacircle.analysis import (
     check_roots_potential_identity,
     check_sup_norm_ratio_doubling_decreasing,
     check_sup_norm_ratio_dyadic_ones,
-    extremal_series,
     limit_point_check,
     normalized_series,
     star_discrepancy,
@@ -176,7 +175,7 @@ def test_subcritical_second_order_limits():
     s = 0.5
     dyadic_limit = (2.0 ** s - 1.0) * 2.0 * zeta(s) / (2.0 * math.pi) ** s
     ones_limit = 2.0 * zeta(s) / (2.0 * math.pi) ** s
-    series = extremal_series(s, 1 << 12).values
+    series = normalized_series("extremal", s, 1 << 12).values
 
     res_dyadic = abs(series[(1 << 12) - 1] - dyadic_limit)
     res_dyadic_half = abs(series[(1 << 11) - 1] - dyadic_limit)

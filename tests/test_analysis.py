@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lejacircle.analysis import (
-    extremal_series,
     limit_point_check,
     normalized_series,
     star_discrepancy,
@@ -154,21 +153,27 @@ class TestNormalizedSeries:
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 1.0, 1.5, 3.5])
     def test_extremal_kind_is_extremal_series(self, s):
-        ser, ref = normalized_series("extremal", s, 300), extremal_series(s, 300)
-        assert ser.kind == ref.kind == "extremal" and ser.s == s
-        assert np.array_equal(ser.n, ref.n) and np.array_equal(ser.values, ref.values)
+        # the extremal series: the regime normalization of the structural U_N(a_N), N = 1..300
+        ser = normalized_series("extremal", s, 300)
+        n = np.arange(1.0, 301.0)
+        u = extremal_values_structural(300, s)
+        ref = {0.0: np.bitwise_count(np.arange(1, 301)) / np.log2(n + 1.0),
+               0.3: (u - n * continuous_energy(0.3)) / n ** 0.3,
+               1.0: (u - n * np.log(n) / math.pi) / n}.get(s, u / n ** s)
+        assert ser.kind == "extremal" and ser.s == s and ser.n.tolist() == list(range(1, 301))
+        assert np.array_equal(ser.values, ref)
 
 
 class TestExtremalSeries:
     def test_subcritical_dyadic_value(self):
-        ser = extremal_series(0.5, 4096)
+        ser = normalized_series("extremal", 0.5, 4096)
         assert abs(ser.values[4095] - second_order_scale(0.5)) < 1e-4
 
     def test_all_ones_exact_identity(self):
         # at N = 2^p - 1 the value equals R(2^p)*(1 - 2^-p)^(-s) + I_s*(2^p-1)^(-s)
         s = 0.5
         i_sigma = continuous_energy(s)
-        ser = extremal_series(s, 4095)
+        ser = normalized_series("extremal", s, 4095)
         p = 12
         n = (1 << p) - 1
         m = 1 << p
@@ -180,13 +185,13 @@ class TestExtremalSeries:
 
     def test_everywhere_negative(self):
         for s in (0.1, 0.5, 0.9):
-            ser = extremal_series(s, 2048)
+            ser = normalized_series("extremal", s, 2048)
             assert np.all(ser.values < 0.0)
 
     def test_reconstruction_against_w_table(self):
         # value at N equals sum_k W(2^(n_k)) * (2^(n_k)/N)^s over the bits of N
         s = 0.5
-        ser = extremal_series(s, 512)
+        ser = normalized_series("extremal", s, 512)
         w = normalized_series("W_subcritical", s, 512).values
         worst = 0.0
         for n in range(1, 513):
@@ -199,7 +204,7 @@ class TestExtremalSeries:
 
     def test_supercritical_positive_bounded(self):
         for s in (1.5, 3.5):
-            ser = extremal_series(s, 2048)
+            ser = normalized_series("extremal", s, 2048)
             assert np.all(ser.values > 0.0)
             w = normalized_series("W_supercritical", s, 2048).values
             bound = float(np.max(w)) * 2.0 ** s / (2.0 ** s - 1.0)
@@ -207,15 +212,15 @@ class TestExtremalSeries:
 
     def test_negative_s_raises(self):
         with pytest.raises(ValueError):
-            extremal_series(-0.5, 64)
+            normalized_series("extremal", -0.5, 64)
         with pytest.raises(ValueError):
-            extremal_series(float("nan"), 64)
+            normalized_series("extremal", float("nan"), 64)
 
     def test_log_case_is_the_direct_potential(self):
         # -U_N(a_N) at s = 0 is the log of the product of distances, summed directly
         n = 1024
         direct = -prefix_potentials(structural_angles(n + 1), 0.0) / np.log(np.arange(2, n + 2))
-        np.testing.assert_allclose(extremal_series(0.0, n).values, direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(normalized_series("extremal", 0.0, n).values, direct, rtol=0, atol=1e-12)
 
 
 class TestThetaLimitPrediction:

@@ -15,13 +15,14 @@ OVER = MAX_POINTS + 1
 
 # Each call asks for MAX_POINTS + 1 points, or for the smallest odd-M array past the
 # budget (2**21 odd M below 2**22), and must raise before it allocates anything.
+# "extremal_series" is the series of the figures, normalized_series of kind extremal.
 ENTRY_POINTS = {
     "roots_energy": lambda: circle.roots_energy(OVER, 0.5),
     "midpoint_potential": lambda: circle.midpoint_potential(OVER, 0.5),
     "structural_angles": lambda: sequences.structural_angles(OVER),
     "extremal_values_structural": lambda: sequences.extremal_values_structural(OVER, 0.5),
     "greedy_numerical": lambda: sequences.greedy_numerical(Configuration.from_turns([0.0]), 0.5, OVER),
-    "extremal_series": lambda: analysis.extremal_series(0.5, OVER),
+    "extremal_series": lambda: analysis.normalized_series("extremal", 0.5, OVER),
     "normalized_series": lambda: analysis.normalized_series("W_subcritical", 0.5, OVER),
     "verify_all": lambda: analysis.verify_all(n_max=OVER),
     "limit_point_check": lambda: analysis.limit_point_check(1, 2, 0.5, 20),  # N = 2**20 + 1
@@ -46,6 +47,7 @@ def test_require():
 
 
 # Each call passes s to one public entry point; True marks those that need s > 0.
+# "extremal_series" is normalized_series of kind extremal, "normalized_series" a regime kind.
 THREE = Configuration.from_turns([0.0, 0.25, 0.5])
 EXPONENT_ENTRY_POINTS = {
     "classify_regime": (special.classify_regime, False),
@@ -58,8 +60,8 @@ EXPONENT_ENTRY_POINTS = {
     "midpoint_potential": (lambda s: circle.midpoint_potential(4, s), True),
     "extremal_values_structural": (lambda s: sequences.extremal_values_structural(4, s), False),
     "greedy_numerical": (lambda s: sequences.greedy_numerical(THREE, s, 4), False),
-    "extremal_series": (lambda s: analysis.extremal_series(s, 4), False),
-    "normalized_series": (lambda s: analysis.normalized_series("extremal", s, 4), False),
+    "extremal_series": (lambda s: analysis.normalized_series("extremal", s, 4), False),
+    "normalized_series": (lambda s: analysis.normalized_series("W_subcritical", s, 4), False),
     "theta_limit_prediction": (lambda s: analysis.theta_limit_prediction(3, s), False),
     "verify_all": (lambda s: analysis.verify_all(n_max=8, s_grid=[s]), False),
     "g_value": (lambda s: binary.g_value(3, s), True),

@@ -143,6 +143,16 @@ def per_line_csv(header, rows):
     return "".join(",".join(cell(x) for x in row) + "\n" for row in [header] + rows)
 
 
+def theta_rows(p, max_bits, s):
+    """The rows of theta --format csv, with an exact Fraction oracle for each vector."""
+    def vector(m):  # the exact vector of odd M, padded to length p
+        ones = [e for e in range(m.bit_length() - 1, -1, -1) if m >> e & 1]
+        return [Fraction(1 << e, m) for e in ones] + [Fraction(0)] * (p - len(ones))
+
+    return [[m, tau_b(m), p, "|".join(str(c) for c in vector(m)), g_value(m, s), lambda_value(m)]
+            for m in enumerate_theta(p, max_bits)]
+
+
 class TestCsvGolden:
     """The chunked writer is byte-equal to a per-line rendering."""
 
@@ -169,15 +179,16 @@ class TestCsvGolden:
         out = tmp_path / "theta.csv"
         assert run_cli(["theta", "--p", "3", "--max-bits", "6", "--format", "csv",
                         "--s", "2", "--out", str(out)]) == 0
-        def vector(m):  # the exact vector of odd M, padded to length 3: a Fraction oracle
-            ones = [e for e in range(m.bit_length() - 1, -1, -1) if m >> e & 1]
-            return [Fraction(1 << e, m) for e in ones] + [Fraction(0)] * (3 - len(ones))
-
-        rows = [[m, tau_b(m), 3, "|".join(str(c) for c in vector(m)), g_value(m, 2.0), lambda_value(m)]
-                for m in enumerate_theta(3, 6)]
+        rows = theta_rows(3, 6, 2.0)
         assert len(rows) == 16
         assert out.read_text() == per_line_csv(
             ["M", "t", "p", "components", "g_value", "lambda_value"], rows)
+
+    def test_theta_p16(self, capsys):
+        # 512 rows, vectors of up to 10 components padded to 16, at the default s = 0.5
+        assert run_cli(["theta", "--p", "16", "--max-bits", "10", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == per_line_csv(
+            ["M", "t", "p", "components", "g_value", "lambda_value"], theta_rows(16, 10, 0.5))
 
     @pytest.mark.parametrize("chunk_rows", [1, 5])
     @pytest.mark.parametrize("s", ["0", "1.5"])
@@ -224,7 +235,7 @@ def written(chunk_rows, *columns):
     """What _write_csv prints to stdout for the columns under header "h", at chunk_rows rows a chunk."""
     buf = io.StringIO()
     with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows), contextlib.redirect_stdout(buf):
-        cli._write_csv(None, "h\n", cli._chunks(*columns))
+        cli._write_csv(None, "h\n", lambda a, b: [c[a:b] for c in columns], 0, len(columns[0]))
     return buf.getvalue()
 
 
@@ -278,6 +289,15 @@ class TestCsvWriter:
         assert got == per_line_csv(["h"], rows)
         with pytest.raises(ValueError):
             written(chunk_rows, np.array([2**31]), np.ones(1))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, cli._CSV_CHUNK_ROWS])
+    def test_bytes_columns(self, chunk_rows):
+        # a bytes cell is its own bytes; the NULs that pad the short ones are dropped
+        texts = ["", "1", "1/3|2/3", "8/11|2/11|1/11|0|0", "x" * 40, "|", "-0.5", "a b"]
+        rows = [[i, text, 0.25 * i, text[::-1]] for i, text in enumerate(texts)]
+        got = written(chunk_rows, np.arange(8), np.array([t.encode() for t in texts]),
+                      0.25 * np.arange(8), np.array([t[::-1].encode() for t in texts]))
+        assert got == per_line_csv(["h"], rows)
 
 
 class TestCsvEdgeRows:
@@ -434,11 +454,26 @@ def test_constants_finite_at_extreme_exponents(capsys, s):
     assert all(math.isfinite(v) for v in catalog.values() if isinstance(v, float))
 
 
-@pytest.mark.parametrize("s, n", [("400", "64"), ("1e308", "8")])
+@pytest.mark.parametrize("s, n", [("400", "64"), ("1e308", "8"), ("400", "2048")])
 def test_numerical_refuses_overflowing_potential(tmp_path, capsys, s, n):
-    # all-inf potentials would tie, and the tie rule would pick the points
+    # all-inf potentials would tie, and the tie rule would pick the points (at n = 2048
+    # a point already taken, which the configuration refused as coincident)
     _refused_without_output(tmp_path, capsys, ["sequence", "--numerical", "--s", s, "--n", n],
                             f"the running potential overflows float64 at s={float(s)}, N={n}")
+
+
+@pytest.mark.filterwarnings("error")  # the one error line, no RuntimeWarning
+@pytest.mark.parametrize("args, message", [
+    (["sequence", "--structural", "--s", "400", "--n", "64"],
+     "the running potential overflows float64 at s=400.0, N=63"),
+    (["series", "--kind", "extremal", "--s", "400", "--n-max", "64"],
+     "the running potential overflows float64 at s=400.0, N=64"),
+    (["series", "--kind", "W_supercritical", "--s", "1e308", "--n-max", "8"],
+     "the midpoint potential overflows float64 at s=1e+308, N=8"),
+])
+def test_closed_forms_refuse_overflowing_potential(tmp_path, capsys, args, message):
+    # the rows would read inf or nan
+    _refused_without_output(tmp_path, capsys, args, message)
 
 
 class TestFigure:
@@ -478,7 +513,7 @@ class TestFigure:
         for s in s_values:
             name = f"fig{fig_id}.csv" if len(s_values) == 1 else f"fig{fig_id}_s{s:g}.csv"
             rows = list(csv.DictReader((tmp_path / name).open()))
-            expected = analysis.extremal_series(s, n_max).values
+            expected = normalized_series("extremal", s, n_max).values
             assert [r["N"] for r in rows] == [str(k) for k in range(1, n_max + 1)]
             assert [r["value"] for r in rows] == ["%.17g" % v for v in expected]
 

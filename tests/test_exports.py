@@ -60,6 +60,22 @@ def test_gamma_fn_is_gone():
     assert not hasattr(lejacircle, "gamma_fn")
 
 
+def test_extremal_series_is_gone():
+    # the series of the figures is normalized_series("extremal", s, n_max)
+    from lejacircle import analysis
+
+    assert not hasattr(analysis, "extremal_series") and "extremal_series" not in analysis.__all__
+    assert not hasattr(lejacircle, "extremal_series")
+
+
+@pytest.mark.parametrize("name", ["_chunks", "_row_ranges"])
+def test_csv_block_helpers_are_gone(name):
+    # _write_csv cuts its own row range and asks a row source for each block
+    from lejacircle import cli
+
+    assert not hasattr(cli, name)
+
+
 def test_catalog_to_dict_is_gone():
     # lejacircle constants writes dataclasses.asdict(catalog)
     assert not hasattr(lejacircle.ConstantsCatalog, "to_dict")

@@ -189,6 +189,21 @@ class TestLimitCatalog:
             lower = expected * mp.power(2, x) / two_s_minus_1
             assert limit_catalog(s).liminf_lower == pytest.approx(float(lower), rel=1e-14)
 
+    @pytest.mark.parametrize("s", [5e-324, 1e-320, 1e-300])
+    def test_tiny_exponents_against_mpmath(self, s):
+        # below s = 3.2e-308, h = 1 - 2**(-s) is subnormal and the landmark 1/(2**s - 1) is inf;
+        # at these s the landmark is the largest G, so liminf_upper is 2**(-s) 2 zeta(s)/pi**s
+        x = mp.mpf(s)
+        scale = 2 * mp.zeta(x) / mp.pi ** x
+        i_s = mp.gamma(1 - x) / mp.gamma(1 - x / 2) ** 2
+        want = {"s": x, "i_sigma": i_s, "zeta": mp.zeta(x), "first_order": i_s,
+                "limsup": -mp.expm1(-x * mp.log(2)) * scale, "liminf_lower": scale,
+                "liminf_upper": mp.power(2, -x) * scale}
+        cat = limit_catalog(s)
+        assert cat.regime == "subcritical"
+        for key, value in want.items():  # the limsup is subnormal: at most one step off
+            assert getattr(cat, key) == pytest.approx(float(value), rel=1e-14, abs=5e-324), key
+
     def test_second_order_scale_signs(self):
         assert second_order_scale(0.5) < 0.0
         assert second_order_scale(1.5) > 0.0
