@@ -124,7 +124,14 @@ def _normalize(u, n, s: float):
     if regime == REGIME_CRITICAL:
         return (u - n * np.log(n) / math.pi) / n
     if regime == REGIME_SUPERCRITICAL:
-        return u / n ** s
+        with np.errstate(over="ignore"):
+            scale = np.power(n, s)  # inf, not OverflowError, for a float N
+            big = np.isinf(scale)
+            if np.any(big):  # U finite, N**s not: divide by N**(s/2) twice, a few ulps
+                # from U/N**s wherever that is a normal double
+                half = np.power(n, s / 2.0)
+                return np.where(big, u / half / half, u / scale)
+        return u / scale
     raise ValueError("no regime normalization in the log case")
 
 
@@ -264,6 +271,10 @@ class VerificationReport:
         return {"all_pass": self.all_pass, "checks": [c.to_dict() for c in self.checks]}
 
 
+# The N = 1..10**6 checks walk N in blocks of this many, so their arrays stay small.
+_CHECK_BLOCK = 1 << 15
+
+
 def _rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
 
@@ -304,13 +315,28 @@ def check_sup_norm_ratio_doubling_decreasing(n: int) -> CheckResult:
     )
 
 
-def check_roots_potential_identity(s: float, chords: list, e: np.ndarray) -> CheckResult:
+def roots_potentials(n: int, exponents) -> np.ndarray:
+    """The potential of the N-th roots of unity at one root, 2 <= N <= n, one row per exponent.
+
+    Entry [i, N-2] is pairwise_sum((2*sin(pi*j/N))**(-s_i)), j = 1..N-1, over
+    the chords unreflected, so it is independent of roots_energy.  One pass
+    over N serves every exponent, and each N's chords are dropped once summed.
+    """
+    out = np.empty((len(exponents), max(n - 1, 0)))
+    for k in range(2, n + 1):
+        chords = 2.0 * np.sin(np.pi * (np.arange(1, k) / k))
+        for i, s in enumerate(exponents):
+            out[i, k - 2] = pairwise_sum(chords ** (-s))
+    return out
+
+
+def check_roots_potential_identity(s: float, potentials: np.ndarray, e: np.ndarray) -> CheckResult:
     """The potential of the N-th roots of unity at one root is E_s(N)/N, 2 <= N <= e.size.
 
-    chords[N-2] holds the chords 2*sin(pi*j/N), j = 1..N-1, unreflected, so the
-    potentials summed here are independent of e[N-1] = E_s(N), the energy.
+    potentials[N-2] is that potential at s, a row of ``roots_potentials``, and
+    e[N-1] = E_s(N), the energy.
     """
-    lhs = np.array([pairwise_sum(c ** (-s)) for c in chords[: e.size - 1]])
+    lhs = potentials[: e.size - 1]
     rhs = e[1:] / np.arange(2, e.size + 1)
     return _max_le(f"roots-potential-identity[s={s:g}]", float(np.max(_rel(lhs, rhs))), 1e-10)
 
@@ -530,8 +556,11 @@ def check_zeta_sign_and_euler_gamma() -> CheckResult:
         zeta(1.0 + s / 4.0) > 1.0 for s in range(1, 17)
     )
     nh = 1_000_000
-    h = np.arange(1, nh + 1, dtype=np.float64)
-    harmonic = float(np.sum(np.reciprocal(h, out=h)))
+    partials = []
+    for a in range(1, nh + 1, _CHECK_BLOCK):
+        h = np.arange(a, min(a + _CHECK_BLOCK, nh + 1), dtype=np.float64)
+        partials.append(float(np.sum(np.reciprocal(h, out=h))))
+    harmonic = math.fsum(partials)
     gamma_resid = abs(harmonic - math.log(nh) - EULER_GAMMA)
     return CheckResult(
         "zeta-sign-and-euler-gamma",
@@ -570,10 +599,12 @@ def check_g_strictly_decreasing_in_s(s_values) -> CheckResult:
 
 
 def check_tau_binary_properties() -> CheckResult:
-    n_arr = np.arange(1, 1_000_001, dtype=np.int32)
-    taus = np.bitwise_count(n_arr)  # uint8
-    tau2 = np.bitwise_count(n_arr << 1)
-    tau_ok = bool(np.all(n_arr >= (np.int32(1) << taus) - 1)) and bool(np.all(tau2 == taus))
+    tau_ok = True
+    for a in range(1, 1_000_001, _CHECK_BLOCK):
+        n_arr = np.arange(a, min(a + _CHECK_BLOCK, 1_000_001), dtype=np.int32)
+        taus = np.bitwise_count(n_arr)  # uint8
+        tau2 = np.bitwise_count(n_arr << 1)
+        tau_ok = tau_ok and bool(np.all(n_arr >= (np.int32(1) << taus) - 1) and np.all(tau2 == taus))
     recon_ok = all(sum(1 << e for e in decompose(k)) == k for k in range(1, 2048))
     return CheckResult(
         "tau-binary-properties",
@@ -627,10 +658,11 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
 
     The arrays that several checks read are built once and handed to them: in
     one call the roots-of-unity energies E_s(N), N <= max(2*min(n_max, 1024),
-    n_max), at every positive s and 2, and the R series; the chords of the N-th
-    roots, N <= min(n_max, 1024); the direct energies of the N-th roots, N <=
-    min(n_max, 512), one chord pass per N for all s; the structural prefix
-    potentials at s = 0 and all positive s in one pass; and the W series.
+    n_max), at every positive s and 2, and the R series; the potentials of the
+    N-th roots at one root, N <= min(n_max, 1024), and their direct energies,
+    N <= min(n_max, 512), each one chord pass per N for all s; the structural
+    prefix potentials at s = 0 and all positive s in one pass; and the W series.
+    Every array is O(len(s_grid) * n_max); the checks over N <= 10**6 go in blocks.
     """
     _check_n_max(n_max, low=8)
     s_grid = tuple(dict.fromkeys(exponent(s) for s in s_grid))
@@ -643,7 +675,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     ns = np.arange(1, max(2 * n_roots, n_max) + 1)
     exponents = pos + [2.0] * (2.0 not in pos)
     e = dict(zip(exponents, roots_energy(ns, exponents)))  # e[s][N-1] = E_s(N)
-    chords = [2.0 * np.sin(np.pi * (np.arange(1, k) / k)) for k in range(2, n_roots + 1)]
+    potentials = roots_potentials(n_roots, pos)  # one row per s
     roots = (Configuration.from_turns(np.arange(k) / k) for k in range(2, n_direct + 1))
     direct = np.array([energy(c, pos) for c in roots]).T if pos else []  # one row per s
     u = prefix_potentials(structural_angles(n_max + 1), [0.0] + pos)
@@ -653,8 +685,8 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
         check_sup_norm_ratio_dyadic_ones(n_max),
         check_sup_norm_ratio_doubling_decreasing(min(64, n_max)),
     ]
-    for s in pos:
-        checks.append(check_roots_potential_identity(s, chords, e[s][:n_roots]))
+    for s, pot in zip(pos, potentials):
+        checks.append(check_roots_potential_identity(s, pot, e[s][:n_roots]))
         checks.append(check_midpoint_energy_identity(s, e[s][: 2 * n_roots]))
     checks.append(check_inverse_square_bruteforce(min(64, n_max)))
     checks.append(check_inverse_square_closed_form(e[2.0][:n_roots]))

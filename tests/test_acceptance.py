@@ -44,6 +44,7 @@ from lejacircle.analysis import (
     check_sup_norm_ratio_dyadic_ones,
     limit_point_check,
     normalized_series,
+    roots_potentials,
     star_discrepancy,
 )
 from lejacircle.binary import (
@@ -142,10 +143,11 @@ def test_potential_binary_decomposition(canonical_angles_5001):
 
 def test_roots_of_unity_identities():
     crit = Criterion("roots-of-unity potential and energy identities")
-    chords = [2.0 * np.sin(np.pi * (np.arange(1, k) / k)) for k in range(2, 1025)]
+    # potentials[N-2] is the potential of the N-th roots at one root, N <= 1024;
     # e[N-1] = E_s(N), N <= 2 * 1024
-    for s, e in zip(S_GRID, roots_energy(np.arange(1, 2049), S_GRID)):
-        crit.require(check_roots_potential_identity(s, chords, e[:1024]))
+    table = zip(S_GRID, roots_potentials(1024, S_GRID), roots_energy(np.arange(1, 2049), S_GRID))
+    for s, potentials, e in table:
+        crit.require(check_roots_potential_identity(s, potentials, e[:1024]))
         crit.require(check_midpoint_energy_identity(s, e))
 
     worst = 0.0

@@ -1,6 +1,7 @@
 """Normalized series, limit-point checks, discrepancy, verification harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lejacircle.analysis import (
+    check_roots_potential_identity,
+    check_tau_binary_properties,
+    check_zeta_sign_and_euler_gamma,
     limit_point_check,
     normalized_series,
+    roots_potentials,
     star_discrepancy,
     theta_limit_prediction,
     verify_all,
@@ -265,6 +270,11 @@ class TestLimitPointCheck:
         with pytest.raises(BudgetExceededError):
             limit_point_check(3, 2, 0.5, 20)
 
+    def test_n_power_overflows(self):
+        # 24**400 overflows while U_24 stays finite; observed is the quotient, about 2e-269
+        res = limit_point_check(3, 2, 400.0, 3)
+        assert res.observed == pytest.approx(normalized_series("extremal", 400.0, 24).values[23], rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             limit_point_check(13, 2, 0.5, 6)  # p < tau_b(13) = 3
@@ -309,6 +319,30 @@ class TestVerifyAll:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             verify_all(n_max=(1 << 20) + 1)
+
+    @pytest.mark.parametrize("part", ["tau-binary", "harmonic-sum", "roots-potentials"])
+    def test_shared_work_bounded_memory(self, part):
+        # N = 1..10**6 goes in blocks and the roots' potentials are one table of
+        # floats: whole int32 arrays of 10**6 N, 10**6 harmonic terms and 1023
+        # chord arrays (N <= 1024) took 13.4, 7.6 and 4.1 MB
+        def roots_potential_checks():
+            s_grid = (0.5, 1.0, 1.5, 2.0)
+            energies = roots_energy(np.arange(1, 1025), s_grid)
+            for s, row, e in zip(s_grid, roots_potentials(1024, s_grid), energies):
+                assert check_roots_potential_identity(s, row, e).passed
+
+        run = {
+            "tau-binary": check_tau_binary_properties,
+            "harmonic-sum": check_zeta_sign_and_euler_gamma,
+            "roots-potentials": roots_potential_checks,
+        }[part]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_report_serializes(self):
         report = verify_all(n_max=64, s_grid=(2.0, 2.0))

@@ -12,6 +12,7 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -474,6 +475,26 @@ def test_numerical_refuses_overflowing_potential(tmp_path, capsys, s, n):
 def test_closed_forms_refuse_overflowing_potential(tmp_path, capsys, args, message):
     # the rows would read inf or nan
     _refused_without_output(tmp_path, capsys, args, message)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["W_supercritical", "extremal"])
+def test_supercritical_rows_where_n_power_overflows(tmp_path, kind):
+    # N**400 overflows from N = 6 on while U_N stays finite: the rows are the
+    # quotients, down to about 5e-292, not 0
+    out = tmp_path / "s.csv"
+    assert run_cli(["series", "--kind", kind, "--s", "400", "--n-max", "8", "--out", str(out)]) == 0
+    got = [float(r["value"]) for r in csv.DictReader(out.read_text().splitlines())]
+    assert len(got) == 8
+    angles = structural_angles(9)
+    with mp.workdps(40):
+        for n, value in enumerate(got, start=1):
+            if kind == "W_supercritical":  # the midpoint chords 2 sin((2k-1) pi/(2N))
+                chords = [2 * mp.sin((2 * k - 1) * mp.pi / (2 * n)) for k in range(1, n + 1)]
+            else:  # the chords from a_N to the structural points before it
+                chords = [abs(2 * mp.sin(mp.pi * (mp.mpf(angles[n]) - mp.mpf(a)))) for a in angles[:n]]
+            want = mp.fsum(c ** -400 for c in chords) / mp.mpf(n) ** 400
+            assert value == pytest.approx(float(want), rel=1e-12)
 
 
 class TestFigure:
