@@ -37,7 +37,7 @@ import numpy as np
 
 from . import binary
 from .binary import decompose
-from .budget import exponent, require
+from .budget import exponent, require, size
 from .circle import (
     Configuration,
     _midpoint_map,
@@ -110,12 +110,6 @@ class LimitPointCheck:
     gap: float
 
 
-def _check_n_max(n_max: int, low: int) -> None:
-    if n_max < low:
-        raise ValueError(f"need n_max >= {low}, got {n_max}")
-    require(n_max, f"n_max={n_max}")
-
-
 def _normalize(u, n, s: float):
     """(U - N*I_s)/N**s, (U - N*log(N)/pi)/N or U/N**s for s below, at or above 1; N = n."""
     regime = classify_regime(s)
@@ -158,7 +152,7 @@ def _series_values(kind: str, s: float, n_max: int):
         raise ValueError(f"unknown series kind {kind!r}")
     if _KIND_REGIMES[kind] not in (None, classify_regime(s)):
         raise ValueError(f"{kind} needs a {_KIND_REGIMES[kind]} exponent, got s={s}")
-    _check_n_max(n_max, low=2)
+    n_max = require(size(n_max, 2, "n_max"), f"n_max={n_max}")
     if kind == "extremal":
         if classify_regime(s) == REGIME_LOG:  # tau_b(N)/log2(N+1), exactly 1.0 at N = 2**m - 1
             return 1, lambda a, b: np.bitwise_count(np.arange(a, b)) / np.log2(_nf(a, b) + 1.0)
@@ -181,6 +175,7 @@ def _series_values(kind: str, s: float, n_max: int):
 
 def normalized_series(kind: str, s: float, n_max: int) -> NormalizedSeries:
     """Evaluate one of the named normalized series for N up to n_max."""
+    n_max = size(n_max, 2, "n_max")
     first, values = _series_values(kind, s, n_max)
     return NormalizedSeries(kind, s, np.arange(first, n_max + 1), values(first, n_max + 1))
 
@@ -202,21 +197,17 @@ def limit_point_check(m: int, p: int, s: float, depth: int) -> LimitPointCheck:
     zeros realized by appending the lowest z bits (adding 2**z - 1), which
     vanish in the limit while preserving the digit ratios exactly.
     """
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"M must be odd and positive, got {m}")
-    z = p - binary.tau_b(m)  # the trailing zeros of theta
+    m = binary._check_odd(m)
+    z = size(p, None, "p") - binary.tau_b(m)  # the trailing zeros of theta
     if z < 0:
         raise ValueError(f"need p >= tau_b(M) = {p - z}, got p = {p}")
-    if depth < 1:
-        raise ValueError(f"need depth >= 1, got {depth}")
-    if depth <= z - 1:
-        raise ValueError(f"depth {depth} too small for {z} trailing zeros")
+    depth = size(depth, max(1, z), "depth")
     n_witness = (m << depth) + ((1 << z) - 1)
     require(n_witness, f"witness index {n_witness}")
+    predicted = theta_limit_prediction(m, s)  # refuses s = 0 before the witness is summed
     blocks = np.array([1 << e for e in decompose(n_witness)])
     u = math.fsum(midpoint_potential(blocks, s).tolist())
     observed = float(_normalize(u, float(n_witness), s))
-    predicted = theta_limit_prediction(m, s)
     return LimitPointCheck(
         n=n_witness, predicted=predicted, observed=observed, gap=abs(observed - predicted)
     )
@@ -664,7 +655,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     prefix potentials at s = 0 and all positive s in one pass; and the W series.
     Every array is O(len(s_grid) * n_max); the checks over N <= 10**6 go in blocks.
     """
-    _check_n_max(n_max, low=8)
+    n_max = require(size(n_max, 8, "n_max"), f"n_max={n_max}")
     s_grid = tuple(dict.fromkeys(exponent(s) for s in s_grid))
     pos = [s for s in s_grid if s > 0]
     sub = [s for s in pos if s < 1]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import MAX_POINTS, exponent, require
+from .budget import MAX_POINTS, exponent, require, size
 
 __all__ = [
     "tau_b",
@@ -55,27 +55,25 @@ _SCREEN_FLOOR = 1e-300
 
 def tau_b(n: int) -> int:
     """Number of ones in the binary representation of n >= 1."""
-    if n < 1:
-        raise ValueError(f"need N >= 1, got {n}")
-    return int(n).bit_count()
+    return size(n, 1).bit_count()
 
 
 def decompose(n: int) -> tuple[int, ...]:
     """Exponents n_1 > n_2 > ... > n_p >= 0 of the set bits of n >= 1."""
-    if n < 1:
-        raise ValueError(f"need N >= 1, got {n}")
+    n = size(n, 1)
     return tuple(i for i in range(n.bit_length() - 1, -1, -1) if (n >> i) & 1)
 
 
-def _check_odd(m: int) -> None:
+def _check_odd(m: int) -> int:
+    m = size(m, None, "M")
     if m < 1 or m % 2 == 0:
         raise ValueError(f"M must be odd and positive, got {m}")
+    return m
 
 
 def _odd_m(max_bits: int) -> np.ndarray:
     """The odd M < 2**max_bits, ascending, as int64; their 2**(max_bits - 1) must fit MAX_POINTS."""
-    if max_bits < 1:
-        raise ValueError(f"need max_bits >= 1, got {max_bits}")
+    max_bits = size(max_bits, 1, "max_bits")
     # the count 2**(max_bits - 1), capped one bit past the budget so no huge int is built
     require(1 << min(max_bits - 1, MAX_POINTS.bit_length()), f"odd M count 2**{max_bits - 1}")
     return np.arange(1, 1 << max_bits, 2, dtype=np.int64)
@@ -87,15 +85,14 @@ def enumerate_theta(p: int, max_bits: int) -> list[int]:
     Each is the theta vector (2**n_1/M, ..., 2**n_t/M, 0, ..., 0) of length p;
     distinct M give distinct vectors, so no deduplication is needed.
     """
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    p = size(p, 1, "p")
     m = _odd_m(max_bits)
     return m[np.bitwise_count(m) <= p].tolist()
 
 
 def g_value(m: int, s: float) -> float:
     """G(theta; s) = sum_k theta_k**s for the theta of odd M (zero components add 0), finite s > 0."""
-    _check_odd(m)
+    m = _check_odd(m)
     s = exponent(s, positive=True)
     return math.fsum(((1 << e) / m) ** s for e in decompose(m))
 
@@ -103,7 +100,7 @@ def g_value(m: int, s: float) -> float:
 def lambda_value(m: int) -> float:
     """Lambda(theta) = sum_k theta_k*log(theta_k) for the theta of odd M, with
     0*log 0 = 0; always <= 0."""
-    _check_odd(m)
+    m = _check_odd(m)
     log_m = math.log(m)
     return math.fsum(((1 << e) / m) * (e * math.log(2.0) - log_m) for e in decompose(m))
 

@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .budget import MAX_POINTS, BudgetExceededError, exponent, require  # the first two re-exported
+from .budget import MAX_POINTS, BudgetExceededError, exponent, require, size  # the first two re-exported
 from .special import roots_energy_expansion
 from .summation import pairwise_sum, row_sums, zero_rows
 
@@ -195,10 +195,8 @@ def _roots_n(n) -> np.ndarray:
     ns = np.atleast_1d(np.asarray(n))
     if ns.ndim != 1 or not (ns.size == 0 or np.issubdtype(ns.dtype, np.integer)):
         raise ValueError("N must be an int or a 1-d integer array")
-    lo, hi = (ns.min(), ns.max()) if ns.size else (1, 1)
-    if lo < 1:
-        raise ValueError(f"need N >= 1, got {lo}")
-    require(hi)
+    size(ns.min(initial=1), 1)  # initial: an empty array passes
+    require(int(ns.max(initial=1)))
     return ns
 
 

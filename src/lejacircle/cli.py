@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, binary, special
-from .budget import exponent, require
+from .budget import exponent, require, size
 from .circle import BudgetExceededError, Configuration
 from .sequences import _angle_terms, _doubling, _value_terms, greedy_numerical
 
@@ -269,8 +269,7 @@ def _parse_initial(text: str) -> Configuration:
 
 
 def cmd_sequence(args) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
+    require(size(args.n, 1, "--n"))
     if args.initial is not None and not args.numerical:
         raise ValueError("--initial applies only with --numerical")
     if args.numerical:
@@ -285,7 +284,6 @@ def cmd_sequence(args) -> int:
     else:
         # Row n is (n, x_n, U_n(a_n)): both columns come from the doubling
         # recursion over the bits of n, so a block of rows needs only its terms.
-        require(args.n)
         value_terms = _value_terms(args.n, args.s)  # validates s at every n, refuses overflow
         angle_terms = _angle_terms(args.n)
         first = 0.0
@@ -318,12 +316,15 @@ def cmd_theta(args) -> int:
             return [np.array(column) for column in zip(*cells)]
         _write_csv(args.out, "M,t,p,components,g_value,lambda_value\n", rows, 0, len(ms))
         return 0
+    p = size(args.p, 1, "p")
+    lambda_search = binary.search_lambda(args.max_bits)  # refuses max_bits past the budget
     payload = {
         "p": args.p,
         "max_bits": args.max_bits,
         "s": args.s,
-        "count": len(binary.enumerate_theta(args.p, args.max_bits)),
-        "lambda_search": dataclasses.asdict(binary.search_lambda(args.max_bits)),
+        # len(enumerate_theta(p, b)) without the list: bit 0 and at most p - 1 of the b - 1 above
+        "count": sum(math.comb(args.max_bits - 1, k) for k in range(min(p, args.max_bits))),
+        "lambda_search": dataclasses.asdict(lambda_search),
         "g_search": None,
     }
     if args.s != 1:

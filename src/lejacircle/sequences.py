@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import exponent, require
+from .budget import exponent, require, size
 from .circle import (
     Configuration,
     chord_kernel,
@@ -84,9 +84,7 @@ def structural_angles(n_points: int) -> np.ndarray:
     recursion x_(2**k + l) = x_l + 2**(-k-1); every term and partial sum is
     exact.
     """
-    if n_points < 0:
-        raise ValueError("n_points must be >= 0")
-    require(n_points)
+    n_points = require(size(n_points, 0, "n_points"))
     return _doubling(_angle_terms(n_points), 0, n_points)
 
 
@@ -96,9 +94,7 @@ def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
     Entry N-1 is the sum of midpoint potentials of the dyadic blocks of N,
     added from the lowest bit up: U_(2**k + l) = U_l + midpoint_potential(2**k).
     """
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    require(n_max)
+    n_max = require(size(n_max, 1, "n_max"))
     return _doubling(_value_terms(n_max + 1, s), 0, n_max + 1)[1:]
 
 
@@ -321,7 +317,7 @@ def greedy_numerical(initial: Configuration, s: float, n_points: int) -> GreedyR
     sv = exponent(s)
     if len(initial) < 1:
         raise ValueError("initial configuration must contain at least one point")
-    require(n_points)
+    n_points = require(size(n_points, 0, "n_points"))
 
     work = initial.angles()
     with np.errstate(all="ignore"):  # a potential that overflows is refused below

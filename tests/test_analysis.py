@@ -284,6 +284,9 @@ class TestLimitPointCheck:
             limit_point_check(13, 4, 0.5, 0)
         with pytest.raises(ValueError):
             limit_point_check(1, 5, 0.5, 3)  # 4 trailing zeros need depth >= 4
+        # s = 0 has no prediction; it is refused before the witness is summed
+        with pytest.raises(ValueError, match="^no second-order limit-point prediction in the log case$"):
+            limit_point_check(3, 2, 0.0, 4)
 
 
 class TestStarDiscrepancy:

@@ -71,8 +71,9 @@ class TestSequence:
         vals = [float(r["extremal_value"]) for r in rows[3:]]
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
 
-    def test_rejects_zero(self):
+    def test_rejects_zero(self, capsys):
         assert run_cli(["sequence", "--n", "0"]) == 2
+        assert capsys.readouterr().err == "error: need --n >= 1, got 0\n"
 
     def test_rejects_bad_initial(self):
         assert run_cli(["sequence", "--numerical", "--initial", "0,1.5", "--n", "4"]) == 2
@@ -362,7 +363,9 @@ class TestTheta:
         assert [r["M"] for r in rows] == ["1", "3", "5", "7"]
         assert rows[1]["components"] == "2/3|1/3|0"
 
-    @pytest.mark.parametrize("p, bits", [(1, 5), (3, 7), (7, 7), (9, 7), (16, 12)])
+    # the JSON count is a sum of binomials; the list it replaces is the reference
+    @pytest.mark.parametrize("p, bits", [(1, 5), (3, 7), (7, 7), (9, 7), (16, 12)] + [
+        (p, b) for p in range(1, 8) for b in range(1, 12) if (p, b) not in {(1, 5), (3, 7), (7, 7)}])
     def test_json_count(self, capsys, p, bits):
         assert run_cli(["theta", "--p", str(p), "--max-bits", str(bits)]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == len(enumerate_theta(p, bits))

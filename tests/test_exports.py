@@ -4,6 +4,7 @@ import ast
 import graphlib
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,24 @@ def test_only_budget_module_guards_the_exponent():
         if isinstance(node, ast.Raise) and node.exc and any(
                 isinstance(n, ast.Constant) and "Riesz exponent" in str(n.value) for n in ast.walk(node.exc)):
             return "raises the exponent's ValueError"
+        return None
+
+    assert _outside_budget(flag) == []
+
+
+def test_only_budget_module_guards_sizes():
+    # every check that a size is an integer at or above its floor is a call to
+    # budget.size: no other module raises a ValueError "need <name> >= <floor>",
+    # "<name> must be >= <floor>" or "<name> must be an integer" itself; a relation
+    # such as "need p >= tau_b(M)" may have its own message
+    floor = re.compile(r"(need \S+|must be) >= ?(-?\d|$)")
+
+    def flag(node):
+        if isinstance(node, ast.Raise) and node.exc and "ValueError" in _names(node.exc) and any(
+                isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and (floor.search(n.value) or "must be an integer" in n.value)
+                for n in ast.walk(node.exc)):
+            return "raises a size's ValueError"
         return None
 
     assert _outside_budget(flag) == []
