@@ -85,9 +85,14 @@ def enumerate_theta(p: int, max_bits: int) -> list[int]:
     Each is the theta vector (2**n_1/M, ..., 2**n_t/M, 0, ..., 0) of length p;
     distinct M give distinct vectors, so no deduplication is needed.
     """
+    return _theta_m(p, max_bits).tolist()
+
+
+def _theta_m(p: int, max_bits: int) -> np.ndarray:
+    """``enumerate_theta(p, max_bits)`` as int64: 8 bytes per M, where the list takes 36."""
     p = size(p, 1, "p")
     m = _odd_m(max_bits)
-    return m[np.bitwise_count(m) <= p].tolist()
+    return m[np.bitwise_count(m) <= p]
 
 
 def g_value(m: int, s: float) -> float:

@@ -20,11 +20,13 @@ map from chord lengths to kernel values.
 predecessors, in bounded row blocks; the energy is E = 2 * sum_n U_n(a_n).
 Both take one exponent or a 1-d array of them: the chords of a row block do
 not depend on s, so an array of exponents shares them and gives one row (or
-energy) per exponent, equal bitwise to the single-exponent call.  Block rows
-start..stop-1 take their chords from one ``chord_lengths`` call; columns
-before start are earlier points of every row, so only the diagonal tile of
-columns start..stop-2 is masked.  Each kernel is written straight into one
-zeroed buffer of whole 128-column blocks, which ``row_sums`` reduces.
+energy) per exponent, equal bitwise to the single-exponent call.  A block
+holds at most 32 rows, start..stop-1, and takes their chords to points
+0..stop-2 in one contiguous pass, the diagonal tile of columns start..stop-2
+included.  Each exponent's kernel is one unmasked pass over those chords into
+a buffer of whole 128-column blocks; the cells a row does not use (its part
+of the tile, with the zero chord to itself, and the padding) are then set to
++0.0, so ``row_sums`` reduces each row as if it had been evaluated alone.
 
 Closed forms for N-th roots of unity:
 
@@ -54,10 +56,17 @@ import numpy as np
 
 from .budget import MAX_POINTS, BudgetExceededError, exponent, require, size  # the first two re-exported
 from .special import roots_energy_expansion
-from .summation import pairwise_sum, row_sums, zero_rows
+from .summation import block_width, pairwise_sum, row_sums
 
 # Chords per row block of prefix_potentials; bounds its temporaries.
 _BLOCK_CELLS = 1 << 14
+# Rows per row block of prefix_potentials.  A block of r rows evaluates and
+# discards about r*r/2 kernels of its diagonal tile, and each block costs some
+# 20 numpy calls.  The direct energies of the N-th roots at N = 2..512 and
+# s = 0.5, 1, 1.5, 2 took 0.97, 0.80, 0.76, 0.72, 0.73, 0.72 and 0.73 s at
+# 8, 16, 24, 32, 48, 64 and 128 rows (sum of per-N minima of 3 interleaved
+# runs, 2-vCPU Xeon, numpy 2.4.6): 32 is the fewest rows at the floor.
+_BLOCK_ROWS = 32
 # midpoint_potential uses the 13 terms of roots_energy_expansion from N = 8
 # on, for s <= 32.  There the first omitted term (k = 13) is below 1e-18 of
 # the value at N = 8 (mpmath, s = 0.001..32.5) and falls relative to it like
@@ -119,23 +128,30 @@ class Configuration:
 
 def chord_lengths(angles: np.ndarray, x: float) -> np.ndarray:
     """Chord distances 2*|sin(pi*(x - angles))| from turn angle x to each angle, in one buffer."""
-    d = np.asarray(np.subtract(x, angles), dtype=np.float64)
-    d -= np.rint(d)  # reduce to [-1/2, 1/2] for full sin precision
+    return _chords(np.asarray(np.subtract(x, angles), dtype=np.float64))
+
+
+def _chords(d: np.ndarray, scratch=None) -> np.ndarray:
+    """Turn the float64 angle differences d into chord lengths 2*|sin(pi*d)|, in place.
+
+    ``scratch``, an array of d's shape, takes the rounded differences.
+    """
+    np.subtract(d, np.rint(d, out=scratch), out=d)  # reduce to [-1/2, 1/2] for full sin precision
     np.sin(np.multiply(d, np.pi, out=d), out=d)
     return np.multiply(np.abs(d, out=d), 2.0, out=d)
 
 
-def chord_kernel(d: np.ndarray, s: float, out=None, where=True) -> np.ndarray:
+def chord_kernel(d: np.ndarray, s: float, out=None) -> np.ndarray:
     """Kernel values at chord lengths d: d**(-s) for s > 0, -log d for s = 0.
 
-    Given ``out``, they are written there, at the cells where ``where`` holds.
-    s = 1 takes numpy's reciprocal, as d ** -1.0 does.
+    Given ``out``, they are written there.  s = 1 takes numpy's reciprocal, as
+    d ** -1.0 does.
     """
     if s == 0.0:
-        return np.negative(np.log(d, out=out, where=where), out=out, where=where)
+        return np.negative(np.log(d, out=out), out=out)
     if s == 1.0:
-        return np.reciprocal(d, out=out, where=where)
-    return np.power(d, -s, out=out, where=where)
+        return np.reciprocal(d, out=out)
+    return np.power(d, -s, out=out)
 
 
 def _exponents(s, positive: bool = False) -> tuple[list, bool]:
@@ -153,28 +169,44 @@ def prefix_potentials(angles, s) -> np.ndarray:
     ``s`` is an exponent (1-d result) or a 1-d array of exponents (one row per
     exponent, row i equal bitwise to the call at s[i]); each row block takes
     its chords once and applies every exponent's kernel to them.  Rows go in
-    blocks of at most max(_BLOCK_CELLS, len) chords and ``row_sums`` reduces
-    each one, so entry n-1 has the same bits for every input that starts with
-    a_0..a_n.
+    blocks of at most _BLOCK_ROWS rows and max(_BLOCK_CELLS, len) chords.
+    Block rows start..stop-1 take their chords to points 0..stop-2 in one
+    contiguous pass, the diagonal tile included, and each exponent's kernel
+    is one unmasked pass over them; the cells a row does not use (its part of
+    the tile, where the chord to itself is 0, and the padding to whole
+    128-column blocks) are then set to +0.0, and ``row_sums`` reduces each
+    row.  So entry n-1 is the sum of a_n's own kernel row, with the same bits
+    for every input that starts with a_0..a_n.  A point that coincides with
+    an earlier one raises CoincidentPointsError; a row made infinite only by
+    overflow is returned as it is.
     """
     exponents, scalar = _exponents(s)
     a = np.asarray(angles, dtype=np.float64)
-    n = a.size
-    out = np.empty((len(exponents), max(n - 1, 0)))
-    step = max(1, _BLOCK_CELLS // max(n, 1))
-    for start in range(1, n, step):
-        stop = min(start + step, n)
-        rows = stop - start
-        tile = np.tri(rows, rows - 1, -1, dtype=bool)  # the cells of columns >= start in use
-        d = chord_lengths(a[:stop - 1], a[start:stop, None])
-        if not (d[:, :start].all() and d[:, start:][tile].all()):
-            raise CoincidentPointsError("kernel is infinite at coincident points")
-        k = zero_rows(len(exponents) * rows, stop - 1)
-        for i, e in enumerate(exponents):
-            ki = k[i * rows:(i + 1) * rows]
-            chord_kernel(d[:, :start], e, ki[:, :start])
-            chord_kernel(d[:, start:], e, ki[:, start:stop - 1], tile)
-        out[:, start - 1:stop - 1] = row_sums(k).reshape(len(exponents), rows)
+    n, m = a.size, len(exponents)
+    out = np.empty((m, max(n - 1, 0)))
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(n, 1)))
+    width = block_width(n - 1)
+    chords = np.empty(step * max(n - 1, 0))
+    kernels = np.empty(max(m, 1) * step * width)  # also the scratch of the chords
+    later = np.arange(step - 1) >= np.arange(step)[:, None]  # [r, j]: tile column j is not before row r
+    with np.errstate(divide="ignore"):  # the kernel at the zero chords, which are discarded
+        for start in range(1, n, step):
+            stop = min(start + step, n)
+            rows, cols = stop - start, block_width(stop - 1)
+            d = chords[:rows * (stop - 1)].reshape(rows, stop - 1)
+            _chords(np.subtract(a[start:stop, None], a[:stop - 1], out=d),
+                    kernels[:d.size].reshape(d.shape))
+            k = kernels[:m * rows * cols].reshape(m * rows, cols)
+            for i, e in enumerate(exponents):
+                chord_kernel(d, e, k[i * rows:(i + 1) * rows, :stop - 1])
+            k3 = k.reshape(m, rows, cols)
+            np.copyto(k3[:, :, start:stop - 1], 0.0, where=later[:rows, :rows - 1])
+            k3[:, :, stop - 1:] = 0.0
+            out[:, start - 1:stop - 1] = row_sums(k).reshape(m, rows)
+    # A zero chord makes its row's sum infinite, as overflow can; look where one is.
+    suspects = np.flatnonzero(~np.isfinite(out).all(axis=0)) if m else range(n - 1)
+    if any(not chord_lengths(a[:i + 1], a[i + 1]).all() for i in suspects):
+        raise CoincidentPointsError("kernel is infinite at coincident points")
     return out[0] if scalar else out
 
 

@@ -303,10 +303,10 @@ def cmd_constants(args) -> int:
 def cmd_theta(args) -> int:
     exponent(args.s, positive=True)  # before anything is written, in both formats
     if args.format == "csv":
-        ms = binary.enumerate_theta(args.p, args.max_bits)
+        ms = binary._theta_m(args.p, args.max_bits)
         def rows(a, b):
             cells = []
-            for m in ms[a:b]:
+            for m in ms[a:b].tolist():
                 exps = binary.decompose(m)
                 # M is odd, so 2**e/M is in lowest terms; the vector of M = 1 is (1)
                 comps = "|".join(f"{1 << e}/{m}" for e in exps) if m > 1 else "1"

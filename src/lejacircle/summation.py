@@ -36,18 +36,20 @@ def pairwise_sum(values) -> float:
     return math.fsum(partials)
 
 
-def zero_rows(rows: int, cols: int) -> np.ndarray:
-    """Zeros with room for ``cols`` columns in whole blocks, which row_sums reduces uncopied."""
-    return np.zeros((rows, max(1, -(-cols // _BLOCK)) * _BLOCK))
+def block_width(cols: int) -> int:
+    """``cols`` rounded up to whole blocks (at least one): a width row_sums reduces uncopied."""
+    return max(1, -(-cols // _BLOCK)) * _BLOCK
 
 
 def row_sums(values) -> np.ndarray:
     """Sum each row of a 2-d float array with a fixed blockwise reduction."""
-    rows, cols = np.shape(values)
-    blocks = max(1, -(-cols // _BLOCK))
-    if cols != blocks * _BLOCK:
-        padded = zero_rows(rows, cols)
+    values = np.asarray(values)
+    rows, cols = values.shape
+    width = block_width(cols)
+    if cols != width:
+        padded = np.zeros((rows, width))
         padded[:, :cols] = values
         values = padded
-    partials = np.sum(np.reshape(values, (-1, _BLOCK)), axis=1).reshape(rows, blocks)
-    return np.cumsum(partials, axis=1)[:, -1]  # left to right; zero partials add nothing
+    # np.sum and np.cumsum, without their wrappers' 3 us per call
+    partials = np.add.reduce(values.reshape(-1, _BLOCK), axis=1).reshape(rows, width // _BLOCK)
+    return np.add.accumulate(partials, axis=1)[:, -1]  # left to right; zero partials add nothing

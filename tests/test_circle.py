@@ -5,6 +5,7 @@ complex-arithmetic oracles in conftest.py before being asserted here.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -193,16 +194,23 @@ class TestPrefixPotentials:
         with pytest.raises(CoincidentPointsError):
             prefix_potentials(np.array([0.1, 0.4, 0.1]), 1.0)
 
-    # 2**8 cells per block leave one row per block at n = 300.
+    # 513 angles for the lengths past ANGLES, drawn the same way.
+    LONG = (_rng.permutation(513) + _rng.uniform(0.1, 0.9, 513)) / 513
+
+    # 2**8 cells per block leave one row per block at n = 300.  At the default
+    # a block holds circle._BLOCK_ROWS = 32 rows and n points have n - 1 rows:
+    # 31..33 points fill the first block to 30..32 rows, 64 and 65 the second
+    # to 31 and 32, and 512 and 513 the sixteenth, whose last rows reach 511
+    # and 512 columns.
     @pytest.mark.parametrize("block_cells", [circle._BLOCK_CELLS, 1 << 8])
     def test_rows_equal_per_row_reference(self, monkeypatch, block_cells):
-        # Each block writes its kernels into a 128-column-aligned buffer,
-        # masking only the diagonal tile; every entry must keep the bits of
-        # summing that point's own kernel row.
+        # Each block evaluates its kernels over whole rows into a
+        # 128-column-aligned buffer and zeroes the cells a row does not use;
+        # every entry must keep the bits of summing that point's own kernel row.
         monkeypatch.setattr(circle, "_BLOCK_CELLS", block_cells)
         s_grid = (0.0, 0.5, 1.0, 2.0, 3.5)
-        for n in (1, 2, 127, 128, 129, 300):
-            a = self.ANGLES[:n]
+        for n in (1, 2, 31, 32, 33, 64, 65, 127, 128, 129, 300, 512, 513):
+            a = self.ANGLES[:n] if n <= self.ANGLES.size else self.LONG[:n]
             rows = prefix_potentials(a, s_grid)
             for s, row in zip(s_grid, rows):
                 want = [row_sums(chord_kernel(chord_lengths(a[:i], a[i]), s)[None])[0]
@@ -225,6 +233,35 @@ class TestPrefixPotentials:
                 prefix_potentials(a, s)
         assert prefix_potentials(a[:later], 0.5).shape == (later - 1,)
 
+    @pytest.mark.parametrize("block_cells", [circle._BLOCK_CELLS, 1 << 8])
+    def test_no_floating_point_warnings(self, monkeypatch, block_cells):
+        # The blocks evaluate kernels at the diagonal's zero chords and discard
+        # them; on distinct points nothing of that may reach the caller.
+        monkeypatch.setattr(circle, "_BLOCK_CELLS", block_cells)
+        cfg = Configuration.from_turns(self.ANGLES)
+        for s in (0.0, 0.5, 1.0, 2.0, 3.5, [0.0, 0.5, 1.0, 2.0, 3.5]):
+            want = prefix_potentials(self.ANGLES, s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert prefix_potentials(self.ANGLES, s).tobytes() == want.tobytes()
+                energy(cfg, s)
+            with np.errstate(all="raise"):
+                assert prefix_potentials(self.ANGLES, s).tobytes() == want.tobytes()
+                energy(cfg, s)
+
+    @pytest.mark.parametrize("block_cells", [circle._BLOCK_CELLS, 1 << 8])
+    def test_repeated_point_raises_under_strict_errors(self, monkeypatch, block_cells):
+        monkeypatch.setattr(circle, "_BLOCK_CELLS", block_cells)
+        a = self.ANGLES.copy()
+        a[40] = a[7]
+        for s in (0.0, 2.0, [0.5, 1.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CoincidentPointsError):
+                    prefix_potentials(a, s)
+            with np.errstate(all="raise"), pytest.raises(CoincidentPointsError):
+                prefix_potentials(a, s)
+
     def test_energy_over_several_row_blocks(self):
         cfg = Configuration.from_turns(self.ANGLES)
         for s in (0.5, 1.0):
@@ -236,9 +273,10 @@ class TestExponentAxis:
     to the call at that exponent."""
 
     S = (0.0, 0.5, 1.0, 2.0, 3.5)
-    # 128 columns per row_sums block; at the default _BLOCK_CELLS the rows of
-    # length 129 split 127 + 1 and those of length 182 split 90 + 90 + 1.
-    LENGTHS = (2, 3, 127, 128, 129, 130, 182, 257)
+    # 128 columns per row_sums block: 127..130 and 257 sit at its edges.  The
+    # default row blocks hold circle._BLOCK_ROWS = 32 rows: 31..33, 64, 65, 512
+    # and 513 sit at theirs; 1000 cells per block leave 1 to 333 rows.
+    LENGTHS = (2, 3, 127, 128, 129, 130, 182, 257, 31, 32, 33, 64, 65, 512, 513)
 
     @staticmethod
     def inputs(n):
@@ -266,11 +304,25 @@ class TestExponentAxis:
                 want = np.array([energy(cfg, s) for s in self.S])
                 assert energy(cfg, self.S).tobytes() == want.tobytes(), (n, kind)
 
+    @pytest.mark.parametrize("n", [127, 128, 129, 511, 512])
+    def test_roots_energy_equals_scalar_calls_and_row_reference(self, n):
+        # verify's direct energies of the N-th roots: the exponent axis, the
+        # scalar calls and the per-row sums must agree bit for bit
+        s_grid = (0.5, 1.0, 1.5, 2.0)
+        a = np.arange(n) / n
+        got = energy(Configuration.from_turns(a), s_grid)
+        for s, e in zip(s_grid, got):
+            rows = [row_sums(chord_kernel(chord_lengths(a[:i], a[i]), s)[None])[0]
+                    for i in range(1, n)]
+            assert e == energy(Configuration.from_turns(a), s) == 2.0 * pairwise_sum(rows), (n, s)
+
     def test_fewer_than_two_points(self):
         for a in ([], [0.25]):
             assert prefix_potentials(np.array(a), self.S).shape == (len(self.S), 0)
             assert energy(Configuration.from_turns(a), self.S).tolist() == [0.0] * len(self.S)
         assert prefix_potentials(np.array([0.1, 0.2]), []).shape == (0, 1)
+        with pytest.raises(CoincidentPointsError):
+            prefix_potentials(np.array([0.1, 0.2, 0.1]), [])
 
     def test_scalar_keeps_its_shape(self):
         a = self.inputs(5)["random"]
