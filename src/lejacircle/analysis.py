@@ -563,28 +563,54 @@ def check_zeta_sign_and_euler_gamma() -> CheckResult:
 
 
 def check_theta_invariants(s_values) -> CheckResult:
-    worst = 0.0
-    ok = True
-    for m in binary.enumerate_theta(12, 12):
-        # theta_k = 2**e_k/M: the sum is 1 and theta_k <= 2**(1-k), in integers
-        exps = decompose(m)
-        ok = ok and sum(1 << e for e in exps) == m
-        ok = ok and all(1 << (e + k - 1) <= m for k, e in enumerate(exps, start=1))
-        lam = binary.lambda_value(m)
-        ok = ok and -2.5 < lam <= 0.0
-        for s in (s for s in s_values if s != 1.0):
-            g = binary.g_value(m, s)
-            ok = ok and (1.0 <= g < 2.0 ** s / (2.0 ** s - 1.0) if s < 1 else 0.0 < g <= 1.0)
-        worst = min(worst, lam)
-    return CheckResult("theta-invariants", ok, worst, -2.5, "sum=1 exact, decay, G/Lambda brackets")
+    """Every theta of odd M < 2**12 sums to 1 and decays; G and Lambda lie in their brackets.
+
+    The sum and the decay are integer array identities.  G and Lambda are read
+    on the array screens of ``binary``: only the M whose screen value lies
+    within the slack of a bracket end are evaluated exactly, and the residual,
+    the minimum of Lambda, by ``_first_extreme``, so the decisions and the
+    residual are those of ``g_value``/``lambda_value`` at every M.
+    """
+    m = binary._odd_m(12)
+    # theta_k = 2**e_k/M: the sum is 1 and theta_k <= 2**(1-k), in integers;
+    # set bit j is the k-th from the top, k = tau_b(M >> j), and decays if 2**(j+k-1) <= M
+    total = np.zeros_like(m)
+    oks = []
+    for j in range(12):
+        bit = ((m >> j) & 1) == 1
+        total[bit] += 1 << j
+        oks.append(np.all(m[bit] >> (j + np.bitwise_count(m[bit] >> j) - 1) >= 1))
+    oks.append(np.all(total == m))
+    lam = binary._lambda_screen(m)
+    near = binary._near(lam, -2.5) | binary._near(lam, 0.0)
+    oks.append(binary._all_hold(m, lam, near, lambda v: (-2.5 < v) & (v <= 0.0), binary.lambda_value))
+    for s in (s for s in s_values if s != 1.0):
+        g = binary._g_screen(m, s)
+        # 1 <= G < 2**s/(2**s - 1) below s = 1, 0 < G <= 1 above
+        lo, hi = (1.0, 2.0 ** s / (2.0 ** s - 1.0)) if s < 1 else (0.0, 1.0)
+        near = binary._near(g, lo) | binary._near(g, hi)
+        oks.append(binary._all_hold(
+            m, g, near, lambda v: (lo <= v) & (v < hi) if s < 1 else (lo < v) & (v <= hi),
+            lambda mm: binary.g_value(mm, s),
+        ))
+    worst = min(0.0, binary._first_extreme(m, lam, binary.lambda_value, -1)[0])
+    return CheckResult("theta-invariants", all(oks), worst, -2.5, "sum=1 exact, decay, G/Lambda brackets")
 
 
 def check_g_strictly_decreasing_in_s(s_values) -> CheckResult:
-    mono_ok = True
+    """G(theta; s) strictly decreases along the s grid for every odd 1 < M < 2**8.
+
+    Read on the array screens; only the M at which two neighbouring values
+    lie within the screen slack are compared on exact values.
+    """
     grid_s = sorted(set(s_values) | {0.25, 0.75, 1.25, 3.0})
-    for m in binary.enumerate_theta(8, 8)[1:]:  # M = 1, the vector (1), has G identically 1
-        gs = [binary.g_value(m, s) for s in grid_s]
-        mono_ok = mono_ok and all(a > b for a, b in zip(gs, gs[1:]))
+    m = binary._odd_m(8)[1:]  # M = 1, the vector (1), has G identically 1
+    screen = np.array([binary._g_screen(m, s) for s in grid_s])
+    near = np.any(binary._near(screen[1:], screen[:-1]), axis=0)
+    mono_ok = binary._all_hold(
+        m, screen, near, lambda g: np.all(g[:-1] > g[1:], axis=0),
+        lambda mm: np.array([binary.g_value(mm, s) for s in grid_s]),
+    )
     detail = "for vectors other than (1)"
     return CheckResult("g-strictly-decreasing-in-s", mono_ok, 0.0, 0.0, detail)
 

@@ -20,7 +20,11 @@ one-sided bounds from a finite enumeration plus the structured family
 M = 2**t - 1, which approaches the known landmarks 1/(2**s - 1) and -2*log 2
 fastest.  The enumeration is evaluated as numpy arrays over all odd M, one
 pass per bit; only the M within rounding of the array extreme are evaluated
-again exactly, by the fsum of ``g_value``/``lambda_value``.
+again exactly, by the fsum of ``g_value``/``lambda_value``.  The same array
+screen serves ``verify``'s ``theta-invariants`` and
+``g-strictly-decreasing-in-s`` checks: they evaluate exactly only the M
+whose screen value lies within rounding of a bracket end (or of its
+neighbour on the s grid), and the minimum of Lambda that is their residual.
 """
 
 import math
@@ -44,11 +48,13 @@ __all__ = [
 
 # Largest exponent used when probing the structured family M = 2**t - 1.
 _FAMILY_MAX_T = 60
-# The array screen of the searches keeps every M whose array value lies within
-# this relative slack of the array extreme.  An array value is a sum of at
-# most 60 same-signed terms, so it is within about 1e-14 relative of the exact
-# (fsum) value; the slack is far above that and far below the gaps between
-# distinct values.  The absolute floor covers extremes that underflow to 0.
+# The array screen keeps every M whose array value lies within this relative
+# slack of the array extreme or of a bracket end.  A G value is a sum of at
+# most 60 positive terms, within about 1e-15 relative of the exact (fsum)
+# value.  A Lambda value is within about 1e-15 absolute, as the log of a
+# component near 1 cancels: within the slack wherever |Lambda| > 1e-3, as at
+# its minimum, and of the exact sign for every M.  The slack is far below the
+# gaps between distinct values; the absolute floor covers values that underflow to 0.
 _SCREEN_SLACK = 1e-12
 _SCREEN_FLOOR = 1e-300
 
@@ -61,7 +67,9 @@ def tau_b(n: int) -> int:
 def decompose(n: int) -> tuple[int, ...]:
     """Exponents n_1 > n_2 > ... > n_p >= 0 of the set bits of n >= 1."""
     n = size(n, 1)
-    return tuple(i for i in range(n.bit_length() - 1, -1, -1) if (n >> i) & 1)
+    # from a list: a generator's tuple is built at a guessed length, resized, and
+    # parked on a free list on every call
+    return tuple([i for i in range(n.bit_length() - 1, -1, -1) if (n >> i) & 1])
 
 
 def _check_odd(m: int) -> int:
@@ -153,6 +161,35 @@ def _odd_bit_sums(m, term):
     return total
 
 
+def _g_screen(m, s) -> np.ndarray:
+    """The screen of G(.; s), finite s > 0, over the odd M in m."""
+    s = exponent(s, positive=True)
+    return _odd_bit_sums(m, lambda theta: theta ** s)
+
+
+def _lambda_screen(m) -> np.ndarray:
+    """The screen of Lambda over the odd M in m."""
+    return _odd_bit_sums(m, lambda theta: theta * np.log(theta))
+
+
+def _near(screen, end):
+    """Where a screen value lies within the slack of ``end``, a number or an array like ``screen``."""
+    return np.abs(screen - end) <= _SCREEN_SLACK * np.abs(end) + _SCREEN_FLOOR
+
+
+def _all_hold(m, screen, near, holds, exact) -> bool:
+    """Whether ``holds(exact(M))`` for every M in m, as a loop over all M would say.
+
+    ``screen[..., i]`` is the screen value of m[i]; ``holds`` maps a value (or
+    the columns of values) to truth.  It decides on the screen wherever
+    ``near`` is false, that is wherever rounding cannot cross a decision
+    boundary, and on ``exact`` at the remaining M.
+    """
+    if not np.all(holds(screen[..., ~near])):
+        return False
+    return all(bool(np.all(holds(exact(cand)))) for cand in m[near].tolist())
+
+
 def _first_extreme(m, screen, exact, sign):
     """The extreme of ``exact`` over m and the first M (ascending) that attains it.
 
@@ -184,7 +221,7 @@ def search_g_extremes(s: float, max_bits: int) -> GSearchResult:
     m = _odd_m(max_bits)
     if s == 1.0:
         return GSearchResult(1.0, 1.0, 1, 1, 1.0, 1.0)
-    screen = _odd_bit_sums(m, lambda theta: theta ** s)
+    screen = _g_screen(m, s)
     sup_v, sup_m = _first_extreme(m, screen, lambda mm: g_value(mm, s), 1)
     inf_v, inf_m = _first_extreme(m, screen, lambda mm: g_value(mm, s), -1)
     family = [g_value((1 << t) - 1, s) for t in range(1, _FAMILY_MAX_T + 1)]
@@ -199,7 +236,6 @@ def search_lambda(max_bits: int) -> LambdaSearchResult:
     from above, is evaluated separately.
     """
     m = _odd_m(max_bits)
-    screen = _odd_bit_sums(m, lambda theta: theta * np.log(theta))
-    best_v, best_m = _first_extreme(m, screen, lambda_value, -1)
+    best_v, best_m = _first_extreme(m, _lambda_screen(m), lambda_value, -1)
     family_inf = min(lambda_value((1 << t) - 1) for t in range(1, _FAMILY_MAX_T + 1))
     return LambdaSearchResult(best_v, best_m, family_inf)

@@ -30,7 +30,7 @@ def pairwise_sum(values) -> float:
     if n <= _BLOCK:
         return math.fsum(arr.tolist())
     head = (n // _BLOCK) * _BLOCK
-    partials = np.sum(arr[:head].reshape(-1, _BLOCK), axis=1).tolist()
+    partials = np.add.reduce(arr[:head].reshape(-1, _BLOCK), axis=1).tolist()  # np.sum, unwrapped
     if head < n:
         partials.append(math.fsum(arr[head:].tolist()))
     return math.fsum(partials)

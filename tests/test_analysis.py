@@ -1,5 +1,6 @@
 """Normalized series, limit-point checks, discrepancy, verification harness."""
 
+import gc
 import math
 import tracemalloc
 
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lejacircle import binary
 from lejacircle.analysis import (
+    check_g_strictly_decreasing_in_s,
     check_roots_potential_identity,
     check_tau_binary_properties,
+    check_theta_invariants,
     check_zeta_sign_and_euler_gamma,
     limit_point_check,
     normalized_series,
@@ -392,3 +396,88 @@ class TestVerifyAll:
         w = normalized_series("W_subcritical", s, n).values
         worst = float(np.max(np.abs(w - (2.0 ** s * r[1::2] - r[:n]))))
         assert got["subcritical-w-r-relation[s=0.5]"] == worst
+
+
+def theta_invariants_loop(s_values):
+    """``check_theta_invariants`` as a loop of exact values over every odd M < 2**12: (passed, residual)."""
+    worst = 0.0
+    ok = True
+    for m in binary.enumerate_theta(12, 12):
+        exps = binary.decompose(m)
+        ok = ok and sum(1 << e for e in exps) == m
+        ok = ok and all(1 << (e + k - 1) <= m for k, e in enumerate(exps, start=1))
+        lam = binary.lambda_value(m)
+        ok = ok and -2.5 < lam <= 0.0
+        for s in (s for s in s_values if s != 1.0):
+            g = binary.g_value(m, s)
+            ok = ok and (1.0 <= g < 2.0 ** s / (2.0 ** s - 1.0) if s < 1 else 0.0 < g <= 1.0)
+        worst = min(worst, lam)
+    return ok, worst
+
+
+def g_decreasing_loop(s_values):
+    """``check_g_strictly_decreasing_in_s`` as a loop of exact values over every odd 1 < M < 2**8."""
+    mono_ok = True
+    grid_s = sorted(set(s_values) | {0.25, 0.75, 1.25, 3.0})
+    for m in binary.enumerate_theta(8, 8)[1:]:
+        gs = [binary.g_value(m, s) for s in grid_s]
+        mono_ok = mono_ok and all(a > b for a, b in zip(gs, gs[1:]))
+    return mono_ok, 0.0
+
+
+class TestThetaChecksOnTheScreen:
+    # at s = 1100, theta_1**s underflows for theta_1 near 1/2 (M = 2**12 - 1), so G = 0 there
+    GRIDS = [(0.5, 1.0, 1.5, 2.0), (0.05, 0.999, 1.001, 8.0), (1100.0,)]
+
+    @pytest.mark.parametrize("s_values", GRIDS)
+    def test_theta_invariants_match_the_exact_loop(self, s_values):
+        got = check_theta_invariants(s_values)
+        passed, residual = theta_invariants_loop(s_values)
+        assert got.passed == passed
+        assert got.residual.hex() == residual.hex()
+        assert (got.name, got.budget, got.detail) == (
+            "theta-invariants", -2.5, "sum=1 exact, decay, G/Lambda brackets")
+        assert passed == (s_values != (1100.0,))
+
+    @pytest.mark.parametrize("s_values", GRIDS)
+    def test_g_decreasing_matches_the_exact_loop(self, s_values):
+        got = check_g_strictly_decreasing_in_s(s_values)
+        passed, residual = g_decreasing_loop(s_values)
+        assert (got.passed, got.residual.hex()) == (passed, residual.hex())
+        assert passed
+
+    def test_a_screen_value_near_a_bracket_end_is_decided_exactly(self):
+        # the screen puts M = 3 a rounding error past the end 1.0; exactly it is inside
+        m = np.array([1, 3, 5])
+        screen = np.array([0.5, 1.0 + 1e-15, 0.9])
+        exact = {1: 0.5, 3: 1.0, 5: 0.9}.get
+        near = binary._near(screen, 1.0)
+        assert near.tolist() == [False, True, False]
+        assert binary._all_hold(m, screen, near, lambda v: v <= 1.0, exact)
+        assert not binary._all_hold(m, screen, near, lambda v: v < 1.0, exact)
+
+    @pytest.mark.parametrize("check", [check_theta_invariants, check_g_strictly_decreasing_in_s])
+    def test_exponents_are_validated(self, check):
+        for s_values in ([0.5, -1.0], [0.5, math.inf], [math.nan]):
+            with pytest.raises(ValueError):
+                check(s_values)
+
+    @pytest.mark.parametrize("part", ["check", "decompose"])
+    def test_leaves_no_parked_tuples(self, part):
+        # a tuple built from a generator in decompose went to a free list on every
+        # call: 0.81 MB stayed traced after the per-M check, five calls per M
+        def decompose_five_times():
+            for m in range(1, 1 << 12, 2):
+                for _ in range(5):
+                    binary.decompose(m)
+
+        run = {"check": lambda: check_theta_invariants((0.5, 1, 1.5, 2)),
+               "decompose": decompose_five_times}[part]
+        gc.collect()  # empties the free lists
+        tracemalloc.start()
+        try:
+            run()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.05 * 2 ** 20

@@ -1,7 +1,8 @@
 """Byte identity of the fast CLI outputs against the record of tools/golden.py.
 
-The slow entries (the 2**20-row sequence, the theta CSV and verify) are left
-to ``python tools/golden.py --check``.
+The two slow entries (the 2**20-row sequence and the theta CSV) are left to
+``python tools/golden.py --check``; ``verify`` and its ``--json-out`` report
+are in the fast set.
 """
 
 import importlib.util

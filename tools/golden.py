@@ -66,9 +66,9 @@ INVOCATIONS = [
     ("theta-csv", ["theta", "--format", "csv"]),
     ("verify", ["verify", "--json-out", "report.json"]),
 ]
-# The invocations that take under about 0.15 s each in one process, 0.9 s in all.
+# The invocations that take about 1 s or less each in one process, about 2 s in all.
 FAST = [name for name, _ in INVOCATIONS
-        if name not in ("sequence-structural-2^20", "theta-csv", "verify")]
+        if name not in ("sequence-structural-2^20", "theta-csv")]
 
 
 def _simd_found() -> list:
