@@ -145,7 +145,7 @@ def _series_values(kind: str, s: float, n_max: int):
     series at N = a..b-1 for first <= a <= b <= n_max + 1.
 
     What does not depend on N, the midpoint expansion's coefficients or the
-    doubling terms, is set up here once, so the series can be evaluated one
+    doubling table, is set up here once, so the series can be evaluated one
     block of N at a time; every value is bitwise that of the whole array.
     """
     if kind not in _KIND_REGIMES:
@@ -156,8 +156,8 @@ def _series_values(kind: str, s: float, n_max: int):
     if kind == "extremal":
         if classify_regime(s) == REGIME_LOG:  # tau_b(N)/log2(N+1), exactly 1.0 at N = 2**m - 1
             return 1, lambda a, b: np.bitwise_count(np.arange(a, b)) / np.log2(_nf(a, b) + 1.0)
-        terms = _value_terms(n_max + 1, s)  # refuses a U_N that overflows
-        return 1, lambda a, b: _normalize(_doubling(terms, a, b), _nf(a, b), s)
+        values = _doubling(_value_terms(n_max + 1, s))  # refuses a U_N that overflows
+        return 1, lambda a, b: _normalize(values(a, b), _nf(a, b), s)
     if kind == "R_subcritical":
         return 1, lambda a, b: _r_series(roots_energy(np.arange(a, b), s), a, s)
     midpoint = _midpoint_map(s, n_max)

@@ -17,10 +17,11 @@ in double-double arithmetic, and the few cells it cannot decide (undecided
 ties, zeros, non-finite and extreme values) are formatted by %.17g itself.
 The writer asks a row source for one block of at most _CSV_CHUNK_ROWS rows
 at a time: ``sequence --structural``, ``series`` and ``figure`` compute it
-from closed forms set up once per command (the doubling terms, the midpoint
-expansion's coefficients), the greedy sequence slices its arrays and
-``theta`` formats the vectors of its odd M.  Exit codes: 0 success, 1
-verification failures, 2 usage/validation errors, 3 compute budget exceeded.
+from closed forms set up once per command (the doubling recursion's table of
+the 12 low bits, whose windows are the chunks, and the midpoint expansion's
+coefficients), the greedy sequence slices its arrays and ``theta`` formats the
+vectors of its odd M.  Exit codes: 0 success, 1 verification failures, 2
+usage/validation errors, 3 compute budget exceeded.
 """
 
 import argparse
@@ -36,7 +37,7 @@ import numpy as np
 from . import analysis, binary, special
 from .budget import exponent, require, size
 from .circle import BudgetExceededError, Configuration
-from .sequences import _angle_terms, _doubling, _value_terms, greedy_numerical
+from .sequences import _WINDOW, _angle_terms, _doubling, _value_terms, greedy_numerical
 
 # figure id -> (s values, n_max); each file is the series of kind extremal at s
 FIGURE_GRIDS = {
@@ -47,11 +48,8 @@ FIGURE_GRIDS = {
 }
 
 
-# Rows rendered per write by _write_csv; bounds its temporaries.
-# With two float columns a chunk's float64 temporaries are 64 KiB, under glibc's
-# 128 KiB mmap threshold: at 2**13 rows and more the render ran slower and the
-# 2**20-row sequence peaked 2 MB higher.
-_CSV_CHUNK_ROWS = 1 << 12
+# Rows rendered per write by _write_csv, one window of the doubling table; bounds its temporaries.
+_CSV_CHUNK_ROWS = _WINDOW
 
 # The fast path of _float_cells covers |x| in [1e-200, 1e200], where 10**(16 - d)
 # and its double-double stay normal.
@@ -282,13 +280,12 @@ def cmd_sequence(args) -> int:
         def rows(a, b):
             return np.arange(a, b), angles[a:b], run.extremal_values[a - 1:b - 1]
     else:
-        # Row n is (n, x_n, U_n(a_n)): both columns come from the doubling
-        # recursion over the bits of n, so a block of rows needs only its terms.
-        value_terms = _value_terms(args.n, args.s)  # validates s at every n, refuses overflow
-        angle_terms = _angle_terms(args.n)
+        # Row n is (n, x_n, U_n(a_n)), both columns by the doubling recursion over the bits of n.
+        values = _doubling(_value_terms(args.n, args.s))  # validates s at every n, refuses overflow
+        angles = _doubling(_angle_terms(args.n))
         first = 0.0
         def rows(a, b):
-            return np.arange(a, b), _doubling(angle_terms, a, b), _doubling(value_terms, a, b)
+            return np.arange(a, b), angles(a, b), values(a, b)
     # Row 0 has no value: U_n(a_n) is defined from n = 1 on.
     _write_csv(args.out, "n,angle_turns,extremal_value\n0,%.17g,\n" % first, rows, 1, args.n)
     return 0

@@ -12,16 +12,14 @@ after N points decomposes over the binary expansion of N:
 
     U_N(a_N) = sum_k midpoint_potential(2**n_k, s),   N = sum_k 2**n_k.
 
-``extremal_values_structural`` evaluates that decomposition from the table
-of dyadic midpoint potentials by the same doubling recursion,
-U_(2**k + l) = midpoint_potential(2**k) + U_l, so the whole series for
-N <= N_max costs N_max additions, each in a fixed order, and is
-bit-reproducible.  The recursion also runs on any block of indices
-start..stop-1 alone: entry n adds the terms of the set bits of n from the
-lowest up, so a block aligned to 2**b is the table of the low b bits plus
-the terms of the higher bits of start, and equals the same slice of the
-whole table bitwise.  The CLI writes both columns of the structural
-sequence one such block at a time, in memory bounded by the block.
+``extremal_values_structural`` evaluates that decomposition by the same
+doubling recursion, U_(2**k + l) = midpoint_potential(2**k) + U_l: entry N
+adds the terms of the set bits of N from the lowest up, in a fixed order, so
+every value is bit-reproducible.  The table of the 12 low bits is built once
+per row source; the rows of each aligned window of 2**12 copy their slice of
+it and add the terms of the window's higher set bits, so any block of rows
+equals the same slice of the whole series bitwise.  The CLI writes both
+columns of the structural sequence one window at a time.
 
 ``greedy_numerical`` grows an arbitrary initial configuration by appending
 the global minimizer of the running potential (s > 0) or of -sum log distance
@@ -75,6 +73,10 @@ _MAX_ITERS = 100
 _TIE = 1e-12
 # The ValueError for a potential that overflows float64: which potential, s and N.
 _OVERFLOW = "the {} potential overflows float64 at s={}, N={}"
+# The width of _doubling's low-bit table and the CLI's CSV chunk.  A chunk's two float
+# columns are then 64 KiB of temporaries, under glibc's 128 KiB mmap threshold: at
+# 2**13 rows the render ran slower and the 2**20-row sequence peaked 2 MB higher.
+_WINDOW = 1 << 12
 
 
 def structural_angles(n_points: int) -> np.ndarray:
@@ -85,7 +87,7 @@ def structural_angles(n_points: int) -> np.ndarray:
     exact.
     """
     n_points = require(size(n_points, 0, "n_points"))
-    return _doubling(_angle_terms(n_points), 0, n_points)
+    return _doubling(_angle_terms(n_points))(0, n_points)
 
 
 def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
@@ -95,7 +97,7 @@ def extremal_values_structural(n_max: int, s: float) -> np.ndarray:
     added from the lowest bit up: U_(2**k + l) = U_l + midpoint_potential(2**k).
     """
     n_max = require(size(n_max, 1, "n_max"))
-    return _doubling(_value_terms(n_max + 1, s), 0, n_max + 1)[1:]
+    return _doubling(_value_terms(n_max + 1, s))(1, n_max + 1)
 
 
 def _angle_terms(size: int) -> np.ndarray:
@@ -121,32 +123,31 @@ def _value_terms(size: int, s: float) -> np.ndarray:
     return terms
 
 
-def _doubling(terms: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """v[start:stop] of v[0] = 0 and v[2**j + l] = v[l] + terms[j] for l < 2**j.
+def _doubling(terms: np.ndarray):
+    """The row source rows(a, b) = v[a:b] of v[0] = 0 and v[2**j + l] = v[l] + terms[j], l < 2**j.
 
     Entry n is the sum of terms[j] over the set bits j of n, added from the
     lowest bit up, so it equals a pass-per-bit sum bitwise, whatever the
-    range.  The range is cut into dyadic pieces [a, a + 2**b) with a a
-    multiple of 2**b; each piece is the table of the low b bits, built by the
-    recursion, plus the terms of the set bits of a, added lowest first.  A
-    range of r entries from 0 costs r additions.
+    range.  The table of the low bits, min(2**len(terms), _WINDOW) entries, is
+    built once by the recursion from 0; each aligned window of its width copies
+    its slice of the table, then adds the terms of its set bits one at a time,
+    lowest first.  A row at or past 2**len(terms) raises IndexError.
     """
-    out = np.empty(stop - start)
-    at = start
-    while at < stop:
-        size = min(at & -at or stop, stop - at)  # at's lowest set bit bounds the piece; 0 has none
-        piece = out[at - start:at - start + size]
-        piece[:1] = 0.0
-        low = 1
-        for t in terms[:(size - 1).bit_length()]:
-            np.add(piece[:min(low, size - low)], t, out=piece[low:2 * low])
-            low *= 2
-        high = at
-        while high:
-            piece += terms[(high & -high).bit_length() - 1]
-            high &= high - 1
-        at += size
-    return out
+    low = np.zeros(min(1 << len(terms), _WINDOW))
+    for j, t in enumerate(terms[:low.size.bit_length() - 1]):
+        np.add(low[:1 << j], t, out=low[1 << j:2 << j])
+
+    def rows(a: int, b: int) -> np.ndarray:
+        out = np.empty(b - a)
+        for base in range(a - a % low.size, b, low.size):
+            first, end = max(a, base), min(b, base + low.size)
+            window = out[first - a:end - a]
+            window[:] = low[first - base:end - base]
+            for j in range(base.bit_length()):
+                if base >> j & 1:
+                    window += terms[j]
+        return out
+    return rows
 
 
 def energy_series_from_extremal(extremal_values) -> np.ndarray:

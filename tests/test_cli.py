@@ -202,6 +202,17 @@ class TestCsvGolden:
         rows = [list(r) for r in zip(range(37), structural_angles(37).tolist(), values)]
         assert out.read_text() == per_line_csv(["n", "angle_turns", "extremal_value"], rows)
 
+    def test_structural_chunks_across_table_windows(self, tmp_path, monkeypatch):
+        # a writer chunk wider than the doubling table's window reads several windows
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 3 * 4096 + 7)
+        n, s = 4 * 4096 + 3, 1.5
+        out = tmp_path / "seq.csv"
+        assert run_cli(["sequence", "--structural", "--n", str(n), "--s", str(s),
+                        "--out", str(out)]) == 0
+        values = [""] + extremal_values_structural(n - 1, s).tolist()
+        rows = [list(r) for r in zip(range(n), structural_angles(n).tolist(), values)]
+        assert out.read_text() == per_line_csv(["n", "angle_turns", "extremal_value"], rows)
+
     @pytest.mark.parametrize("kind, s", [
         ("R_subcritical", 0.5), ("W_subcritical", 0.5), ("W1_critical", 1.0),
         ("T_critical", 1.0), ("W_supercritical", 3.0), ("W_supercritical", 1.5),

@@ -93,26 +93,44 @@ class TestDoublingRecursion:
             want = _bit_loop(table, n + 1)[1:]
             assert extremal_values_structural(n, s).tobytes() == want.tobytes()
 
-
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_any_block_is_the_prefix_slice(self, data):
-        # the block form is the slice of the whole table, bitwise, for any range
+        # the row source gives the slice of the whole table, bitwise, for any range
         stop = data.draw(st.integers(0, 1 << 14))
         start = data.draw(st.integers(0, stop))
         bits = max(stop - 1, 0).bit_length()
         terms = np.array(data.draw(st.lists(
             st.floats(-1e6, 1e6, allow_nan=False), min_size=bits, max_size=bits)))
-        whole = sequences._doubling(terms, 0, stop)
-        assert sequences._doubling(terms, start, stop).tobytes() == whole[start:].tobytes()
+        rows = sequences._doubling(terms)
+        assert rows(start, stop).tobytes() == rows(0, stop)[start:].tobytes()
 
     @pytest.mark.parametrize("step", [1, 5, 4096])
     def test_blocks_cover_the_bit_loop(self, step):
         terms = np.random.default_rng(7).standard_normal(13)
         n = 5000 if step > 1 else 600
         want = _bit_loop(terms, n)
-        got = np.concatenate([sequences._doubling(terms, a, min(a + step, n)) for a in range(0, n, step)])
+        rows = sequences._doubling(terms)
+        got = np.concatenate([rows(a, min(a + step, n)) for a in range(0, n, step)])
         assert got.tobytes() == want.tobytes()
+
+    def test_high_bits_add_lowest_first(self):
+        # the windows below 2**20 carry up to 8 high set bits; terms of mixed
+        # magnitude round differently when they are added in another order
+        terms = np.random.default_rng(11).standard_normal(20) * 10.0 ** np.arange(-10, 10)
+        a = (1 << 20) - 3 * 4096 - 5
+        got = sequences._doubling(terms)(a, 1 << 20)
+        assert got.tobytes() == _bit_loop(terms, 1 << 20)[a:].tobytes()
+
+    @pytest.mark.parametrize("bits, a, b", [
+        (0, 0, 2), (0, 1, 2), (1, 0, 3), (1, 2, 5), (3, 7, 9), (12, 0, 4097), (13, 8191, 8193),
+    ])
+    def test_rows_past_the_terms_raise(self, bits, a, b):
+        # rows below 2**bits are served; any row at or past it has a set bit with no term
+        rows, reach = sequences._doubling(np.ones(bits)), 1 << bits
+        assert rows(min(a, reach), reach).tolist() == _bit_loop(np.ones(bits), reach)[a:].tolist()
+        with pytest.raises(IndexError):
+            rows(a, b)
 
 
 class TestExtremalValuesStructural:
