@@ -13,8 +13,9 @@ Angles in all input and output are turns in [0, 1).  Floats are printed with
 17 significant digits (%.17g) so the values round-trip.  Every CSV goes
 through one writer, which renders each block of rows with numpy, byte-equal
 to a %-format per row: an exact fast path finds the 17 digits of each float
-in double-double arithmetic, and the few cells it cannot decide (undecided
-ties, zeros, non-finite and extreme values) are formatted by %.17g itself.
+as one int64, by double-double arithmetic, and the few cells it cannot decide
+(undecided ties, zeros, non-finite and extreme values) are formatted by %.17g
+itself.  Files get bytes, with "\n" line ends on every platform; stdout text.
 The writer asks a row source for one block of at most _CSV_CHUNK_ROWS rows
 at a time: ``sequence --structural``, ``series`` and ``figure`` compute it
 from closed forms set up once per command (the doubling recursion's table of
@@ -52,28 +53,25 @@ FIGURE_GRIDS = {
 _CSV_CHUNK_ROWS = _WINDOW
 
 # The fast path of _float_cells covers |x| in [1e-200, 1e200], where 10**(16 - d)
-# and its double-double stay normal.
-_FAST_MIN, _FAST_MAX = 1e-200, 1e200
+# and its double-double stay normal; there its exponent estimate d lies within +-_D_MOST.
+_FAST_MIN, _FAST_MAX, _D_MOST = 1e-200, 1e200, 201
 # Veltkamp's splitter 2**27 + 1 cuts a double into two halves of 26 bits.
 _SPLITTER = 134217729.0
-_SLOTS = np.arange(18.0)[:, None]  # positions of the digit and point slots
-_DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
-_PLACES = 10.0 ** np.arange(9, -1, -1)[:, None]  # a digit row is a leading zero below its place
+_SLOTS = np.arange(18, dtype=np.uint8)[:, None]  # positions of the digit and point slots
+_PLACES = np.array([10 ** k for k in range(9, -1, -1)], np.uint32)[:, None]  # leading-zero bounds
 # The "0.000" before the digits at exponents -1..-4: slot i shows when d <= _PREFIX_MOST[i].
 _PREFIX_TEXT = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
 _PREFIX_MOST = np.array([-1.0, -1.0, -2.0, -3.0, -4.0])[:, None]
 
 
-def _open_out(out_path):
-    """The file out_path opened for writing, or stdout (left open) for None."""
+@contextlib.contextmanager
+def _output(out_path):
+    """A write(bytes): into the file out_path, opened "wb", or as text to stdout for None."""
     if out_path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(out_path, "w", encoding="utf-8")
-
-
-def _write_text(text, out_path):
-    with _open_out(out_path) as out:
-        out.write(text)
+        yield lambda data: sys.stdout.write(data.decode("utf-8"))
+    else:
+        with open(out_path, "wb") as out:
+            yield out.write
 
 
 def _write_csv(out_path, head, rows, start, stop):
@@ -81,22 +79,23 @@ def _write_csv(out_path, head, rows, start, stop):
     start..stop-1, one block at a time: the range is cut at the multiples of
     _CSV_CHUNK_ROWS, and rows(a, b) gives the columns of rows a..b-1.
 
-    Integer columns print as %d, float columns as %.17g (so floats
-    round-trip) and bytes columns as their bytes: the bytes of one %-format
-    per row.  A block's text is one (slots, rows) matrix of ASCII bytes,
-    column-major so that every step runs along all rows at once, with NUL in
-    each slot a cell leaves empty (as in the padding of a bytes column); the
-    transpose to rows drops the NULs.  The digits are worked out in float64,
-    exact for integers below 2**53.
+    Integer columns print as %d, float columns as %.17g (so floats round-trip) and
+    bytes columns as their bytes: the bytes of one %-format per row, with "\\n" line
+    ends.  A block's text is one (slots, rows) matrix of ASCII bytes, column-major so
+    that every step runs along all rows at once, with NUL in each slot a cell leaves
+    empty (as in the padding of a bytes column); the transpose to rows drops the NULs.
+    The powers of ten of _float_cells are worked out once per call, as blocks need them.
     """
-    with _open_out(out_path) as out:
-        out.write(head)
+    powers = _powers_of_ten()
+    with _output(out_path) as write:
+        write(head.encode("utf-8"))
         while start < stop:
             end = min(start - start % _CSV_CHUNK_ROWS + _CSV_CHUNK_ROWS, stop)
             chunk, start = rows(start, end), end
             floats = [c for c in chunk if c.dtype.kind == "f"]
             # one pass for all float columns, side by side
-            float_cells = iter(np.hsplit(_float_cells(np.concatenate(floats)), len(floats)) if floats else [])
+            float_cells = iter(np.hsplit(_float_cells(np.concatenate(floats), powers), len(floats))
+                               if floats else [])
             sep = np.full((1, chunk[0].size), ord(","), dtype=np.uint8)
             parts = []
             for c in chunk:
@@ -105,32 +104,43 @@ def _write_csv(out_path, head, rows, start, stop):
                          else _int_cells(c))
                 parts += [cells, sep]
             parts[-1] = np.full_like(sep, ord("\n"))
-            out.write(np.concatenate(parts).T.tobytes().translate(None, b"\0").decode("ascii"))
+            write(np.concatenate(parts).T.tobytes().translate(None, b"\0"))
 
 
 def _digits(v, rows):
-    """Write the decimal digits of the integer-valued floats 0 <= v < 10**len(rows),
-    zero-padded, as ASCII into rows, most significant first."""
-    for row in rows[:0:-1]:
-        q = np.floor(v * 0.1)  # exact: v * fl(0.1) never rounds across an integer here
-        row[:] = v - 10.0 * q + ord("0")
-        v = q
-    rows[0] = v + ord("0")
+    """Write the decimal digits of the integers 0 <= v < 10**len(rows), zero-padded, as
+    ASCII into rows, most significant first.  The high digits recurse; the low m, m the largest
+    power of two below len(rows), are halved until single digits remain, all groups at once, in
+    uint32, then uint8 from two digits (uint16 would page in more of numpy's loops)."""
+    if len(rows) == 1:
+        rows[0] = v + ord("0")
+        return
+    m = 1 << (len(rows) - 1).bit_length() - 1
+    high = v // 10 ** m
+    _digits(high, rows[:-m])
+    groups = (v - high * 10 ** m)[None]
+    while m > 1:
+        m //= 2
+        high = groups // 10 ** m
+        groups -= high * 10 ** m  # the low halves, in place
+        halves = np.empty((2 * len(high), v.size), dtype=np.uint8 if m < 4 else np.uint32)
+        halves[0::2], halves[1::2] = high, groups
+        groups = halves
+    rows[-len(groups):] = groups + ord("0")
 
 
 def _int_cells(c):
     """%d of each integer of c (|c| < 2**31), one row per slot, NUL before the leading digit."""
-    if max(-int(c.min()), int(c.max())) >= 2 ** 31:
+    low, high = int(c.min()), int(c.max())
+    if max(-low, high) >= 2 ** 31:
         raise ValueError("CSV integers must lie within +-2**31")
-    # by way of int32: numpy's int64 -> float64 cast would page in 128 KB more code
-    v = c.astype(np.int32).astype(np.float64)
-    a = np.abs(v)
-    n = len(str(int(a.max())))
+    a = np.maximum(c, -c).astype(np.uint32)
+    n = len(str(max(-low, high)))
     cells = np.empty((n, c.size), dtype=np.uint8)
     _digits(a, cells)
     cells[:-1] *= (a >= _PLACES[-n:-1]).view(np.uint8)  # leading zeros
-    if (v < 0.0).any():
-        cells = np.concatenate([np.where(v < 0.0, float(ord("-")), 0.0).astype(np.uint8)[None], cells])
+    if low < 0:
+        cells = np.concatenate([(c < 0).view(np.uint8)[None] * np.uint8(ord("-")), cells])
     return cells
 
 
@@ -141,119 +151,107 @@ def _split(a):
     return hi, a - hi
 
 
-def _carry(high, low):
-    """(high, low) with high * 10**8 + low unchanged and 0 <= low < 10**8,
-    for integer-valued floats with |low| < 2 * 10**8."""
-    carry = np.floor(low * 1e-8)  # exact: fl(1e-8) > 1e-8 keeps multiples of 10**8 whole
-    return high + carry, low - carry * 1e8
+def _powers_of_ten():
+    """A lookup powers(d) of rows (hi, lo, hi's two Veltkamp halves) for the integer-valued
+    floats d, |d| <= _D_MOST, where the double-double hi + lo is 10**(16 - d) to 106 bits.
+    Each distinct d is worked out on its first lookup, from 10**(16 - d) as an exact ratio
+    n/m of integers: Python rounds int / int correctly, so hi = n/m and lo is the exact
+    remainder n/m - hi rounded."""
+    table = np.zeros((4, 2 * _D_MOST + 1))  # hi = 0: not yet worked out
+
+    def powers(d):
+        index = (d + _D_MOST).astype(np.intp)
+        if not table[0, index.min():index.max() + 1].all():
+            new = (table[0] == 0.0) & (np.bincount(index, minlength=table.shape[1]) > 0)
+            for i in np.flatnonzero(new).tolist():
+                e = 16 + _D_MOST - i
+                n, m = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+                hi = n / m
+                hn, hd = hi.as_integer_ratio()
+                table[:, i] = hi, (n * hd - hn * m) / (m * hd), *_split(hi)
+        return np.take(table, index, axis=1)
+
+    return powers
 
 
-def _powers_of_ten(k):
-    """Rows (hi, lo, hi's two Veltkamp halves) for each of the integer-valued
-    floats k, where the double-double hi + lo is 10**k to 106 bits.
+def _float_cells(x, powers):
+    """%.17g of each float of x, one row per slot, NUL in the slots a cell leaves empty,
+    with the powers of ten of powers, a lookup made by _powers_of_ten.
 
-    Each distinct k is worked out once, from 10**k as an exact ratio n/d of
-    integers: Python rounds int / int correctly, so hi = n/d and lo is the
-    exact remainder n/d - hi rounded.
-    """
-    kmin = k.min()
-    index = (k - kmin).astype(np.intp)
-    table = np.zeros((4, int(index.max()) + 1))
-    for i in np.flatnonzero(np.bincount(index)).tolist():
-        e = i + int(kmin)
-        n, d = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
-        hi = n / d
-        hn, hd = hi.as_integer_ratio()
-        table[:, i] = hi, (n * hd - hn * d) / (d * hd), *_split(hi)
-    return np.take(table, index, axis=1)
-
-
-def _float_cells(x):
-    """%.17g of each float of x, one row per slot, NUL in the slots a cell leaves empty.
-
-    The slots are: sign | "0.000" prefix | 17 digits and a point | "e+123"
-    tail; a chunk with no sign, prefix, point or tail leaves out those slots.
-    For |x| in [1e-200, 1e200] with d = floor(log10|x|), y = |x| * 10**(16-d)
-    is taken as p + t: p = fl(|x| * hi) is an integer (it exceeds 2**53),
-    and t, Dekker's exact rounding error of that product plus |x| * lo, is off
-    from y - p by less than 1e-14.  So D = round(y) is the 17 digits unless t
-    lies within 1e-9 of a half-integer; there y is an exact tie, rounded
-    half-even, iff 2*|x|*10**(16-d) is an integer, and otherwise undecided.
-    Undecided, non-finite, zero and out-of-range cells, and those where d
-    misses (floor(y) or D outside [10**16, 10**17), which also catches a
-    rounding carry into the next decade), are written by %.17g itself.
+    The slots are: sign | "0.000" prefix | 17 digits and a point | "e+123" tail; a chunk
+    with no sign, prefix, point or tail leaves out those slots.  For |x| in [1e-200, 1e200]
+    with d = floor(log10|x|), y = |x| * 10**(16-d) is the int64 D plus t in [0, 1), to
+    within 1e-14: p = fl(|x| * hi) is an integer (it exceeds 2**53), and t is Dekker's
+    exact rounding error of that product plus |x| * lo, less its floor.  So the 17 digits
+    are D + (t > 0.5) unless t lies within 1e-9 of 0.5; there y is an exact tie, rounded
+    half-even on D's low bit, iff 2*|x|*10**(16-d) is an integer, and otherwise undecided.
+    Undecided, non-finite, zero and out-of-range cells, and those where d misses (D outside
+    [10**16, 10**17) before or after rounding, which also catches a rounding carry into
+    the next decade), are written by %.17g itself.
     """
     a = np.abs(x, dtype=np.float64)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
     a[~fast] = 1.0
     # within 1e-12 the estimate is at least an exact power's exponent; misses fall back
     d = np.floor(np.log(a) * (1.0 / math.log(10.0)) + 1e-12)
-    k = 16.0 - d
-    hi, lo, bh, bl = _powers_of_ten(k)
+    hi, lo, bh, bl = powers(d)
     p = a * hi
     ah, al = _split(a)
     t = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + a * lo
     whole = np.floor(t)
     t -= whole
-    # floor(y) = high * 10**8 + low with 0 <= low < 10**8, both exact in float64
-    high = np.floor(p * 1e-8)
-    high, low = _carry(high, p - high * 1e8 + whole)
-    fast &= high >= 1e8
+    D = p.astype(np.int64) + whole.astype(np.int64)
+    del hi, lo, bh, bl, p, ah, al, whole  # free the Dekker step's temporaries before the digits
+    fast &= D >= 10 ** 16
     up = np.floor(t + 0.5)
-    near = np.abs(t - 0.5) < 1e-9
-    if near.any():
-        i = np.flatnonzero(near)
-        # for k >= 0, 2*|x|*10**k is an integer iff |x|*2**(k+1) is: 5**k is odd
-        tie = (k[i] >= 0.0) & (np.ldexp(a[i], (k[i] + 1.0).astype(np.intp)) % 1.0 == 0.0)
-        up[i] = np.fmod(low[i], 2.0)  # half-even
+    i = np.flatnonzero(np.abs(t - 0.5) < 1e-9)  # near-ties
+    if i.size:
+        # for k = 16 - d >= 0, 2*|x|*10**k is an integer iff |x|*2**(k+1) is: 5**k is odd
+        tie = (d[i] <= 16.0) & (np.ldexp(a[i], (17.0 - d[i]).astype(np.intp)) % 1.0 == 0.0)
+        up[i] = D[i] % 2  # half-even
         fast[i[~tie]] = False
-    high, low = _carry(high, low + up)
-    fast &= high < 1e9
+    D += up.astype(np.int64)
+    fast &= D < 10 ** 17
     slow = ~fast
     any_slow = slow.any()
-    high[slow] = 1e8
-    low[slow] = 0.0
+    D[slow] = 10 ** 16
     d[slow] = 0.0
 
-    fixed = (d >= -4.0) & (d < 17.0)
-    f = np.where(fixed, np.maximum(d + 1.0, 0.0), 1.0)  # digits before the point
     g = np.empty((17, x.size), dtype=np.uint8)
-    _digits(high, g[:9])
-    _digits(low, g[9:])
+    _digits(D, g)
+    fixed = (d >= -4.0) & (d < 17.0)
+    f = np.where(fixed, np.maximum(d + 1.0, 0.0), 1.0).astype(np.uint8)  # digits before the point
     # bool masks act on the ASCII bytes as uint8 0/1, which keeps to one uint8 multiply loop
-    last = ((g != ord("0")).view(np.uint8) * _DIGIT_INDEX).max(axis=0)  # the last nonzero digit
-    g *= (_SLOTS[:17] < np.maximum(f, last + 1.0)).view(np.uint8)  # trailing zeros after the point
-    point = (f >= 1.0) & (last >= f)
+    last = ((g != ord("0")).view(np.uint8) * _SLOTS[:17]).max(axis=0)  # the last nonzero digit
+    g *= (_SLOTS[:17] < np.maximum(f, last + 1)).view(np.uint8)  # trailing zeros after the point
+    point = (f >= 1) & (last >= f)
     parts = [g]
     if point.any():
-        at = np.where(point, f, 18.0)  # the point's slot
+        at = np.where(point, f, 18)  # the point's slot
         slots = np.zeros((18, x.size), dtype=np.uint8)
-        before = _SLOTS[:17] < at
-        np.multiply(g, before.view(np.uint8), out=slots[:17])
-        slots[1:] += g * (~before).view(np.uint8)
+        np.multiply(g, (_SLOTS[:17] < at).view(np.uint8), out=slots[:17])  # the digits before it
+        slots[1:] += g - slots[:17]  # and those after it, one slot on
         slots += (_SLOTS == at).view(np.uint8) * np.uint8(ord("."))
         parts = [slots]
     sign = np.signbit(x)
     if any_slow or sign.any():
-        parts.insert(0, np.where(sign, float(ord("-")), 0.0).astype(np.uint8)[None])
+        parts.insert(0, sign.view(np.uint8)[None] * np.uint8(ord("-")))
     prefix = fixed & (d < 0.0)
     if any_slow or prefix.any():
         parts.insert(-1, (prefix & (d <= _PREFIX_MOST)).view(np.uint8) * _PREFIX_TEXT)
     tail = ~fixed
     if any_slow or tail.any():
         i = np.flatnonzero(tail)
+        e = np.abs(d[i]).astype(np.uint32)
         text = np.zeros((5, i.size), dtype=np.uint8)  # e+123, on the few cells that take it
-        text[0] = ord("e")
-        text[1] = np.where(d[i] < 0.0, float(ord("-")), float(ord("+")))
-        _digits(np.abs(d[i]), text[2:])
-        text[2] *= (np.abs(d[i]) >= 100.0).view(np.uint8)
+        text[0], text[1] = ord("e"), np.where(d[i] < 0.0, ord("-"), ord("+"))
+        _digits(e, text[2:])
+        text[2] *= (e >= 100).view(np.uint8)
         parts.append(np.zeros((5, x.size), dtype=np.uint8))
         parts[-1][:, i] = text
     cells = np.concatenate(parts)
-    for i in np.flatnonzero(slow).tolist():
-        text = ("%.17g" % x[i]).encode("ascii")
-        cells[:, i] = 0
-        cells[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
+    for i in np.flatnonzero(slow).tolist():  # all 28 or more slots are in: room for 24 bytes
+        cells[:, i] = np.frombuffer(("%.17g" % x[i]).encode().ljust(len(cells), b"\0"), np.uint8)
     return cells
 
 
@@ -293,7 +291,8 @@ def cmd_sequence(args) -> int:
 
 def cmd_constants(args) -> int:
     catalog = special.limit_catalog(args.s)
-    _write_text(json.dumps(dataclasses.asdict(catalog), indent=2, allow_nan=False) + "\n", args.out)
+    with _output(args.out) as write:
+        write(json.dumps(dataclasses.asdict(catalog), indent=2, allow_nan=False).encode() + b"\n")
     return 0
 
 
@@ -326,7 +325,8 @@ def cmd_theta(args) -> int:
     }
     if args.s != 1:
         payload["g_search"] = dataclasses.asdict(binary.search_g_extremes(args.s, args.max_bits))
-    _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
+    with _output(args.out) as write:
+        write(json.dumps(payload, indent=2, allow_nan=False).encode() + b"\n")
     return 0
 
 

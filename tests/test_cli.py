@@ -312,6 +312,56 @@ class TestCsvWriter:
                       0.25 * np.arange(8), np.array([t[::-1].encode() for t in texts]))
         assert got == per_line_csv(["h"], rows)
 
+    @pytest.mark.parametrize("chunk_rows", [1, 5, cli._CSV_CHUNK_ROWS])
+    def test_file_bytes_equal_stdout_text(self, tmp_path, chunk_rows):
+        # a file gets the bytes of the block, stdout their text
+        x = hard_floats()
+        if chunk_rows == 1:
+            x = x[::8]
+        columns = (np.arange(x.size), x, -x)
+        out = tmp_path / "h.csv"
+        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+            cli._write_csv(str(out), "h\n", lambda a, b: [c[a:b] for c in columns], 0, x.size)
+        assert out.read_bytes() == written(chunk_rows, *columns).encode("ascii")
+
+    @pytest.mark.parametrize("width, dtype", [(1, np.uint32), (2, np.uint8), (3, np.uint32),
+                                              (9, np.uint32), (10, np.uint32), (17, np.int64)])
+    def test_digits(self, width, dtype):
+        top = min(10 ** width, int(np.iinfo(dtype).max) + 1)
+        edges = [v for v in (0, 1, 9, 10, 10**8 - 1, 10**8, 10**9 - 1, top - 1) if v < top]
+        v = np.concatenate([np.array(edges, dtype=dtype),
+                            np.random.default_rng(29).integers(0, top, 2000, dtype=dtype)])
+        rows = np.empty((width, v.size), dtype=np.uint8)
+        cli._digits(v, rows)
+        assert [col.tobytes().decode() for col in rows.T] == [str(i).zfill(width) for i in v.tolist()]
+
+    # exact 17-digit ties k / 2**m, with whether D (the 17 digits rounded down) is odd
+    @pytest.mark.parametrize("x, odd", [(131073 / 2**17, False), (131075 / 2**17, True),
+                                        (26215 / 2**18, True), (409600001 / 4096, False)])
+    def test_half_even_ties(self, x, odd):
+        y = Fraction(x) * Fraction(10) ** (16 - math.floor(math.log10(x)))
+        assert y - math.floor(y) == Fraction(1, 2) and math.floor(y) % 2 == odd
+        assert written(5, np.arange(2), np.array([x, -x])) == per_line_csv(["h"], [[0, x], [1, -x]])
+
+    @pytest.mark.parametrize("x", [1e-176, 1e-14, 1e98, 1e129])
+    def test_rounding_carry_into_the_next_decade(self, x):
+        # x lies below 10**k, and its 17 digits round up to 10**k
+        k = round(math.log10(x))
+        assert Fraction(x) < Fraction(10) ** k and f"{x:.17g}" == f"1e{k:+03d}"
+        assert written(5, np.arange(2), np.array([x, -x])) == per_line_csv(["h"], [[0, x], [1, -x]])
+
+    def test_float_cells_temporaries(self):
+        # one block of two float columns of 4096 rows; its cells take 0.2 MB
+        x = np.random.default_rng(23).uniform(-2.5, 2.0, 8192)
+        powers = cli._powers_of_ten()
+        tracemalloc.start()
+        try:
+            cli._float_cells(x, powers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 2 ** 20
+
 
 class TestCsvEdgeRows:
     def test_structural_one_point(self, capsys):

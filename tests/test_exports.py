@@ -77,6 +77,13 @@ def test_csv_block_helpers_are_gone(name):
     assert not hasattr(cli, name)
 
 
+def test_float_carry_is_gone():
+    # the CSV writer's 17 digits are one int64, with no float64 carry passes
+    from lejacircle import cli
+
+    assert not hasattr(cli, "_carry")
+
+
 def test_catalog_to_dict_is_gone():
     # lejacircle constants writes dataclasses.asdict(catalog)
     assert not hasattr(lejacircle.ConstantsCatalog, "to_dict")
