@@ -134,9 +134,9 @@ def _nf(a: int, b: int) -> np.ndarray:
     return np.arange(a, b, dtype=np.float64)
 
 
-def _r_series(e: np.ndarray, first: int, s: float) -> np.ndarray:
-    """R(N) = (E_s(N) - N**2*I_s)/N**(1+s) for N = first, first + 1, ..., where e[N-first] = E_s(N)."""
-    nf = _nf(first, first + e.size)
+def _r_series(e: np.ndarray, n: np.ndarray, s: float) -> np.ndarray:
+    """R(N) = (E_s(N) - N**2*I_s)/N**(1+s) at each N of n, where e[i] = E_s(n[i])."""
+    nf = n.astype(np.float64)
     return (e - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
 
 
@@ -159,7 +159,7 @@ def _series_values(kind: str, s: float, n_max: int):
         values = _doubling(_value_terms(n_max + 1, s))  # refuses a U_N that overflows
         return 1, lambda a, b: _normalize(values(a, b), _nf(a, b), s)
     if kind == "R_subcritical":
-        return 1, lambda a, b: _r_series(roots_energy(np.arange(a, b), s), a, s)
+        return 1, lambda a, b: _r_series(roots_energy(np.arange(a, b), s), np.arange(a, b), s)
     midpoint = _midpoint_map(s, n_max)
     with np.errstate(over="ignore"):  # refused below; the potential is largest at N = n_max
         if not math.isfinite(midpoint(np.array([n_max]))[0]):
@@ -341,12 +341,11 @@ def check_midpoint_energy_identity(s: float, e: np.ndarray) -> CheckResult:
     return _max_le(f"midpoint-energy-identity[s={s:g}]", worst, 1e-10)
 
 
-def check_inverse_square_bruteforce(n: int) -> CheckResult:
-    """The direct s = 2 energy of the N-th roots is N(N^2 - 1)/12, 2 <= N <= n."""
-    k = np.arange(2, n + 1)
-    brute = np.array([energy(Configuration.from_turns(np.arange(j) / j), 2.0) for j in k])
-    worst = float(np.max(_rel(brute, k * (k * k - 1) / 12.0)))
-    return _max_le("inverse-square-bruteforce", worst, 1e-12, f"N<={n}")
+def check_inverse_square_bruteforce(direct: np.ndarray) -> CheckResult:
+    """The direct s = 2 energy direct[N-2] of the N-th roots is N(N^2 - 1)/12, 2 <= N <= direct.size + 1."""
+    k = np.arange(2, direct.size + 2)
+    worst = float(np.max(_rel(direct, k * (k * k - 1) / 12.0)))
+    return _max_le("inverse-square-bruteforce", worst, 1e-12, f"N<={direct.size + 1}")
 
 
 def check_inverse_square_closed_form(e2: np.ndarray) -> CheckResult:
@@ -367,12 +366,12 @@ def check_roots_energy_direct(s: float, direct: np.ndarray, e: np.ndarray) -> Ch
     return _max_le(f"roots-energy-direct[s={s:g}]", worst, 1e-9, f"N<={n}")
 
 
-def check_binary_decomposition_potential(s: float, u: np.ndarray) -> CheckResult:
+def check_binary_decomposition_potential(s: float, u: np.ndarray, values: np.ndarray) -> CheckResult:
     """The direct U_N(a_N) equals its sum of dyadic midpoint potentials, N <= u.size.
 
-    u[N-1] is the direct structural U_N(a_N) at s (``prefix_potentials``).
+    u[N-1] is the direct structural U_N(a_N) at s (``prefix_potentials``), values[N-1] its sum.
     """
-    worst = float(np.max(_rel(u, extremal_values_structural(u.size, s))))
+    worst = float(np.max(_rel(u, values)))
     return _max_le(f"binary-decomposition-potential[s={s:g}]", worst, 1e-9)
 
 
@@ -382,13 +381,10 @@ def check_subcritical_w_r_relation(s: float, w: np.ndarray, r: np.ndarray) -> Ch
     return _max_le(f"subcritical-w-r-relation[s={s:g}]", worst, 1e-12)
 
 
-def check_subcritical_r_limit(s: float, rr: np.ndarray) -> CheckResult:
-    """R(N) reaches 2 zeta(s)/(2 pi)**s at N = n and n - 1, shrinking per doubling; rr is R to n."""
+def check_subcritical_r_limit(s: float, r: np.ndarray) -> CheckResult:
+    """R(N) reaches 2 zeta(s)/(2 pi)**s at N = n and n - 1, shrinking per doubling; r = R at n//2, n-1, n."""
     c_r = 2.0 * zeta(s) / (2.0 * math.pi) ** s
-    n = rr.size
-    res_full = abs(rr[-1] - c_r)
-    res_half = abs(rr[n // 2 - 1] - c_r)
-    res_odd = abs(rr[-2] - c_r)
+    res_half, res_odd, res_full = np.abs(r - c_r)
     ok = res_full <= 1e-3 and res_odd <= 1e-3 and res_half >= 3.0 * res_full
     return CheckResult(
         f"subcritical-r-limit[s={s:g}]",
@@ -399,8 +395,7 @@ def check_subcritical_r_limit(s: float, rr: np.ndarray) -> CheckResult:
     )
 
 
-def check_subcritical_negative(s: float, n: int) -> CheckResult:
-    ext = normalized_series("extremal", s, n).values
+def check_subcritical_negative(s: float, ext: np.ndarray) -> CheckResult:
     return CheckResult(
         f"subcritical-negative[s={s:g}]",
         bool(np.all(ext < 0.0)),
@@ -410,9 +405,8 @@ def check_subcritical_negative(s: float, n: int) -> CheckResult:
     )
 
 
-def check_subcritical_window(s: float, w: np.ndarray, n: int) -> CheckResult:
-    """The extremal series stays above -max|W| 2**s/(2**s - 1) for N <= n, w the series W."""
-    ext = normalized_series("extremal", s, n).values
+def check_subcritical_window(s: float, w: np.ndarray, ext: np.ndarray) -> CheckResult:
+    """The normalized extremal series ext stays above -max|W| 2**s/(2**s - 1), w the series W."""
     bound = float(np.max(np.abs(w))) * 2.0 ** s / (2.0 ** s - 1.0)
     return CheckResult(
         f"subcritical-window[s={s:g}]",
@@ -423,14 +417,13 @@ def check_subcritical_window(s: float, w: np.ndarray, n: int) -> CheckResult:
     )
 
 
-def check_divergence_witnesses(s: float, n: int) -> CheckResult:
-    """Divergence evidence for the normalized extremal series over N = 1..n.
+def check_divergence_witnesses(s: float, series: np.ndarray) -> CheckResult:
+    """Divergence evidence for the normalized extremal series over N = 1..series.size.
 
     The dyadic (N = 2^p) and all-ones (N = 2^p - 1) subsequences must differ by
     more than ten times their own drift over the last doubling.
     """
-    series = normalized_series("extremal", s, n).values
-    top = 1 << (n.bit_length() - 1)  # the largest N = 2^p <= n
+    top = 1 << (series.size.bit_length() - 1)  # the largest N = 2^p <= series.size
     dyadic, ones = series[top - 1], series[top - 2]
     budget = 10.0 * max(abs(dyadic - series[top // 2 - 1]), abs(ones - series[top // 2 - 2]))
     gap = abs(dyadic - ones)
@@ -447,8 +440,10 @@ def check_critical_t_limit(n: int) -> CheckResult:
 
 
 def check_critical_first_order_corrected(n: int, budget: float) -> CheckResult:
-    """(U_n(a_n) - n T)/(n log n) is within budget of 1/pi, T the critical level."""
-    u = extremal_values_structural(n, 1.0)[-1]
+    """(U_n(a_n) - n T)/(n log n) is within budget of 1/pi, T the critical level; U_n(a_n) is
+    row n of the structural row source, O(log n), bitwise extremal_values_structural(n, 1.0)[-1]."""
+    n = require(size(n, 1, "n"))
+    u = _doubling(_value_terms(n + 1, 1.0))(n, n + 1)[0]
     corrected = (u - n * CRITICAL_LEVEL) / (n * math.log(n))
     return _max_le(
         "critical-first-order-corrected",
@@ -458,8 +453,8 @@ def check_critical_first_order_corrected(n: int, budget: float) -> CheckResult:
     )
 
 
-def check_critical_window(n: int) -> CheckResult:
-    ext1 = normalized_series("extremal", 1.0, n).values
+def check_critical_window(ext1: np.ndarray) -> CheckResult:
+    """The normalized extremal series ext1 at s = 1 stays near the critical level."""
     lo = CRITICAL_LEVEL - (2.0 / math.e + 2.0 * math.log(2.0)) / math.pi
     return CheckResult(
         "critical-window",
@@ -487,9 +482,8 @@ def check_supercritical_w_limit(s: float, w: np.ndarray) -> CheckResult:
     )
 
 
-def check_supercritical_window(s: float, w: np.ndarray) -> CheckResult:
-    """U_N(a_N)/N**s lies in (0, max W 2**s/(2**s - 1)] for N <= w.size, w the series W."""
-    ext = normalized_series("extremal", s, w.size).values
+def check_supercritical_window(s: float, w: np.ndarray, ext: np.ndarray) -> CheckResult:
+    """ext[N-1] = U_N(a_N)/N**s lies in (0, max W 2**s/(2**s - 1)], w the series W."""
     bound = float(np.max(w)) * 2.0 ** s / (2.0 ** s - 1.0)
     return CheckResult(
         f"supercritical-window[s={s:g}]",
@@ -510,18 +504,18 @@ def check_supercritical_quarter(w: np.ndarray) -> CheckResult:
     )
 
 
-def check_extremal_monotone(s: float, n: int) -> CheckResult:
-    ext = extremal_values_structural(n, s)
+def check_extremal_monotone(s: float, ext: np.ndarray) -> CheckResult:
+    """The structural values ext[N-1] = U_N(a_N) do not decrease in N."""
     worst = float(np.max(ext[:-1] - ext[1:]))
     budget = 1e-9 * float(np.max(np.abs(ext)))
     detail = "running minima are non-decreasing"
     return _max_le(f"extremal-monotone[s={s:g}]", worst, budget, detail)
 
 
-def check_greedy_energy_dominates_roots(s: float, e: np.ndarray) -> CheckResult:
-    """E_s(N) <= the greedy energy for 2 <= N <= n = e.size, where e[N-1] = E_s(N)."""
+def check_greedy_energy_dominates_roots(s: float, values: np.ndarray, e: np.ndarray) -> CheckResult:
+    """E_s(N) = e[N-1] <= the greedy energy for 2 <= N <= n = e.size, values[N-1] = U_N(a_N), N < n."""
     n = e.size
-    energies = energy_series_from_extremal(extremal_values_structural(n - 1, s))
+    energies = energy_series_from_extremal(values[:n - 1])
     worst = max(0.0, float(np.max(e[1:] - energies[1:])))
     return _max_le(
         f"greedy-energy-dominates-roots[s={s:g}]",
@@ -673,12 +667,15 @@ def check_generalized_greedy_trend(s: float, n: int) -> CheckResult:
 def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationReport:
     """Run every identity, inequality, and limit check over the given grid (each s once).
 
-    The arrays that several checks read are built once and handed to them: in
-    one call the roots-of-unity energies E_s(N), N <= max(2*min(n_max, 1024),
-    n_max), at every positive s and 2, and the R series; the potentials of the
-    N-th roots at one root, N <= min(n_max, 1024), and their direct energies,
-    N <= min(n_max, 512), each one chord pass per N for all s; the structural
-    prefix potentials at s = 0 and all positive s in one pass; and the W series.
+    The arrays that several checks read are built once, only as far as a check
+    reads them, and the checks take slices of them, bitwise the arrays they would
+    build alone.  With n_roots = min(n_max, 1024): E_s(N) at every positive s and
+    2, in one call, N <= 2 n_roots and N = n_max // 2, n_max - 1, n_max, where
+    subcritical-r-limit reads R, and R at those N; the roots' potentials at one
+    root, N <= n_roots, and their direct energies at the exponents of E_s(N),
+    N <= min(n_max, 512), one chord pass per N; the structural prefix potentials
+    at s = 0 and all positive s in one pass; per positive s, U_N(a_N) and its
+    extremal series, N <= n_max; and W, N <= n_roots below s = 1, n_max above.
     Every array is O(len(s_grid) * n_max); the checks over N <= 10**6 go in blocks.
     """
     n_max = require(size(n_max, 8, "n_max"), f"n_max={n_max}")
@@ -689,13 +686,16 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     n_roots = min(n_max, 1024)
     n_direct = min(n_max, 512)
 
-    ns = np.arange(1, max(2 * n_roots, n_max) + 1)
+    r_ns = [n_max // 2, n_max - 1, n_max]  # the N at which subcritical-r-limit reads R
+    ns = np.array([*range(1, 2 * n_roots + 1), *(n for n in r_ns if n > 2 * n_roots)])
     exponents = pos + [2.0] * (2.0 not in pos)
-    e = dict(zip(exponents, roots_energy(ns, exponents)))  # e[s][N-1] = E_s(N)
+    e = dict(zip(exponents, roots_energy(ns, exponents)))  # e[s][N-1] = E_s(N), N <= 2 n_roots
     potentials = roots_potentials(n_roots, pos)  # one row per s
     roots = (Configuration.from_turns(np.arange(k) / k) for k in range(2, n_direct + 1))
-    direct = np.array([energy(c, pos) for c in roots]).T if pos else []  # one row per s
+    direct = dict(zip(exponents, np.array([energy(c, exponents) for c in roots]).T))  # [s][N-2]
     u = prefix_potentials(structural_angles(n_max + 1), [0.0] + pos)
+    values = {s: extremal_values_structural(n_max, s) for s in pos}  # values[s][N-1] = U_N(a_N)
+    ext = {s: normalized_series("extremal", s, n_max).values for s in pos}
 
     checks = [
         check_sup_norm_identity(u[0, : min(n_max, 5000)]),
@@ -705,33 +705,33 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     for s, pot in zip(pos, potentials):
         checks.append(check_roots_potential_identity(s, pot, e[s][:n_roots]))
         checks.append(check_midpoint_energy_identity(s, e[s][: 2 * n_roots]))
-    checks.append(check_inverse_square_bruteforce(min(64, n_max)))
+    checks.append(check_inverse_square_bruteforce(direct[2.0][: min(64, n_max) - 1]))
     checks.append(check_inverse_square_closed_form(e[2.0][:n_roots]))
-    checks += [check_roots_energy_direct(s, d, e[s][:n_direct]) for s, d in zip(pos, direct)]
-    checks += [check_binary_decomposition_potential(s, u_s) for s, u_s in zip(pos, u[1:])]
+    checks += [check_roots_energy_direct(s, direct[s], e[s][:n_direct]) for s in pos]
+    checks += [check_binary_decomposition_potential(s, u_s, values[s]) for s, u_s in zip(pos, u[1:])]
     for s in sub:
         w = normalized_series("W_subcritical", s, n_roots).values
-        r = _r_series(e[s], 1, s)
+        r = _r_series(e[s], ns, s)
         checks.append(check_subcritical_w_r_relation(s, w, r[: 2 * n_roots]))
-        checks.append(check_subcritical_r_limit(s, r[:n_max]))
-        checks.append(check_subcritical_negative(s, n_max))
-        checks.append(check_subcritical_window(s, w, n_max))
-        checks.append(check_divergence_witnesses(s, n_max))
+        checks.append(check_subcritical_r_limit(s, r[np.searchsorted(ns, r_ns)]))
+        checks.append(check_subcritical_negative(s, ext[s]))
+        checks.append(check_subcritical_window(s, w, ext[s]))
+        checks.append(check_divergence_witnesses(s, ext[s]))
     if 1.0 in s_grid:
         checks.append(check_critical_t_limit(n_max))
         checks.append(check_critical_first_order_corrected(n_max, 2e-4))
-        checks.append(check_divergence_witnesses(1.0, n_max))
-        checks.append(check_critical_window(n_max))
+        checks.append(check_divergence_witnesses(1.0, ext[1.0]))
+        checks.append(check_critical_window(ext[1.0]))
     for s in sup:
         w = normalized_series("W_supercritical", s, n_max).values
         checks.append(check_supercritical_w_limit(s, w))
-        checks.append(check_supercritical_window(s, w))
+        checks.append(check_supercritical_window(s, w, ext[s]))
         if s == 2.0:
             checks.append(check_supercritical_quarter(w))
-        checks.append(check_divergence_witnesses(s, n_max))
+        checks.append(check_divergence_witnesses(s, ext[s]))
     for s in pos:
-        checks.append(check_extremal_monotone(s, n_max))
-        checks.append(check_greedy_energy_dominates_roots(s, e[s][: min(256, n_max)]))
+        checks.append(check_extremal_monotone(s, values[s]))
+        checks.append(check_greedy_energy_dominates_roots(s, values[s], e[s][: min(256, n_max)]))
     checks.append(check_continuous_energy_forms())
     checks.append(check_zeta_sign_and_euler_gamma())
     checks.append(check_theta_invariants(pos))

@@ -1,15 +1,15 @@
-"""Deterministic compensated summation helpers.
+"""Deterministic blockwise summation: two reductions, each with its own contract.
 
-All large sums in this package go through :func:`pairwise_sum`, which reduces
-a float64 array in fixed 128-element blocks and then combines the block
-partials with an exact (Shewchuk) float sum.  The reduction shape depends only
-on the length of the input, so results are bit-reproducible and the worst-case
-rounding error stays at the block level (~128 * eps relative) instead of
-growing linearly with n as in naive accumulation.
+:func:`pairwise_sum`, which the energies and the roots-of-unity closed forms
+take, reduces a float64 array in fixed 128-element blocks and combines the
+block partials with an exact (Shewchuk) float sum.  The reduction shape depends
+only on the length of the input, so results are bit-reproducible and the
+worst-case rounding error stays at the block level (~128 * eps relative).
 
-:func:`row_sums` sums each row of a 2-d array in the same 128-element blocks,
-zero-padded past the row's end, and adds the partials left to right, so a row's
-sum depends only on its own entries, not on the array's width or other rows.
+:func:`row_sums`, which ``prefix_potentials`` reduces its rows with, sums each
+row of a 2-d array in the same blocks, zero-padded past the row's end, and adds
+the partials left to right in floating point, not exactly, so its error grows
+with the row's number of blocks; a row's sum depends only on its own entries.
 """
 
 import math

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lejacircle import binary
+from lejacircle import analysis, binary
 from lejacircle.analysis import (
     check_g_strictly_decreasing_in_s,
     check_roots_potential_identity,
@@ -375,6 +375,9 @@ class TestVerifyAll:
         ks = range(2, n + 1)
         closed = [(k * k - 1.0) / 12.0 for k in ks]
         assert got["inverse-square-closed-form"] == rel([roots_energy(k, 2.0) / k for k in ks], closed)
+        brute = [energy(Configuration.from_turns(np.arange(k) / k), 2.0) for k in ks]
+        assert got["inverse-square-bruteforce"] == rel(brute, [k * (k * k - 1) / 12.0 for k in ks])
+        series = {}  # the normalized extremal series, N = 1..n, one call per N
         for s in (0.5, 1.0, 1.5, 2.0):
             direct = [energy(Configuration.from_turns(np.arange(k) / k), s) for k in ks]
             assert got[f"roots-energy-direct[s={s:g}]"] == rel(direct, [roots_energy(k, s) for k in ks])
@@ -389,6 +392,12 @@ class TestVerifyAll:
             greedy = energy_series_from_extremal(extremal_values_structural(n - 1, s))
             worst = max(0.0, *(roots_energy(k, s) - greedy[k - 1] for k in ks))
             assert got[f"greedy-energy-dominates-roots[s={s:g}]"] == worst
+            ext = np.array([extremal_values_structural(k, s)[-1] for k in range(1, n + 1)])
+            assert got[f"extremal-monotone[s={s:g}]"] == float(np.max(ext[:-1] - ext[1:]))
+            series[s] = np.array([normalized_series("extremal", s, max(k, 2)).values[k - 1]
+                                  for k in range(1, n + 1)])
+            gap = abs(series[s][n - 1] - series[s][n - 2])  # N = 2**6 and 2**6 - 1
+            assert got[f"divergence-witnesses[s={s:g}]"] == gap
         s = 0.5
         e = np.array([roots_energy(k, s) for k in range(1, 2 * n + 1)])
         nf = np.arange(1, 2 * n + 1, dtype=np.float64)
@@ -396,6 +405,35 @@ class TestVerifyAll:
         w = normalized_series("W_subcritical", s, n).values
         worst = float(np.max(np.abs(w - (2.0 ** s * r[1::2] - r[:n]))))
         assert got["subcritical-w-r-relation[s=0.5]"] == worst
+        c_r = 2.0 * zeta(s) / (2.0 * math.pi) ** s
+        assert got["subcritical-r-limit[s=0.5]"] == max(abs(r[n - 1] - c_r), abs(r[n - 2] - c_r))
+        assert got["subcritical-window[s=0.5]"] == -float(np.min(series[s]))
+
+    def test_each_shared_table_is_built_once(self, monkeypatch):
+        # the direct energies of the N-th roots, N = 2..512, are built once;
+        # E_s(N) only at the N the checks read, N <= 2*1024 and the three at
+        # which subcritical-r-limit reads R; per positive s, one structural
+        # U_N(a_N) array and one normalized extremal series
+        calls = []
+
+        def counting(name):
+            original = getattr(analysis, name)
+
+            def wrapper(*args):
+                calls.append((name, *args))
+                return original(*args)
+            monkeypatch.setattr(analysis, name, wrapper)
+
+        for name in ("energy", "roots_energy", "extremal_values_structural", "normalized_series"):
+            counting(name)
+        assert verify_all().all_pass
+        assert sum(name == "energy" for name, *_ in calls) == 511
+        for s in (0.5, 1.0, 1.5, 2.0):
+            assert calls.count(("extremal_values_structural", 2048, s)) == 1
+            assert calls.count(("normalized_series", "extremal", s, 2048)) == 1
+        calls.clear()
+        verify_all(n_max=2100)
+        assert sum(np.size(c[1]) for c in calls if c[0] == "roots_energy") <= 2 * 1024 + 3
 
 
 def theta_invariants_loop(s_values):
