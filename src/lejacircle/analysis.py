@@ -19,11 +19,13 @@ the product of distances from point N to its predecessors is 2**tau_b(N), so
 the ratio is tau_b(N)/log2(N+1) (exactly 1.0 in floating point whenever
 N + 1 is a power of two).
 
-``limit_point_check`` realizes a digit-direction vector theta by the witness
-subsequence N(n) = 2**n * M (+ low bits for trailing zeros) and compares the
-observed normalized extremal value against the predicted limit point
-G(theta; s) * (2**s - 1) * 2*zeta(s)/(2*pi)**s (or its s = 1 analogue with
-Lambda).
+Every value at a single N is one row, rows(N, N + 1), of its series' row
+source, so it is bitwise the entry of the whole series and shares its
+refusals.  ``limit_point_check`` realizes a digit-direction vector theta by
+the witness subsequence N(n) = 2**n * M (+ low bits for trailing zeros) and
+compares the ``extremal`` row at the witness against the predicted limit
+point G(theta; s) * (2**s - 1) * 2*zeta(s)/(2*pi)**s (or its s = 1 analogue
+with Lambda).
 
 ``verify_all`` runs every identity, inequality, and limit check the package
 asserts and returns a machine-readable report; each check is a plain
@@ -205,9 +207,7 @@ def limit_point_check(m: int, p: int, s: float, depth: int) -> LimitPointCheck:
     n_witness = (m << depth) + ((1 << z) - 1)
     require(n_witness, f"witness index {n_witness}")
     predicted = theta_limit_prediction(m, s)  # refuses s = 0 before the witness is summed
-    blocks = np.array([1 << e for e in decompose(n_witness)])
-    u = math.fsum(midpoint_potential(blocks, s).tolist())
-    observed = float(_normalize(u, float(n_witness), s))
+    observed = float(_series_values("extremal", s, n_witness)[1](n_witness, n_witness + 1)[0])
     return LimitPointCheck(
         n=n_witness, predicted=predicted, observed=observed, gap=abs(observed - predicted)
     )
@@ -239,6 +239,9 @@ class CheckResult:
     residual: float
     budget: float
     detail: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed))  # a numpy bool is not JSON's
 
     def to_dict(self) -> dict:
         return {
@@ -381,9 +384,11 @@ def check_subcritical_w_r_relation(s: float, w: np.ndarray, r: np.ndarray) -> Ch
     return _max_le(f"subcritical-w-r-relation[s={s:g}]", worst, 1e-12)
 
 
-def check_subcritical_r_limit(s: float, r: np.ndarray) -> CheckResult:
-    """R(N) reaches 2 zeta(s)/(2 pi)**s at N = n and n - 1, shrinking per doubling; r = R at n//2, n-1, n."""
+def check_subcritical_r_limit(s: float, n: int) -> CheckResult:
+    """R(N) reaches 2 zeta(s)/(2 pi)**s at N = n and n - 1, shrinking from N = n // 2."""
     c_r = 2.0 * zeta(s) / (2.0 * math.pi) ** s
+    rows = _series_values("R_subcritical", s, n)[1]
+    r = np.concatenate([rows(n // 2, n // 2 + 1), rows(n - 1, n + 1)])  # R at n // 2, n - 1, n
     res_half, res_odd, res_full = np.abs(r - c_r)
     ok = res_full <= 1e-3 and res_odd <= 1e-3 and res_half >= 3.0 * res_full
     return CheckResult(
@@ -435,7 +440,7 @@ def check_divergence_witnesses(s: float, series: np.ndarray) -> CheckResult:
 
 def check_critical_t_limit(n: int) -> CheckResult:
     """T(n) is within 1e-3 of the critical level (gamma + log(8/pi))/pi."""
-    t = _normalize(midpoint_potential(n, 1.0), float(n), 1.0)
+    t = _series_values("T_critical", 1.0, n)[1](n, n + 1)[0]
     return _max_le("critical-t-limit", abs(t - CRITICAL_LEVEL), 1e-3)
 
 
@@ -670,13 +675,13 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     The arrays that several checks read are built once, only as far as a check
     reads them, and the checks take slices of them, bitwise the arrays they would
     build alone.  With n_roots = min(n_max, 1024): E_s(N) at every positive s and
-    2, in one call, N <= 2 n_roots and N = n_max // 2, n_max - 1, n_max, where
-    subcritical-r-limit reads R, and R at those N; the roots' potentials at one
+    2, in one call, and R from it, N <= 2 n_roots; the roots' potentials at one
     root, N <= n_roots, and their direct energies at the exponents of E_s(N),
     N <= min(n_max, 512), one chord pass per N; the structural prefix potentials
     at s = 0 and all positive s in one pass; per positive s, U_N(a_N) and its
     extremal series, N <= n_max; and W, N <= n_roots below s = 1, n_max above.
-    Every array is O(len(s_grid) * n_max); the checks over N <= 10**6 go in blocks.
+    The limit checks read R and T at single N as rows of their series.  Every
+    array is O(len(s_grid) * n_max); the checks over N <= 10**6 go in blocks.
     """
     n_max = require(size(n_max, 8, "n_max"), f"n_max={n_max}")
     s_grid = tuple(dict.fromkeys(exponent(s) for s in s_grid))
@@ -686,9 +691,8 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     n_roots = min(n_max, 1024)
     n_direct = min(n_max, 512)
 
-    r_ns = [n_max // 2, n_max - 1, n_max]  # the N at which subcritical-r-limit reads R
-    ns = np.array([*range(1, 2 * n_roots + 1), *(n for n in r_ns if n > 2 * n_roots)])
     exponents = pos + [2.0] * (2.0 not in pos)
+    ns = np.arange(1, 2 * n_roots + 1)
     e = dict(zip(exponents, roots_energy(ns, exponents)))  # e[s][N-1] = E_s(N), N <= 2 n_roots
     potentials = roots_potentials(n_roots, pos)  # one row per s
     roots = (Configuration.from_turns(np.arange(k) / k) for k in range(2, n_direct + 1))
@@ -711,9 +715,8 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     checks += [check_binary_decomposition_potential(s, u_s, values[s]) for s, u_s in zip(pos, u[1:])]
     for s in sub:
         w = normalized_series("W_subcritical", s, n_roots).values
-        r = _r_series(e[s], ns, s)
-        checks.append(check_subcritical_w_r_relation(s, w, r[: 2 * n_roots]))
-        checks.append(check_subcritical_r_limit(s, r[np.searchsorted(ns, r_ns)]))
+        checks.append(check_subcritical_w_r_relation(s, w, _r_series(e[s], ns, s)))
+        checks.append(check_subcritical_r_limit(s, n_max))
         checks.append(check_subcritical_negative(s, ext[s]))
         checks.append(check_subcritical_window(s, w, ext[s]))
         checks.append(check_divergence_witnesses(s, ext[s]))

@@ -28,6 +28,7 @@ usage/validation errors, 3 compute budget exceeded.
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -84,9 +85,7 @@ def _write_csv(out_path, head, rows, start, stop):
     ends.  A block's text is one (slots, rows) matrix of ASCII bytes, column-major so
     that every step runs along all rows at once, with NUL in each slot a cell leaves
     empty (as in the padding of a bytes column); the transpose to rows drops the NULs.
-    The powers of ten of _float_cells are worked out once per call, as blocks need them.
     """
-    powers = _powers_of_ten()
     with _output(out_path) as write:
         write(head.encode("utf-8"))
         while start < stop:
@@ -94,7 +93,7 @@ def _write_csv(out_path, head, rows, start, stop):
             chunk, start = rows(start, end), end
             floats = [c for c in chunk if c.dtype.kind == "f"]
             # one pass for all float columns, side by side
-            float_cells = iter(np.hsplit(_float_cells(np.concatenate(floats), powers), len(floats))
+            float_cells = iter(np.hsplit(_float_cells(np.concatenate(floats)), len(floats))
                                if floats else [])
             sep = np.full((1, chunk[0].size), ord(","), dtype=np.uint8)
             parts = []
@@ -151,32 +150,26 @@ def _split(a):
     return hi, a - hi
 
 
+@functools.cache
 def _powers_of_ten():
-    """A lookup powers(d) of rows (hi, lo, hi's two Veltkamp halves) for the integer-valued
-    floats d, |d| <= _D_MOST, where the double-double hi + lo is 10**(16 - d) to 106 bits.
-    Each distinct d is worked out on its first lookup, from 10**(16 - d) as an exact ratio
-    n/m of integers: Python rounds int / int correctly, so hi = n/m and lo is the exact
-    remainder n/m - hi rounded."""
-    table = np.zeros((4, 2 * _D_MOST + 1))  # hi = 0: not yet worked out
-
-    def powers(d):
-        index = (d + _D_MOST).astype(np.intp)
-        if not table[0, index.min():index.max() + 1].all():
-            new = (table[0] == 0.0) & (np.bincount(index, minlength=table.shape[1]) > 0)
-            for i in np.flatnonzero(new).tolist():
-                e = 16 + _D_MOST - i
-                n, m = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
-                hi = n / m
-                hn, hd = hi.as_integer_ratio()
-                table[:, i] = hi, (n * hd - hn * m) / (m * hd), *_split(hi)
-        return np.take(table, index, axis=1)
-
-    return powers
+    """The read-only rows (hi, lo, hi's two Veltkamp halves), column d + _D_MOST for each
+    integer |d| <= _D_MOST, where the double-double hi + lo is 10**(16 - d) to 106 bits;
+    built on first use and kept.  Each column is worked out from 10**(16 - d) as an exact
+    ratio n/m of integers: Python rounds int / int correctly, so hi = n/m and lo is the
+    exact remainder n/m - hi rounded."""
+    table = np.empty((4, 2 * _D_MOST + 1))
+    for i in range(table.shape[1]):
+        e = 16 + _D_MOST - i
+        n, m = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+        hi = n / m
+        hn, hd = hi.as_integer_ratio()
+        table[:, i] = hi, (n * hd - hn * m) / (m * hd), *_split(hi)
+    table.flags.writeable = False
+    return table
 
 
-def _float_cells(x, powers):
-    """%.17g of each float of x, one row per slot, NUL in the slots a cell leaves empty,
-    with the powers of ten of powers, a lookup made by _powers_of_ten.
+def _float_cells(x):
+    """%.17g of each float of x, one row per slot, NUL in the slots a cell leaves empty.
 
     The slots are: sign | "0.000" prefix | 17 digits and a point | "e+123" tail; a chunk
     with no sign, prefix, point or tail leaves out those slots.  For |x| in [1e-200, 1e200]
@@ -194,7 +187,7 @@ def _float_cells(x, powers):
     a[~fast] = 1.0
     # within 1e-12 the estimate is at least an exact power's exponent; misses fall back
     d = np.floor(np.log(a) * (1.0 / math.log(10.0)) + 1e-12)
-    hi, lo, bh, bl = powers(d)
+    hi, lo, bh, bl = np.take(_powers_of_ten(), (d + _D_MOST).astype(np.intp), axis=1)
     p = a * hi
     ah, al = _split(a)
     t = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + a * lo

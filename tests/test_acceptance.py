@@ -3,8 +3,9 @@
 Each test covers one acceptance area, runs all of its clauses, prints a
 single PASS/FAIL summary line (visible with ``pytest -s`` or on failure), and
 asserts at the end so every clause is always evaluated and reported.  Where a
-clause restates a ``verify_all`` identity it calls the same ``check_*``
-function with this suite's own N and tolerance.
+clause restates a ``verify_all`` check it calls the same ``check_*``
+function with this suite's own N and tolerance, and where the check takes
+an array, with this suite's own sums, one per row.
 
 The paper proves limits, but every clause evaluates a finite N. Where the
 remainder at that N is known and larger than the clause's tolerance, the
@@ -36,12 +37,16 @@ import numpy as np
 import pytest
 
 from lejacircle.analysis import (
+    check_binary_decomposition_potential,
     check_critical_first_order_corrected,
     check_cross_construction,
+    check_inverse_square_bruteforce,
     check_midpoint_energy_identity,
     check_roots_potential_identity,
+    check_sup_norm_identity,
     check_sup_norm_ratio_doubling_decreasing,
     check_sup_norm_ratio_dyadic_ones,
+    check_supercritical_window,
     limit_point_check,
     normalized_series,
     roots_potentials,
@@ -53,7 +58,6 @@ from lejacircle.binary import (
     lambda_value,
     search_g_extremes,
     search_lambda,
-    tau_b,
 )
 from lejacircle.circle import (
     Configuration,
@@ -69,7 +73,6 @@ from lejacircle.special import EULER_GAMMA, continuous_energy, zeta
 from lejacircle.summation import pairwise_sum
 
 S_GRID = (0.5, 1.0, 1.5, 2.0)
-LOG2 = math.log(2.0)
 
 
 class Criterion:
@@ -117,11 +120,8 @@ def generalized_runs():
 def test_distance_product_identity(canonical_angles_5001):
     crit = Criterion("distance-product identity and norm ratio")
     ang = canonical_angles_5001
-    worst = 0.0
-    for n in range(1, 5001):
-        lhs = pairwise_sum(np.log(chord_lengths(ang[:n], ang[n])))
-        worst = max(worst, abs(lhs - tau_b(n) * LOG2))
-    crit.check(worst <= 1e-7, f"sum of log distances vs tau*log2: {worst:.2e} > 1e-7")
+    log_products = [pairwise_sum(np.log(chord_lengths(ang[:n], ang[n]))) for n in range(1, 5001)]
+    crit.require(check_sup_norm_identity(-np.array(log_products)))  # against tau_b(N) log 2
 
     crit.require(check_sup_norm_ratio_dyadic_ones((1 << 12) - 1))  # m <= 12
     crit.require(check_sup_norm_ratio_doubling_decreasing(64))
@@ -132,12 +132,9 @@ def test_potential_binary_decomposition(canonical_angles_5001):
     crit = Criterion("binary decomposition of the extremal potential")
     ang = canonical_angles_5001
     for s in S_GRID:
+        direct = [pairwise_sum(chord_kernel(chord_lengths(ang[:n], ang[n]), s)) for n in range(1, 2049)]
         series = extremal_values_structural(2048, s)
-        worst = 0.0
-        for n in range(1, 2049):
-            direct = pairwise_sum(chord_kernel(chord_lengths(ang[:n], ang[n]), s))
-            worst = max(worst, abs(direct - series[n - 1]) / abs(series[n - 1]))
-        crit.check(worst <= 1e-9, f"s={s}: decomposition residual {worst:.2e} > 1e-9")
+        crit.require(check_binary_decomposition_potential(s, np.array(direct), series))
     crit.finish()
 
 
@@ -150,14 +147,11 @@ def test_roots_of_unity_identities():
         crit.require(check_roots_potential_identity(s, potentials, e[:1024]))
         crit.require(check_midpoint_energy_identity(s, e))
 
-    worst = 0.0
+    direct = []  # the s = 2 energy of the N-th roots, 2 <= N <= 64, one pair sum per point
     for n in range(2, 65):
         a = np.arange(n) / n
-        acc = 0.0
-        for i in range(n - 1):
-            acc += pairwise_sum(chord_lengths(a[i + 1:], a[i]) ** -2.0)
-        worst = max(worst, abs(2.0 * acc - n * (n * n - 1) / 12.0) / (n * (n * n - 1) / 12.0))
-    crit.check(worst <= 1e-12, f"inverse-square brute-force validation {worst:.2e}")
+        direct.append(2.0 * sum(pairwise_sum(chord_lengths(a[i + 1:], a[i]) ** -2.0) for i in range(n - 1)))
+    crit.require(check_inverse_square_bruteforce(np.array(direct)))
 
     n = np.arange(1, 4097)
     worst = float(np.max(np.abs(midpoint_potential(n, 2.0) / (n * n) - 0.25) / 0.25))
@@ -223,14 +217,13 @@ def test_subcritical_second_order_limits():
 def test_critical_limits():
     crit = Criterion("critical limits (s = 1)")
     n = 1 << 12
-    u = extremal_values_structural(n, 1.0)[-1]
     level = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi  # recomputed ~0.48126
     assert abs(level - 0.48126) < 5e-6
 
     # The second-order constant enters the first-order ratio at scale 1/log N.
     crit.require(check_critical_first_order_corrected(n, 2e-3))
 
-    t_val = (u - n * math.log(n) / math.pi) / n
+    t_val = normalized_series("extremal", 1.0, n).values[-1]
     res_t = abs(t_val - level)
     crit.check(res_t <= 1e-3, f"second-order value residual {res_t:.2e} > 1e-3")
     crit.finish()
@@ -241,11 +234,11 @@ def test_supercritical_limits():
     n = 1 << 12
     const = 7.0 * zeta(3.0) / (4.0 * math.pi ** 3)  # recomputed ~0.06784
     assert abs(const - 0.06784) < 5e-6
-    value = extremal_values_structural(n, 3.0)[-1] / float(n) ** 3
+    value = normalized_series("extremal", 3.0, n).values[-1]
     res = abs(value - const)
     crit.check(res <= 1e-4, f"s=3 dyadic residual {res:.2e} > 1e-4")
 
-    value2 = extremal_values_structural(n, 2.0)[-1] / float(n) ** 2
+    value2 = normalized_series("extremal", 2.0, n).values[-1]
     res2 = abs(value2 - 0.25)
     crit.check(res2 <= 1e-10, f"s=2 dyadic value residual {res2:.2e} > 1e-10")
     crit.finish()
@@ -346,12 +339,10 @@ def test_figure_emission(tmp_path):
     assert cli_main(["figure", "--id", "4", "--out-dir", str(tmp_path)]) == 0
     fig4 = sorted(p.name for p in tmp_path.glob("fig4_*.csv"))
     crit.check(len(fig4) == 4, f"fig4 emitted {len(fig4)} files, wanted 4")
-    ok4 = True
     for name in fig4:
         s = float(name.replace("fig4_s", "").replace(".csv", ""))
         vals = np.array([float(r["value"]) for r in csv.DictReader((tmp_path / name).open())])
+        crit.check(vals.size == 2048, f"{name} has {vals.size} rows, wanted 2048")
         w = normalized_series("W_supercritical", s, 2048).values
-        bound = float(np.max(w)) * 2.0 ** s / (2.0 ** s - 1.0)
-        ok4 = ok4 and vals.size == 2048 and np.all(vals > 0.0) and np.all(vals <= bound + 1e-12)
-    crit.check(ok4, "fig4 series not positive and bounded")
+        crit.require(check_supercritical_window(s, w, vals), f"{name}: ")  # positive and bounded
     crit.finish()

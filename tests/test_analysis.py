@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from lejacircle import analysis, binary
 from lejacircle.analysis import (
+    check_critical_t_limit,
     check_g_strictly_decreasing_in_s,
     check_roots_potential_identity,
+    check_subcritical_r_limit,
     check_tau_binary_properties,
     check_theta_invariants,
     check_zeta_sign_and_euler_gamma,
@@ -275,9 +278,20 @@ class TestLimitPointCheck:
             limit_point_check(3, 2, 0.5, 20)
 
     def test_n_power_overflows(self):
-        # 24**400 overflows while U_24 stays finite; observed is the quotient, about 2e-269
-        res = limit_point_check(3, 2, 400.0, 3)
-        assert res.observed == pytest.approx(normalized_series("extremal", 400.0, 24).values[23], rel=1e-12)
+        # the observed value is the extremal series' entry at the witness, bit for bit; at
+        # s = 400, 24**400 overflows while U_24 stays finite, and observed is about 2e-269
+        for m, p, s, depth in [(3, 2, 0.5, 12), (3, 2, 1.0, 12), (1, 1, 2.0, 5), (13, 4, 0.5, 6),
+                               (3, 2, 400.0, 3)]:
+            res = limit_point_check(m, p, s, depth)
+            assert res.observed == normalized_series("extremal", s, res.n).values[res.n - 1]
+
+    def test_running_potential_overflow_is_the_series_refusal(self):
+        # U_24 itself overflows at s = 1000; the witness gets the extremal series' error, not nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^the running potential overflows float64 at s=1000.0, N=24$"
+            with pytest.raises(ValueError, match=message):
+                limit_point_check(3, 2, 1000.0, 3)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -326,6 +340,26 @@ class TestVerifyAll:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             verify_all(n_max=(1 << 20) + 1)
+
+    def test_passed_is_a_python_bool(self):
+        # every check reports a Python bool, whatever the type of its residual
+        checks = verify_all(n_max=64).checks
+        assert [c.name for c in checks if type(c.passed) is not bool] == []
+
+    @pytest.mark.parametrize("n", [2048, 2100, 8192])
+    def test_limit_rows_keep_the_table_residuals(self, n):
+        # critical-t-limit and subcritical-r-limit read rows of the T and R series; their
+        # residuals are bitwise those of midpoint_potential at n and roots_energy at n // 2, n - 1, n
+        t = (midpoint_potential(n, 1.0) - n * np.log(float(n)) / math.pi) / n
+        assert check_critical_t_limit(n).residual.hex() == float(abs(t - CRITICAL_LEVEL)).hex()
+        s, ns = 0.5, np.array([n // 2, n - 1, n])
+        nf = ns.astype(np.float64)
+        e = roots_energy(ns, [0.5, 1.0, 1.5, 2.0])[0]
+        r = (e - nf ** 2 * continuous_energy(s)) / nf ** (1.0 + s)
+        res = np.abs(r - 2.0 * zeta(s) / (2.0 * math.pi) ** s)
+        got = check_subcritical_r_limit(s, n)
+        assert got.residual.hex() == float(max(res[2], res[1])).hex()
+        assert got.detail == f"shrink {res[0] / res[2]:.2f}x per doubling"
 
     @pytest.mark.parametrize("part", ["tau-binary", "harmonic-sum", "roots-potentials"])
     def test_shared_work_bounded_memory(self, part):

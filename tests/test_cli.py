@@ -353,10 +353,10 @@ class TestCsvWriter:
     def test_float_cells_temporaries(self):
         # one block of two float columns of 4096 rows; its cells take 0.2 MB
         x = np.random.default_rng(23).uniform(-2.5, 2.0, 8192)
-        powers = cli._powers_of_ten()
+        cli._powers_of_ten()  # the table is built once per process, before the trace
         tracemalloc.start()
         try:
-            cli._float_cells(x, powers)
+            cli._float_cells(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
