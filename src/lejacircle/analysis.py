@@ -29,7 +29,8 @@ with Lambda).
 
 ``verify_all`` runs every identity, inequality, and limit check the package
 asserts and returns a machine-readable report; each check is a plain
-``check_*`` function, which the acceptance suite calls with its own N.
+``check_*`` function, which the acceptance suite calls with its own N or arrays.
+The checks read I_s, h = 1 - 2**(-s) and the Lambda floor from ``special``.
 """
 
 import math
@@ -60,12 +61,14 @@ from .sequences import (
 from .special import (
     CRITICAL_LEVEL,
     EULER_GAMMA,
+    LAMBDA_FLOOR,
     REGIME_CRITICAL,
     REGIME_LOG,
     REGIME_SUBCRITICAL,
     REGIME_SUPERCRITICAL,
     classify_regime,
     continuous_energy,
+    dyadic_h,
     second_order_scale,
     zeta,
 )
@@ -412,7 +415,7 @@ def check_subcritical_negative(s: float, ext: np.ndarray) -> CheckResult:
 
 def check_subcritical_window(s: float, w: np.ndarray, ext: np.ndarray) -> CheckResult:
     """The normalized extremal series ext stays above -max|W| 2**s/(2**s - 1), w the series W."""
-    bound = float(np.max(np.abs(w))) * 2.0 ** s / (2.0 ** s - 1.0)
+    bound = float(np.max(np.abs(w))) / dyadic_h(s)
     return CheckResult(
         f"subcritical-window[s={s:g}]",
         bool(np.all(ext >= -bound - 1e-12)),
@@ -444,12 +447,11 @@ def check_critical_t_limit(n: int) -> CheckResult:
     return _max_le("critical-t-limit", abs(t - CRITICAL_LEVEL), 1e-3)
 
 
-def check_critical_first_order_corrected(n: int, budget: float) -> CheckResult:
-    """(U_n(a_n) - n T)/(n log n) is within budget of 1/pi, T the critical level; U_n(a_n) is
-    row n of the structural row source, O(log n), bitwise extremal_values_structural(n, 1.0)[-1]."""
-    n = require(size(n, 1, "n"))
-    u = _doubling(_value_terms(n + 1, 1.0))(n, n + 1)[0]
-    corrected = (u - n * CRITICAL_LEVEL) / (n * math.log(n))
+def check_critical_first_order_corrected(values: np.ndarray, budget: float) -> CheckResult:
+    """(U_n(a_n) - n T)/(n log n) is within budget of 1/pi at n = values.size, T the critical
+    level, where values[N-1] = U_N(a_N) at s = 1 (``extremal_values_structural(n, 1.0)``)."""
+    n = values.size
+    corrected = (values[-1] - n * CRITICAL_LEVEL) / (n * math.log(n))
     return _max_le(
         "critical-first-order-corrected",
         abs(corrected - 1.0 / math.pi),
@@ -460,7 +462,7 @@ def check_critical_first_order_corrected(n: int, budget: float) -> CheckResult:
 
 def check_critical_window(ext1: np.ndarray) -> CheckResult:
     """The normalized extremal series ext1 at s = 1 stays near the critical level."""
-    lo = CRITICAL_LEVEL - (2.0 / math.e + 2.0 * math.log(2.0)) / math.pi
+    lo = CRITICAL_LEVEL + LAMBDA_FLOOR / math.pi
     return CheckResult(
         "critical-window",
         bool(np.all(ext1[7:] >= lo - 0.05) and np.all(ext1 <= CRITICAL_LEVEL + 0.05)),
@@ -489,7 +491,7 @@ def check_supercritical_w_limit(s: float, w: np.ndarray) -> CheckResult:
 
 def check_supercritical_window(s: float, w: np.ndarray, ext: np.ndarray) -> CheckResult:
     """ext[N-1] = U_N(a_N)/N**s lies in (0, max W 2**s/(2**s - 1)], w the series W."""
-    bound = float(np.max(w)) * 2.0 ** s / (2.0 ** s - 1.0)
+    bound = float(np.max(w)) / dyadic_h(s)
     return CheckResult(
         f"supercritical-window[s={s:g}]",
         bool(np.all(ext > 0.0) and np.all(ext <= bound + 1e-12)),
@@ -531,11 +533,11 @@ def check_greedy_energy_dominates_roots(s: float, values: np.ndarray, e: np.ndar
 
 
 def check_continuous_energy_forms() -> CheckResult:
-    """Two closed forms of I_s agree for s = 0.05, 0.10, ..., 0.95."""
+    """continuous_energy(s) agrees with Gamma(1-s)/Gamma(1-s/2)**2 for s = 0.05, 0.10, ..., 0.95."""
     worst = 0.0
     for s100 in range(5, 100, 5):
         s = s100 / 100.0
-        first = 2.0 ** (-s) / math.sqrt(math.pi) * math.gamma((1 - s) / 2) / math.gamma(1 - s / 2)
+        first = continuous_energy(s)
         second = math.gamma(1.0 - s) / math.gamma(1.0 - s / 2.0) ** 2
         worst = max(worst, abs(first - second) / abs(first))
     return _max_le("continuous-energy-forms", worst, 1e-12)
@@ -586,7 +588,7 @@ def check_theta_invariants(s_values) -> CheckResult:
     for s in (s for s in s_values if s != 1.0):
         g = binary._g_screen(m, s)
         # 1 <= G < 2**s/(2**s - 1) below s = 1, 0 < G <= 1 above
-        lo, hi = (1.0, 2.0 ** s / (2.0 ** s - 1.0)) if s < 1 else (0.0, 1.0)
+        lo, hi = (1.0, 1.0 / dyadic_h(s)) if s < 1 else (0.0, 1.0)
         near = binary._near(g, lo) | binary._near(g, hi)
         oks.append(binary._all_hold(
             m, g, near, lambda v: (lo <= v) & (v < hi) if s < 1 else (lo < v) & (v <= hi),
@@ -643,11 +645,11 @@ def check_summation_reversal(s_values) -> CheckResult:
     return _max_le("summation-reversal", worst, 1e-12)
 
 
-def check_cross_construction(s: float, n: int, start: float) -> CheckResult:
-    """The numerical greedy from one start point reproduces the structural values, N < n."""
+def check_cross_construction(s: float, values: np.ndarray, start: float) -> CheckResult:
+    """The greedy from one start point reproduces the structural values[N-1] = U_N(a_N), N < n."""
+    n = values.size + 1
     run = greedy_numerical(Configuration.from_turns([start]), s, n)
-    ref = extremal_values_structural(n - 1, s)
-    worst = float(np.max(np.abs(run.extremal_values - ref)))
+    worst = float(np.max(np.abs(run.extremal_values - values)))
     return _max_le(f"cross-construction[s={s:g}]", worst, 1e-6, f"N<={n}")
 
 
@@ -678,10 +680,10 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     2, in one call, and R from it, N <= 2 n_roots; the roots' potentials at one
     root, N <= n_roots, and their direct energies at the exponents of E_s(N),
     N <= min(n_max, 512), one chord pass per N; the structural prefix potentials
-    at s = 0 and all positive s in one pass; per positive s, U_N(a_N) and its
-    extremal series, N <= n_max; and W, N <= n_roots below s = 1, n_max above.
-    The limit checks read R and T at single N as rows of their series.  Every
-    array is O(len(s_grid) * n_max); the checks over N <= 10**6 go in blocks.
+    at s = 0 and all positive s in one pass; per positive s, one U_N(a_N) array, N <= n_max,
+    which the extremal series normalizes and the cross-construction and first-order checks
+    slice; W, N <= n_roots below s = 1, n_max above; R and T at single N as rows of their
+    series.  Every array is O(len(s_grid) * n_max); the checks over N <= 10**6 go in blocks.
     """
     n_max = require(size(n_max, 8, "n_max"), f"n_max={n_max}")
     s_grid = tuple(dict.fromkeys(exponent(s) for s in s_grid))
@@ -699,7 +701,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     direct = dict(zip(exponents, np.array([energy(c, exponents) for c in roots]).T))  # [s][N-2]
     u = prefix_potentials(structural_angles(n_max + 1), [0.0] + pos)
     values = {s: extremal_values_structural(n_max, s) for s in pos}  # values[s][N-1] = U_N(a_N)
-    ext = {s: normalized_series("extremal", s, n_max).values for s in pos}
+    ext = {s: _normalize(v, _nf(1, n_max + 1), s) for s, v in values.items()}  # the extremal series
 
     checks = [
         check_sup_norm_identity(u[0, : min(n_max, 5000)]),
@@ -722,7 +724,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
         checks.append(check_divergence_witnesses(s, ext[s]))
     if 1.0 in s_grid:
         checks.append(check_critical_t_limit(n_max))
-        checks.append(check_critical_first_order_corrected(n_max, 2e-4))
+        checks.append(check_critical_first_order_corrected(values[1.0], 2e-4))
         checks.append(check_divergence_witnesses(1.0, ext[1.0]))
         checks.append(check_critical_window(ext[1.0]))
     for s in sup:
@@ -742,7 +744,7 @@ def verify_all(n_max: int = 2048, s_grid=(0.5, 1.0, 1.5, 2.0)) -> VerificationRe
     checks.append(check_tau_binary_properties())
     checks.append(check_summation_reversal(pos))
     for s in dict.fromkeys(pos[:1] + pos[-1:]):
-        checks.append(check_cross_construction(s, min(64, n_max), 0.0))
+        checks.append(check_cross_construction(s, values[s][: min(64, n_max) - 1], 0.0))
     if sub:
         checks.append(check_generalized_greedy_trend(sub[0], min(256, n_max)))
     return VerificationReport(checks)

@@ -23,8 +23,8 @@ second-order limit constants of the extremal greedy potentials:
 
 The corresponding liminf constants involve the suprema/infima of the digit
 functionals G and Lambda, which are not known in closed form; the catalog
-reports certified brackets combining the bounded searches of
-:mod:`lejacircle.binary` with the landmarks 1/(2**s-1) and -2*log 2.
+reports certified brackets from the bounded searches of :mod:`lejacircle.binary`,
+the landmarks 1/(2**s-1) and -2*log 2, and the floor ``LAMBDA_FLOOR`` of Lambda.
 """
 
 import math
@@ -53,6 +53,8 @@ REGIME_SUPERCRITICAL = "supercritical"
 EULER_GAMMA = 0.5772156649015329
 # limsup of the critical second-order series (U_N(a_N) - N log(N)/pi)/N
 CRITICAL_LEVEL = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
+# Lower bound of Lambda: -M/e - 2*log 2 with 2**(-M) < 1/e, hence M = 2.
+LAMBDA_FLOOR = -2.0 / math.e - 2.0 * math.log(2.0)
 
 # Terms of the accelerated alternating series; error ~ (3+sqrt(8))**(-n).
 _ZETA_TERMS = 50
@@ -108,8 +110,8 @@ def continuous_energy(s: float) -> float:
     """Continuous s-energy of normalized arc length, for 0 <= s < 1:
     2**(-s)/sqrt(pi) * Gamma((1-s)/2) / Gamma(1-s/2).
 
-    ``analysis.check_continuous_energy_forms`` checks it against the
-    equivalent form Gamma(1-s)/Gamma(1-s/2)**2.
+    The one definition of I_s: ``analysis.check_continuous_energy_forms``
+    checks this function against the equivalent form Gamma(1-s)/Gamma(1-s/2)**2.
     """
     if not 0 <= s < 1:
         raise ValueError(f"continuous energy is finite only for 0 <= s < 1, got {s}")
@@ -185,10 +187,15 @@ class ConstantsCatalog:
     liminf_upper: float | None = None
 
 
+def dyadic_h(s: float) -> float:
+    """h = 1 - 2**(-s) and 2**s/(2**s - 1) = 1/h; 2**s - 1 is 0 below s = 1.6e-16, inf from 1024."""
+    return -math.expm1(-s * math.log(2.0))
+
+
 def second_order_scale(s: float) -> float:
     """(2**s - 1) * 2*zeta(s) / (2*pi)**s, the dyadic-subsequence limit, as
-    (1 - 2**(-s)) * 2*zeta(s) * pi**(-s): finite for every s > 0, near 0 too."""
-    return -math.expm1(-s * math.log(2.0)) * 2.0 * zeta(s) * math.pi ** -s
+    h * 2*zeta(s) * pi**(-s): finite for every s > 0, near 0 too."""
+    return dyadic_h(s) * 2.0 * zeta(s) * math.pi ** -s
 
 
 def limit_catalog(s: float) -> ConstantsCatalog:
@@ -202,21 +209,17 @@ def limit_catalog(s: float) -> ConstantsCatalog:
     if regime == REGIME_CRITICAL:
         search = binary.search_lambda(_CATALOG_MAX_BITS)
         lam_ub = min(search.inf_found, search.family_inf, -2.0 * math.log(2.0))
-        # Constructive lower bound for Lambda: -M/e - 2*log 2 with 2**(-M) < 1/e,
-        # hence M = 2.
-        lam_lb = -2.0 / math.e - 2.0 * math.log(2.0)
         return ConstantsCatalog(
             s=s,
             regime=regime,
             first_order=1.0 / math.pi,
             limsup=CRITICAL_LEVEL,
-            liminf_lower=CRITICAL_LEVEL + lam_lb / math.pi,
+            liminf_lower=CRITICAL_LEVEL + LAMBDA_FLOOR / math.pi,
             liminf_upper=CRITICAL_LEVEL + lam_ub / math.pi,
         )
     c = second_order_scale(s)  # negative for s < 1, positive for s > 1
     search = binary.search_g_extremes(s, _CATALOG_MAX_BITS)
-    # h = 1 - 2**(-s): 2**s - 1 would cancel to 0 next to s = 0 and overflow from s = 1024 on
-    h = -math.expm1(-s * math.log(2.0))
+    h = dyadic_h(s)
     landmark = 0.5 ** s / h  # 1/(2**s - 1), inf once h is subnormal
     if regime == REGIME_SUBCRITICAL:
         g_sup_lb = max(search.sup_found, search.family_sup)

@@ -221,7 +221,7 @@ def test_critical_limits():
     assert abs(level - 0.48126) < 5e-6
 
     # The second-order constant enters the first-order ratio at scale 1/log N.
-    crit.require(check_critical_first_order_corrected(n, 2e-3))
+    crit.require(check_critical_first_order_corrected(extremal_values_structural(n, 1.0), 2e-3))
 
     t_val = normalized_series("extremal", 1.0, n).values[-1]
     res_t = abs(t_val - level)
@@ -311,7 +311,8 @@ def test_numerical_greedy_matches_structural():
     crit = Criterion("numerical greedy reproduces the structural values")
     for x0 in (0.0, 0.3137):
         for s in (0.5, 1.0, 2.0):
-            crit.require(check_cross_construction(s, 128, start=x0), f"x0={x0}: ")
+            values = extremal_values_structural(127, s)  # N < 128
+            crit.require(check_cross_construction(s, values, start=x0), f"x0={x0}: ")
     crit.finish()
 
 

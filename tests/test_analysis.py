@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lejacircle import analysis, binary
+from lejacircle import analysis, binary, sequences
 from lejacircle.analysis import (
+    check_continuous_energy_forms,
     check_critical_t_limit,
     check_g_strictly_decreasing_in_s,
     check_roots_potential_identity,
@@ -447,27 +448,44 @@ class TestVerifyAll:
         # the direct energies of the N-th roots, N = 2..512, are built once;
         # E_s(N) only at the N the checks read, N <= 2*1024 and the three at
         # which subcritical-r-limit reads R; per positive s, one structural
-        # U_N(a_N) array and one normalized extremal series
+        # U_N(a_N) array, whose normalization is the extremal series and whose
+        # slices the cross-construction and first-order checks read, so the
+        # doubling terms are built once per positive s
         calls = []
 
-        def counting(name):
-            original = getattr(analysis, name)
+        def counting(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args):
                 calls.append((name, *args))
                 return original(*args)
-            monkeypatch.setattr(analysis, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
         for name in ("energy", "roots_energy", "extremal_values_structural", "normalized_series"):
-            counting(name)
+            counting(analysis, name)
+        counting(analysis, "_value_terms")  # the extremal series' row source
+        counting(sequences, "_value_terms")  # extremal_values_structural's
         assert verify_all().all_pass
         assert sum(name == "energy" for name, *_ in calls) == 511
         for s in (0.5, 1.0, 1.5, 2.0):
             assert calls.count(("extremal_values_structural", 2048, s)) == 1
-            assert calls.count(("normalized_series", "extremal", s, 2048)) == 1
+        assert sum(name == "extremal_values_structural" for name, *_ in calls) == 4
+        assert not any(c[:2] == ("normalized_series", "extremal") and c[2] > 0 for c in calls)
+        assert sum(name == "_value_terms" for name, *_ in calls) == 4
         calls.clear()
         verify_all(n_max=2100)
         assert sum(np.size(c[1]) for c in calls if c[0] == "roots_energy") <= 2 * 1024 + 3
+
+
+class TestContinuousEnergyForms:
+    def test_checks_the_library_function(self, monkeypatch):
+        # the check compares special.continuous_energy itself with Gamma(1-s)/Gamma(1-s/2)**2
+        res = check_continuous_energy_forms()
+        assert res.passed and res.residual.hex() == "0x1.45546f61e66e6p-51"
+        original = analysis.continuous_energy
+        monkeypatch.setattr(analysis, "continuous_energy", lambda s: original(s) * (1.0 + 1e-9))
+        res = check_continuous_energy_forms()
+        assert not res.passed and res.residual > 9e-10
 
 
 def theta_invariants_loop(s_values):

@@ -21,7 +21,7 @@ from lejacircle.binary import (
     tau_b,
 )
 from lejacircle.analysis import limit_point_check
-from lejacircle.binary import _first_extreme
+from lejacircle.binary import _all_hold, _first_extreme, _near
 from lejacircle.circle import BudgetExceededError
 from lejacircle.cli import main
 
@@ -263,6 +263,18 @@ class TestArraySearchOracle:
         got = search_lambda(max_bits)
         _, _, inf_v, inf_m = loop_extremes(max_bits, lambda_value)
         assert (got.inf_found, got.witness_m) == (inf_v, inf_m)
+
+    def test_all_hold_fails_on_a_screen_value_far_from_the_boundary(self):
+        # M = 3 reads 7 on the screen, far from the boundary 1: the screen decides
+        # False, and no M is evaluated exactly
+        m = np.array([1, 3, 5])
+        screen = np.array([0.5, 7.0, 0.5])
+        near = _near(screen, 1.0)
+        assert not near.any()
+
+        def exact(mm):
+            raise AssertionError(f"M = {mm} evaluated exactly")
+        assert _all_hold(m, screen, near, lambda v: v <= 1.0, exact) is False
 
     def test_screen_keeps_rounding_ties_and_first_witness(self):
         # The screen puts M = 3 a rounding error below M = 5; exactly they tie,

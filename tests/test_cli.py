@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lejacircle import analysis, cli
-from lejacircle.analysis import VerificationReport, normalized_series
+from lejacircle.analysis import VerificationReport, normalized_series, star_discrepancy
 from lejacircle.binary import (
     GSearchResult,
     LambdaSearchResult,
@@ -31,6 +31,7 @@ from lejacircle.binary import (
 from lejacircle.circle import Configuration
 from lejacircle.cli import _CSV_CHUNK_ROWS, FIGURE_GRIDS, main
 from lejacircle.sequences import extremal_values_structural, greedy_numerical, structural_angles
+from lejacircle.summation import pairwise_sum
 
 
 def run_cli(args):
@@ -510,6 +511,20 @@ def test_theta_refuses_bad_exponent(tmp_path, capsys, fmt, s):
     _refused_without_output(tmp_path, capsys, args, f"Riesz exponent must be finite and > 0, got {float(s)}")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: star_discrepancy([]), "need at least one sample"),
+    (lambda: pairwise_sum(np.zeros((2, 2))), "pairwise_sum expects a 1-d array"),
+    (lambda: Configuration.from_turns([[0.1]]), "turn angles must form a 1-d sequence"),
+    (["sequence", "--numerical", "--initial", ","], "no initial angles given"),
+], ids=["star_discrepancy-empty", "pairwise_sum-2d", "from_turns-2d", "sequence-initial-comma"])
+def test_argument_guards(tmp_path, capsys, call, message):
+    if isinstance(call, list):  # a command line: exit 2 with the one error line
+        _refused_without_output(tmp_path, capsys, call, message)
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 @pytest.mark.parametrize("s", ["1e-16", "390", "1e308"])
 def test_constants_finite_at_extreme_exponents(capsys, s):
     # 2**s - 1 is 0 in floats up to s = 1.6e-16, and (2*pi)**s overflows from s = 387 on
@@ -648,6 +663,15 @@ class TestVerify:
 
     def test_budget_exit(self):
         assert run_cli(["verify", "--n-max", str((1 << 20) + 1)]) == 3
+
+    def test_vanishing_exponent_gives_a_report(self, capsys):
+        # 2**s - 1 is 0 in floats below s = 1.6e-16; the window bounds take
+        # 2**s/(2**s - 1) as 1/(1 - 2**(-s)), which stays finite
+        assert run_cli(["verify", "--s", "1e-20", "--n-max", "64"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "FAILURES present"
+        assert len(lines) == 25 and all(l.startswith(("[PASS] ", "[FAIL] ")) for l in lines[:-1])
+        assert any(l.startswith("[PASS] subcritical-window[s=1e-20]: ") for l in lines)
 
     def test_default_grid_is_verify_alls(self, monkeypatch, capsys):
         default = inspect.signature(analysis.verify_all).parameters["s_grid"].default

@@ -393,6 +393,14 @@ class TestGreedyNumerical:
         with pytest.raises(ValueError):
             greedy_numerical(Configuration.from_turns([0.0]), -0.5, 4)
 
+    def test_refuses_given_points_whose_potential_overflows(self, monkeypatch):
+        # n_points is the initial size, so no step runs; the recorded U_1(a_1) =
+        # (2 sin(pi 1e-9))**(-200) overflows, and the last check refuses it
+        monkeypatch.setattr(sequences, "_grow", None)
+        message = "^the running potential overflows float64 at s=200.0, N=2$"
+        with pytest.raises(ValueError, match=message):
+            greedy_numerical(Configuration.from_turns([0.0, 1e-9]), 200.0, 2)
+
     def test_deterministic(self):
         a = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 24)
         b = greedy_numerical(Configuration.from_turns([0.0, 0.1, 0.37]), 0.5, 24)
