@@ -28,10 +28,13 @@ so each gap holds exactly one minimizer; a safeguarded Newton/bisection on the
 derivative finds it and brackets the gap minimum from both sides, and the
 global minimum is the smallest gap minimum.  A gap is solved once its bracket
 is tight or its Newton step no longer moves the iterate, which takes a handful
-of derivative passes.  After each appended point only the gaps whose bracket
-can still reach the best value are solved again; the two halves of the split
-gap inherit its certified lower bound and wait like any other gap, so a step
-grown from one start point mostly costs a single derivative pass.
+of derivative passes.  A solve stops a gap sooner once its certified lower
+bound lies more than the tie slack above the least value evaluated so far:
+that gap can neither hold nor tie the minimum, and its bounds stay valid.
+After each appended point only the gaps whose bracket can still reach the
+best value are solved again; the two halves of the split gap inherit its
+certified lower bound and wait like any other gap, so a step grown from one
+start point mostly costs a single derivative pass.
 
 A step's cost is its derivative passes.  Each iteration of the gap solver is
 one vectorized pass over the active gaps and all charges; the brackets are
@@ -216,23 +219,27 @@ def _solve_gaps(charges: np.ndarray, lo: list, hi: list, sv: float):
     midpoints.  A gap stops once |U'| * (hi - lo) <= _SOLVED * max(|U|, 1),
     or once its Newton step rounds to the iterate itself: x is then the root
     to working precision, even where U' cannot meet that budget in double
-    precision.  Each iteration takes one ``_derivatives`` pass over the
-    active gaps; the brackets are Python floats, updated gap by gap.  Returns
-    lists (x, upper, lower) with upper = U(x) and, by convexity,
-    lower = U(x) - |U'(x)| * (hi - lo) <= the gap minimum <= upper.
+    precision.  After each pass, a gap whose lower bound exceeds B + _TIE,
+    where B is the least U evaluated so far in any gap, stops at its current
+    x: some gap's minimum is at most B, so this one can neither hold nor tie
+    the minimum.  Returns lists (x, upper, lower) with upper = U(x) and, by
+    convexity, lower = U(x) - |U'(x)| * (hi - lo) <= the gap minimum <= upper.
     """
     length = [h - l for l, h in zip(lo, hi)]
     xl, xh = list(lo), list(hi)
     x = [0.5 * (l + h) for l, h in zip(lo, hi)]
     u, du = [0.0] * len(x), [0.0] * len(x)
+    best = math.inf
     active = list(range(len(x)))
     for it in range(_MAX_ITERS):
         xa = np.array([x[i] for i in active])
         ua, dua, dda = _derivatives(xa, charges, sv)
         steps = (xa - dua / dda).tolist()  # numpy division: inf or nan, never an exception
+        ua = ua.tolist()
+        best = min(best, *ua)  # nan never compares less, so it never becomes best
         last = it == _MAX_ITERS - 1
         still = []
-        for i, ui, dui, step in zip(active, ua.tolist(), dua.tolist(), steps):
+        for i, ui, dui, step in zip(active, ua, dua.tolist(), steps):
             xi = x[i]
             u[i], du[i] = ui, dui
             if dui < 0.0:  # the minimizer lies right of xi
@@ -242,7 +249,8 @@ def _solve_gaps(charges: np.ndarray, lo: list, hi: list, sv: float):
             bl, bh = xl[i], xh[i]
             nxt = step if bl < step < bh else 0.5 * (bl + bh)
             if (abs(dui) * length[i] <= _SOLVED * max(abs(ui), 1.0)
-                    or step == xi or nxt == xi or last):
+                    or step == xi or nxt == xi or last
+                    or ui - abs(dui) * length[i] > best + _TIE):
                 continue
             x[i] = nxt
             still.append(i)
@@ -266,6 +274,8 @@ def _grow(initial: np.ndarray, sv: float, n_points: int) -> np.ndarray:
     bound, like any other gap.  Each step solves every gap whose lower bound
     reaches the best upper bound, so every gap that can hold or tie the global
     minimum is solved for the current potential, and leaves the others alone.
+    A gap the solve stopped early keeps a looser lower bound, which can only
+    bring it back into a later solve; that solve restarts at the midpoint.
     x, lo and hi are the rows of one array and upper, lower of another, so a
     step's update of both bounds is one chord pass and one kernel pass.
     """
@@ -280,21 +290,21 @@ def _grow(initial: np.ndarray, sv: float, n_points: int) -> np.ndarray:
     order = np.sort(initial)
     lo[:m], hi[:m] = order, np.append(order[1:], order[0] + 1.0)
     while m < n_points:
-        redo = np.flatnonzero(lower[:m] <= upper[:m].min() + _TIE)
-        x[redo], upper[redo], lower[redo] = _solve_gaps(
-            pts[:m], lo[redo].tolist(), hi[redo].tolist(), sv)
+        redo = (lower[:m] <= upper[:m].min() + _TIE).nonzero()[0]
+        xs, us, ls = _solve_gaps(pts[:m], *gaps[1:, redo].tolist(), sv)
+        x[redo], bounds[:, redo] = xs, (us, ls)
         best = upper[:m].min()
         if not math.isfinite(best):  # all-inf potentials would tie, and the tie rule would pick the point
             raise ValueError(_OVERFLOW.format("running", sv, n_points))
-        ties = np.flatnonzero(upper[:m] <= best + _TIE)
-        j = int(ties[np.argmin(x[ties] % 1.0)])
-        xj, hj = float(x[j]), float(hi[j])
+        ties = (upper[:m] <= best + _TIE).nonzero()[0]
+        j = ties.item() if ties.size == 1 else ties[np.argmin(x[ties] % 1.0)].item()
+        xj, hj = x[j].item(), hi[j].item()
         a = pts[m] = xj % 1.0
         lo[m], hi[m], hi[j] = xj, hj, xj
         # the halves keep the parent's certified bound and wait unsolved; x must
         # stay inside each, since the upper update below reads it
         lower[m], upper[j], upper[m] = lower[j], np.inf, np.inf
-        x[j], x[m] = 0.5 * (float(lo[j]) + xj), 0.5 * (xj + hj)
+        x[j], x[m] = 0.5 * (lo[j].item() + xj), 0.5 * (xj + hj)
         m += 1
         d = chord_lengths(gaps[:, :m], a)  # rows from x, lo, hi; row 1 becomes the far end
         np.maximum(d[1], d[2], out=d[1])

@@ -43,15 +43,24 @@ def canonical_angles_5001():
     return structural_angles(5001)
 
 
+class GapPasses(list):
+    """One entry per ``_solve_gaps`` call, its derivative passes; ``cells`` sums
+    the kernel cells of every pass, its points times its charges."""
+
+    cells = 0
+
+
 @pytest.fixture
 def gap_passes(monkeypatch):
-    """Derivative passes of the greedy's gap solves, one entry per ``_solve_gaps`` call."""
-    passes = []
+    """Derivative passes of the greedy's gap solves, one entry per ``_solve_gaps`` call,
+    and the kernel cells of all of them in ``.cells``."""
+    passes = GapPasses()
     derivatives, solve_gaps = sequences._derivatives, sequences._solve_gaps
 
-    def counting_derivatives(*args):
+    def counting_derivatives(x, charges, sv):
         passes[-1] += 1
-        return derivatives(*args)
+        passes.cells += x.size * charges.size
+        return derivatives(x, charges, sv)
 
     def counting_solve_gaps(*args):
         passes.append(0)

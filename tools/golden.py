@@ -57,6 +57,10 @@ INVOCATIONS = [
     ("sequence-defaults", ["sequence"]),
     ("sequence-structural-2^20", ["sequence", "--structural", "--n", "1048576"]),
     *_NUMERICAL,
+    # the greedy at N = 1024 where the gap solves prune most, and the tie-rounding regime from 0
+    ("sequence-numerical-s0.5-initial-1024", ["sequence", "--numerical", "--n", "1024", "--s", "0.5",
+                                              "--initial", "0,0.1,0.37"]),
+    ("sequence-numerical-s2-1024", ["sequence", "--numerical", "--n", "1024", "--s", "2"]),
     *_SERIES,
     ("series-W_subcritical-s0.5-16384", ["series", "--kind", "W_subcritical", "--s", "0.5",
                                          "--n-max", "16384"]),
@@ -69,7 +73,8 @@ INVOCATIONS = [
 ]
 # The invocations that take about 1 s or less each in one process, about 2 s in all.
 FAST = [name for name, _ in INVOCATIONS
-        if name not in ("sequence-structural-2^20", "theta-csv", "verify-4096")]
+        if name not in ("sequence-structural-2^20", "sequence-numerical-s0.5-initial-1024",
+                        "sequence-numerical-s2-1024", "theta-csv", "verify-4096")]
 
 
 def _simd_found() -> list:
