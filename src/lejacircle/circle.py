@@ -13,8 +13,8 @@ Kernels: for two circle points z, w and exponent s >= 0
     k_s(z, w) = |z - w|**(-s)        (s > 0)
 
 where |z - w| = 2*|sin(pi*(x - y))| is the chord distance between the points
-at turn angles x and y; ``chord_kernel`` is the one implementation of this
-map from chord lengths to kernel values.
+at turn angles x and y; ``chord_kernel``, the one implementation of this map
+from chord lengths to kernel values, takes every power of a chord.
 
 ``prefix_potentials`` gives the potential U_n(a_n) of every point against its
 predecessors, in bounded row blocks; the energy is E = 2 * sum_n U_n(a_n).
@@ -38,11 +38,11 @@ Closed forms for N-th roots of unity:
 Both take N as an int or a 1-d integer array (one value per entry, equal
 bitwise to the int call).  roots_energy also takes a 1-d array of exponents,
 which adds a leading axis (row i equal bitwise to the call at s[i]) and
-shares the sines of each N among them.  It is a direct sum per entry with
-deterministic compensated reduction (see summation.py); each chord is taken
-at the reflected index where that is smaller (sin(k*pi/N) = sin((N-k)*pi/N)),
-so no sine sees an argument near pi, whose rounding would cost about N*eps on
-the shortest chords.
+shares the sines of each N among them.  Each entry is 2**(-s) times the
+compensated sum (summation.py) of ``chord_kernel`` at the half chords
+sin(k*pi/N), inf past float64's range; each sine is taken at the reflected
+index where that is smaller (sin(k*pi/N) = sin((N-k)*pi/N)), so none sees an
+argument near pi, whose rounding would cost about N*eps on the shortest chords.
 midpoint_potential is E_s(2N)/(2N) - E_s(N)/N evaluated by the
 Brauchart-Hardin-Saff expansion of E_s (O(1) per N).  The direct sum
 serves N < 8, s > 32, and s within 0.01 of an odd integer: at odd s the
@@ -189,7 +189,7 @@ def prefix_potentials(angles, s) -> np.ndarray:
     chords = np.empty(step * max(n - 1, 0))
     kernels = np.empty(max(m, 1) * step * width)  # also the scratch of the chords
     later = np.arange(step - 1) >= np.arange(step)[:, None]  # [r, j]: tile column j is not before row r
-    with np.errstate(divide="ignore"):  # the kernel at the zero chords, which are discarded
+    with np.errstate(divide="ignore", over="ignore"):  # the zero chords, discarded; overflow is inf
         for start in range(1, n, step):
             stop = min(start + step, n)
             rows, cols = stop - start, block_width(stop - 1)
@@ -243,11 +243,12 @@ def roots_energy(n, s):
     ns = _roots_n(n)
     exponents, scalar = _exponents(s, positive=True)
     out = np.empty((len(exponents), ns.size))
-    for j, m in enumerate(ns.tolist()):
-        k = np.arange(1, m, dtype=np.float64)
-        sines = np.sin(np.minimum(k, m - k) * (np.pi / m))
-        for i, e in enumerate(exponents):
-            out[i, j] = 2.0 ** (-e) * m * pairwise_sum(sines ** (-e))
+    with np.errstate(over="ignore"):  # an energy past float64's range is inf
+        for j, m in enumerate(ns.tolist()):
+            k = np.arange(1, m, dtype=np.float64)
+            sines = np.sin(np.minimum(k, m - k) * (np.pi / m))  # the half chords
+            for i, e in enumerate(exponents):
+                out[i, j] = 2.0 ** (-e) * m * pairwise_sum(chord_kernel(sines, e))
     out = out[:, 0] if np.ndim(n) == 0 else out
     return out if not scalar else float(out[0]) if out.ndim == 1 else out[0]
 
@@ -256,7 +257,7 @@ def _midpoint_sum(n: int, s: float) -> float:
     """Direct sum of the n chord kernels 2*sin((2k-1)*pi/(2n))**(-s), k = 1..n."""
     j = 2.0 * np.arange(1, n + 1, dtype=np.float64) - 1.0
     d = 2.0 * np.sin(np.minimum(j, 2.0 * n - j) * (np.pi / (2.0 * n)))
-    return pairwise_sum(d ** (-s))
+    return pairwise_sum(chord_kernel(d, s))
 
 
 def midpoint_potential(n, s: float):

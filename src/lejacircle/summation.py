@@ -2,9 +2,9 @@
 
 :func:`pairwise_sum`, which the energies and the roots-of-unity closed forms
 take, reduces a float64 array in fixed 128-element blocks and combines the
-block partials with an exact (Shewchuk) float sum.  The reduction shape depends
-only on the length of the input, so results are bit-reproducible and the
-worst-case rounding error stays at the block level (~128 * eps relative).
+block partials with an exact (Shewchuk) float sum, +-inf past float64's range.
+The reduction shape depends only on the input's length, so results are
+bit-reproducible and the rounding error stays at block level (~128 eps relative).
 
 :func:`row_sums`, which ``prefix_potentials`` reduces its rows with, sums each
 row of a 2-d array in the same blocks, zero-padded past the row's end, and adds
@@ -19,8 +19,17 @@ import numpy as np
 _BLOCK = 128
 
 
+def _fsum(values: list) -> float:
+    """math.fsum, or +-inf where a sum of finite values overflows float64 (fsum raises there)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # no partial overflows at 2**-k, and scaling back is exact or +-inf
+        k = len(values).bit_length() + 1
+        return math.fsum([math.ldexp(v, -k) for v in values]) * 2.0 ** k
+
+
 def pairwise_sum(values) -> float:
-    """Sum a 1-d float array with a fixed blockwise/exact reduction."""
+    """Sum a 1-d float array with a fixed blockwise/exact reduction; +-inf where it overflows."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("pairwise_sum expects a 1-d array")
@@ -28,12 +37,12 @@ def pairwise_sum(values) -> float:
     if n == 0:
         return 0.0
     if n <= _BLOCK:
-        return math.fsum(arr.tolist())
+        return _fsum(arr.tolist())
     head = (n // _BLOCK) * _BLOCK
     partials = np.add.reduce(arr[:head].reshape(-1, _BLOCK), axis=1).tolist()  # np.sum, unwrapped
     if head < n:
-        partials.append(math.fsum(arr[head:].tolist()))
-    return math.fsum(partials)
+        partials.append(_fsum(arr[head:].tolist()))
+    return _fsum(partials)
 
 
 def block_width(cols: int) -> int:

@@ -39,6 +39,7 @@ import pytest
 from lejacircle.analysis import (
     check_binary_decomposition_potential,
     check_critical_first_order_corrected,
+    check_critical_t_limit,
     check_cross_construction,
     check_inverse_square_bruteforce,
     check_midpoint_energy_identity,
@@ -46,19 +47,15 @@ from lejacircle.analysis import (
     check_sup_norm_identity,
     check_sup_norm_ratio_doubling_decreasing,
     check_sup_norm_ratio_dyadic_ones,
+    check_supercritical_quarter,
     check_supercritical_window,
+    check_theta_invariants,
     limit_point_check,
     normalized_series,
     roots_potentials,
     star_discrepancy,
 )
-from lejacircle.binary import (
-    enumerate_theta,
-    g_value,
-    lambda_value,
-    search_g_extremes,
-    search_lambda,
-)
+from lejacircle.binary import search_g_extremes, search_lambda
 from lejacircle.circle import (
     Configuration,
     chord_kernel,
@@ -222,10 +219,7 @@ def test_critical_limits():
 
     # The second-order constant enters the first-order ratio at scale 1/log N.
     crit.require(check_critical_first_order_corrected(extremal_values_structural(n, 1.0), 2e-3))
-
-    t_val = normalized_series("extremal", 1.0, n).values[-1]
-    res_t = abs(t_val - level)
-    crit.check(res_t <= 1e-3, f"second-order value residual {res_t:.2e} > 1e-3")
+    crit.require(check_critical_t_limit(n))  # T(N), the extremal row at N, within 1e-3 of the level
     crit.finish()
 
 
@@ -238,26 +232,17 @@ def test_supercritical_limits():
     res = abs(value - const)
     crit.check(res <= 1e-4, f"s=3 dyadic residual {res:.2e} > 1e-4")
 
-    value2 = normalized_series("extremal", 2.0, n).values[-1]
-    res2 = abs(value2 - 0.25)
-    crit.check(res2 <= 1e-10, f"s=2 dyadic value residual {res2:.2e} > 1e-10")
+    # W at s = 2, equal to the extremal series at every N = 2**p, is 1/4 within 1e-10 at every N <= n
+    crit.require(check_supercritical_quarter(normalized_series("W_supercritical", 2.0, n).values))
     crit.finish()
 
 
 def test_digit_functional_bounds_and_searches():
     crit = Criterion("digit-direction functionals: brackets, searches, limit point")
-    upper_half = 2.0 ** 0.5 / (2.0 ** 0.5 - 1.0)  # 2 + sqrt 2 < 3.4142136
-    ok_half = ok_two = ok_lam = True
-    for m in enumerate_theta(16, 16):
-        g_half = g_value(m, 0.5)
-        g_two = g_value(m, 2.0)
-        lam = lambda_value(m)
-        ok_half = ok_half and 1.0 <= g_half < 3.4142136 and g_half < upper_half
-        ok_two = ok_two and 0.0 < g_two <= 1.0
-        ok_lam = ok_lam and -2.5 < lam <= 0.0
-    crit.check(ok_half, "G(.; 1/2) outside [1, 2^s/(2^s-1)) for an enumerated vector")
-    crit.check(ok_two, "G(.; 2) outside (0, 1] for an enumerated vector")
-    crit.check(ok_lam, "Lambda outside (-2.5, 0] for an enumerated vector")
+    upper_half = 2.0 ** 0.5 / (2.0 ** 0.5 - 1.0)  # 2 + sqrt 2
+    crit.check(upper_half < 3.4142136, f"2^s/(2^s-1) at s = 1/2 is {upper_half!r}, not below 3.4142136")
+    # every odd M < 2**16: 1 <= G(.; 1/2) < 2^s/(2^s-1), 0 < G(.; 2) <= 1, -2.5 < Lambda <= 0
+    crit.require(check_theta_invariants([0.5, 2.0], max_bits=16))
 
     sup_half = search_g_extremes(0.5, 16).sup_found
     crit.check(sup_half >= 2.40, f"sup G(.; 1/2) search found {sup_half:.4f} < 2.40")

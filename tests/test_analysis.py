@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from lejacircle import analysis, binary, sequences
 from lejacircle.analysis import (
+    CheckResult,
     check_continuous_energy_forms,
     check_critical_t_limit,
     check_g_strictly_decreasing_in_s,
+    check_greedy_energy_dominates_roots,
     check_roots_potential_identity,
     check_subcritical_r_limit,
+    check_summation_reversal,
     check_tau_binary_properties,
     check_theta_invariants,
     check_zeta_sign_and_euler_gamma,
@@ -394,6 +397,14 @@ class TestVerifyAll:
         assert set(payload) == {"all_pass", "checks"}
         assert all({"name", "status", "residual", "budget", "detail"} == set(c) for c in payload["checks"])
 
+    def test_non_finite_numbers_are_json_null(self):
+        # json.dumps writes nan and inf as NaN and Infinity, which are not JSON
+        got = CheckResult("x", False, math.nan, math.inf).to_dict()
+        assert (got["residual"], got["budget"]) == (None, None)
+        got = CheckResult("x", False, -math.inf, 1e-12).to_dict()
+        assert (got["residual"], got["budget"]) == (None, 1e-12)
+        assert CheckResult("x", True, 0.25, -2.5).to_dict()["residual"] == 0.25
+
     def test_shared_arrays_keep_each_checks_indices(self):
         # verify_all hands the checks slices of arrays it builds once; these
         # residuals, recomputed from per-N scalar calls, must come out equal.
@@ -477,6 +488,30 @@ class TestVerifyAll:
         assert sum(np.size(c[1]) for c in calls if c[0] == "roots_energy") <= 2 * 1024 + 3
 
 
+class TestPastFloat64:
+    # nan fails a check: a residual that overflowed decides nothing
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_summation_reversal_fails_on_terms_past_float64(self):
+        # from s = 96.3 on, the shortest of the 4998 chords overflows its kernel
+        res = check_summation_reversal([100.0])
+        assert not res.passed and math.isnan(res.residual)
+        res = check_summation_reversal([0.5, 100.0, 2.0])
+        assert not res.passed and math.isnan(res.residual)
+        assert check_summation_reversal([]).residual == 0.0
+
+    def test_greedy_energy_dominance_fails_where_both_energies_overflow(self):
+        values = extremal_values_structural(16, 2.0)
+        e = roots_energy(np.arange(1, 17), 2.0)
+        assert check_greedy_energy_dominates_roots(2.0, values, e).passed
+        values[9] = math.inf  # the greedy energy is inf from N = 11 on
+        assert check_greedy_energy_dominates_roots(2.0, values, e).passed  # E_s(N) stays below it
+        e[12] = math.inf
+        with np.errstate(invalid="ignore"):  # inf - inf at N = 13
+            res = check_greedy_energy_dominates_roots(2.0, values, e)
+        assert not res.passed and math.isnan(res.residual)
+
+
 class TestContinuousEnergyForms:
     def test_checks_the_library_function(self, monkeypatch):
         # the check compares special.continuous_energy itself with Gamma(1-s)/Gamma(1-s/2)**2
@@ -488,11 +523,11 @@ class TestContinuousEnergyForms:
         assert not res.passed and res.residual > 9e-10
 
 
-def theta_invariants_loop(s_values):
-    """``check_theta_invariants`` as a loop of exact values over every odd M < 2**12: (passed, residual)."""
+def theta_invariants_loop(s_values, max_bits=12):
+    """``check_theta_invariants`` as a loop of exact values over every odd M < 2**max_bits: (passed, residual)."""
     worst = 0.0
     ok = True
-    for m in binary.enumerate_theta(12, 12):
+    for m in binary.enumerate_theta(max_bits, max_bits):
         exps = binary.decompose(m)
         ok = ok and sum(1 << e for e in exps) == m
         ok = ok and all(1 << (e + k - 1) <= m for k, e in enumerate(exps, start=1))
@@ -528,6 +563,12 @@ class TestThetaChecksOnTheScreen:
         assert (got.name, got.budget, got.detail) == (
             "theta-invariants", -2.5, "sum=1 exact, decay, G/Lambda brackets")
         assert passed == (s_values != (1100.0,))
+
+    @pytest.mark.parametrize("max_bits", [1, 5, 14])
+    def test_theta_invariants_take_their_depth(self, max_bits):
+        got = check_theta_invariants((0.5, 2.0), max_bits=max_bits)
+        passed, residual = theta_invariants_loop((0.5, 2.0), max_bits)
+        assert passed and (got.passed, got.residual.hex()) == (passed, residual.hex())
 
     @pytest.mark.parametrize("s_values", GRIDS)
     def test_g_decreasing_matches_the_exact_loop(self, s_values):

@@ -120,6 +120,18 @@ class TestKernel:
         for s in (0.0, 0.5, 1.0, 2.7):
             assert kernel(s, 0.1, 0.73) == kernel(s, 0.73, 0.1)
 
+    @pytest.mark.parametrize("s", [0.001, 0.5, 1.0, 1.5, 2.0, 3.0, 17.25, 100.0])
+    def test_positive_exponents_are_the_power_bitwise(self, s):
+        # the closed forms and the checks once took chords ** (-s) themselves; at
+        # s = 1 both take numpy's reciprocal
+        for n in (3, 7, 100, 1000, 4998):
+            j = 2.0 * np.arange(1, n + 1) - 1.0
+            midpoint = 2.0 * np.sin(np.minimum(j, 2.0 * n - j) * (np.pi / (2.0 * n)))
+            k = np.arange(1, n, dtype=np.float64)
+            for d in (midpoint, np.sin(np.minimum(k, n - k) * (np.pi / n)), 2.0 * np.sin(np.pi * (k / n))):
+                with np.errstate(over="ignore"):
+                    assert np.array_equal(chord_kernel(d, s), d ** (-s))
+
 
 class TestPotential:
     def test_single_point_antipodal(self):

@@ -556,6 +556,19 @@ def test_closed_forms_refuse_overflowing_potential(tmp_path, capsys, args, messa
     _refused_without_output(tmp_path, capsys, args, message)
 
 
+@pytest.mark.filterwarnings("error")  # the one error line, no traceback and no RuntimeWarning
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--s", "165", "--n-max", "256"], "the running potential overflows float64 at s=165.0, N=256"),
+    (["sequence", "--structural", "--s", "235.3", "--n", "128"],
+     "the running potential overflows float64 at s=235.3, N=127"),
+])
+def test_sums_past_float64_reach_the_refusal(tmp_path, capsys, args, message):
+    # sums of finite kernels past float64's range, in the roots' energies before
+    # verify reaches the structural values and in the running potential, are inf:
+    # math.fsum raised OverflowError there
+    _refused_without_output(tmp_path, capsys, args, message)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["W_supercritical", "extremal"])
 def test_supercritical_rows_where_n_power_overflows(tmp_path, kind):
@@ -684,6 +697,23 @@ class TestVerify:
         run_cli(["verify", "--n-max", "64"])
         run_cli(["verify", "--n-max", "64", "--s", "2"])
         assert calls == [{"n_max": 64}, {"n_max": 64, "s_grid": [2.0]}]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_terms_past_float64_fail_in_strict_json(self, tmp_path, capsys):
+        # at s = 100 the 4998 summation-reversal terms overflow: the check fails on
+        # its nan ratio, and the report writes the nan as null
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--s", "100", "--n-max", "64", "--json-out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if not l.startswith("[PASS] ")] == [
+            "[FAIL] summation-reversal: residual=nan budget=1.000e-12", "FAILURES present"]
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        check = next(c for c in payload["checks"] if c["name"] == "summation-reversal")
+        assert (check["status"], check["residual"], check["budget"]) == ("fail", None, 1e-12)
 
     def test_json_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -152,6 +152,32 @@ def test_only_budget_module_guards_sizes():
     assert _outside_budget(flag) == []
 
 
+def test_only_chord_kernel_raises_a_chord_to_a_negative_power():
+    # circle.chord_kernel is the one map from chord lengths to kernel values: in
+    # circle, sequences and analysis no other code takes x ** (-s) of a base that
+    # is not a literal, or np.power(x, -s)
+    package = Path(lejacircle.__file__).parent
+
+    def negated(node):
+        return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+
+    offenders = []
+    for module in ("circle", "sequences", "analysis"):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        kernel = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "chord_kernel"
+                  for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) in kernel:
+                continue
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and negated(node.right)
+                    and not isinstance(node.left, ast.Constant)):
+                offenders.append(f"{module}:{node.lineno} ** of a negated exponent")
+            if (isinstance(node, ast.Call) and "power" in _names(node.func) and len(node.args) > 1
+                    and negated(node.args[1])):
+                offenders.append(f"{module}:{node.lineno} power of a negated exponent")
+    assert offenders == []
+
+
 def test_package_imports_form_no_cycle():
     # each module's relative imports, read from its source; a cycle
     # would make some import order fail on a partially initialized module

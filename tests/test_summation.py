@@ -21,6 +21,19 @@ def test_hard_cancellation_case():
     assert abs(pairwise_sum(vals) - 2001.0) <= bound
 
 
+def test_sums_past_float64_are_infinite():
+    # math.fsum raises OverflowError where a sum of finite values overflows,
+    # from the whole input (n <= 128), the tail, or the block partials
+    assert pairwise_sum([1e308, 1e308]) == math.inf
+    assert pairwise_sum([-1e308] * 3) == -math.inf
+    assert pairwise_sum(np.r_[np.zeros(128), 1e308, 1e308]) == math.inf
+    assert pairwise_sum(np.full(256, 1e306)) == math.inf  # two finite partials, 1.28e308 each
+    # an intermediate overflow with a sum inside the range is that sum
+    assert pairwise_sum([1e308, 1e308, -1e308]) == 1e308
+    block = float(np.add.reduce(np.full(128, 1e306)))
+    assert pairwise_sum(np.r_[np.full(256, 1e306), np.full(128, -1e306)]) == block
+
+
 def test_row_sums_ignore_width_and_neighbours():
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((5, 300)) * np.exp(rng.uniform(-8, 8, (5, 300)))

@@ -69,9 +69,11 @@ INVOCATIONS = [
     ("theta-json", ["theta"]),
     ("theta-csv", ["theta", "--format", "csv"]),
     ("verify", ["verify", "--json-out", "report.json"]),
+    # two exponents off the default grid, one on each side of s = 1, at a smaller n_max
+    ("verify-off-grid", ["verify", "--s", "0.25", "--s", "3", "--n-max", "256", "--json-out", "report.json"]),
     ("verify-4096", ["verify", "--n-max", "4096", "--json-out", "report.json"]),
 ]
-# The invocations that take about 1 s or less each in one process, about 2 s in all.
+# The invocations that take about 1 s or less each in one process, about 2.5 s in all.
 FAST = [name for name, _ in INVOCATIONS
         if name not in ("sequence-structural-2^20", "sequence-numerical-s0.5-initial-1024",
                         "sequence-numerical-s2-1024", "theta-csv", "verify-4096")]
